@@ -91,6 +91,8 @@ from .certificates import (
     combined_codes_array,
     disk_centers_elliptic,
     disk_slack,
+    disk_slack_array,
+    fill_line_family,
     lambda_feasible,
     line_distance,
 )

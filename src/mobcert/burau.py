@@ -52,6 +52,8 @@ class BurauGenerators:
 
 def _check_mu(mu: complex) -> complex:
     mu = complex(mu)
+    if not cmath.isfinite(mu):
+        raise InvalidInputError(f"mu must be finite, got {mu!r}")
     if mu == 0:
         raise InvalidInputError("mu must be nonzero")
     return mu

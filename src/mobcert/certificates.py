@@ -10,10 +10,10 @@ Available tests, in the order cert_combined applies them:
 2. DisksGeneral  -- the general isometric-disk test applied to B, which
    coincides with the elliptic disk family of the swapped marking (q, p).
 3. ImBound       -- |Im rho| >= 2 sqrt(1 - S^2) (closed).
-4. LineFamily    -- rho lies on a certified line {a (1 + i t)} through an
-   anchor a that the disk tests certify strictly.
-5. LambdaRegion  -- the lambda branch of rho satisfies the closed
+4. LambdaRegion  -- the lambda branch of rho satisfies the closed
    lambda-coordinate inequalities.
+5. LineFamily    -- rho lies on a certified line {a (1 + i t)} through an
+   anchor a that the disk tests certify strictly (the anchor search).
 
 Open conditions (disks, lines) are certified strictly (slack > EPS_ALG);
 closed conditions (im bound, lambda) allow slack >= -EPS_ALG, so exact
@@ -92,16 +92,14 @@ class Certificate:
         return self.verdict != VERDICT_NONE
 
 
-def _min_order(p) -> None:
-    if p == math.inf:
-        return
-    if p < 3:
-        raise PreconditionError(f"test needs order >= 3 (or inf), got {p}")
-
-
 def _family_ok(p) -> bool:
     """Whether the disk family with A-order p exists (p >= 3 or inf)."""
     return p == math.inf or p >= 3
+
+
+def _min_order(p) -> None:
+    if not _family_ok(p):
+        raise PreconditionError(f"test needs order >= 3 (or inf), got {p}")
 
 
 def disk_centers_elliptic(p, q) -> tuple[complex, complex, complex, complex]:
@@ -119,6 +117,15 @@ def disk_slack(p, q, z: complex) -> float:
     """min_k |z - c_k| - 2 over the four exclusion disks; > 0 certifies."""
     z = complex(z)
     return min(abs(z - c) for c in disk_centers_elliptic(p, q)) - 2.0
+
+
+def disk_slack_array(p, q, rho: np.ndarray) -> np.ndarray:
+    """Vectorized disk_slack: min_k |rho - c_k| - 2 over an array of rho."""
+    rho = np.asarray(rho, dtype=complex)
+    d = np.full(rho.shape, np.inf)
+    for c in disk_centers_elliptic(p, q):
+        np.minimum(d, np.abs(rho - c), out=d)
+    return d - 2.0
 
 
 def cert_disks_elliptic(spec: GroupSpec) -> Certificate:
@@ -437,12 +444,17 @@ def cert_combined(spec: GroupSpec, search: bool = True) -> Certificate:
 
     Order: elliptic disks, the same disk test under the swapped marking
     (the general disk test applied to B, witnessed as DisksGeneral), the
-    im bound, the canonical line anchors under both markings, the lambda
-    region under both markings, then (optionally) the anchor search.  The
-    swapped marking describes the same group, so its certificates apply.
-    Tests whose preconditions fail are skipped.  On failure returns
-    NoCertificate with the largest slack seen.  The dihedral marking
-    p = q = 2 is rejected outright: no certificate family covers it.
+    im bound, the lambda region under both markings, then (optionally) the
+    anchor search.  The swapped marking describes the same group, so its
+    certificates apply.  Tests whose preconditions fail are skipped.  On
+    failure returns NoCertificate with the largest slack seen.  The
+    dihedral marking p = q = 2 is rejected outright: no certificate family
+    covers it.
+
+    This scalar cascade is the hand-written reference for
+    combined_codes_array.  The canonical anchors are not tried: their disk
+    slack never exceeds EPS_ALG (the largest, over both markings, is
+    4.4e-16), so a line through one of them is never certified.
     """
     if spec.p == 2 and spec.q == 2:
         raise InvalidInputError("p = q = 2 is a degenerate (dihedral) spec")
@@ -462,30 +474,15 @@ def cert_combined(spec: GroupSpec, search: bool = True) -> Certificate:
         return cert
 
     swapped = spec.swapped()
-    if swapped.p == math.inf or swapped.p >= 3:
-        s_sw = disk_slack(swapped.p, swapped.q, spec.rho)
-        best = max(best, s_sw)
-        if s_sw > EPS_ALG:
-            return Certificate(
-                VERDICT_FREE, "DisksGeneral", s_sw, CODE_DISKS_GENERAL, {"family": "swapped"}
-            )
+    cert = run(cert_disks_elliptic, swapped)
+    if cert:
+        return Certificate(
+            VERDICT_FREE, "DisksGeneral", cert.slack, CODE_DISKS_GENERAL, {"family": "swapped"}
+        )
 
     cert = run(cert_im_bound, spec)
     if cert:
         return cert
-
-    try:
-        anchors = canonical_anchors(spec.p, spec.q)
-    except ValueError:
-        anchors = []
-    for a in anchors:
-        for marked in (spec, swapped):
-            try:
-                cert = cert_line_family(marked, a)
-            except (PreconditionError, InvalidInputError):
-                continue
-            if cert.certified:
-                return cert
 
     for marked in (spec, swapped):
         cert = run(cert_lambda, marked)
@@ -500,42 +497,46 @@ def cert_combined(spec: GroupSpec, search: bool = True) -> Certificate:
     return Certificate(VERDICT_NONE, None, best, CODE_NONE)
 
 
+def fill_line_family(p, q, rho: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Finish the code-0 entries of codes with the bulk anchor search.
+
+    codes has the shape of rho and is updated in place: every uncertified
+    rho that lies on a certified line gets CODE_LINE_FAMILY.  Returns codes.
+    """
+    mask = codes == 0
+    if mask.any():
+        slack, _, _ = anchor_search_bulk(p, q, rho[mask])
+        sub = codes[mask]
+        sub[slack > EPS_ALG] = CODE_LINE_FAMILY
+        codes[mask] = sub
+    return codes
+
+
 def combined_codes_array(p, q, rho: np.ndarray, search: bool = True) -> np.ndarray:
     """Vectorized cert_combined codes over an array of rho values.
 
-    Applies the closed-form tests in the same order as cert_combined (the
-    canonical anchors never fire strictly, so they contribute no codes) and
-    finishes code-0 points with the bulk anchor search.
+    Applies the closed-form tests in the same order as cert_combined --
+    elliptic disks (1), swapped-marking disks (2), Im bound (5), lambda
+    region (4) -- and with search=True finishes the code-0 points with
+    fill_line_family.
     """
     rho = np.asarray(rho, dtype=complex)
     codes = np.zeros(rho.shape, dtype=np.uint8)
 
-    def family_slack(pp, qq):
-        centers = disk_centers_elliptic(pp, qq)
-        d = np.full(rho.shape, np.inf)
-        for c in centers:
-            np.minimum(d, np.abs(rho - c), out=d)
-        return d - 2.0
+    def fill(code, hit):
+        codes[(codes == 0) & hit] = code
 
     finite = p != math.inf and q != math.inf
-    if p == math.inf or p >= 3:
-        codes[(codes == 0) & (family_slack(p, q) > EPS_ALG)] = CODE_DISKS_ELLIPTIC
-    if q == math.inf or q >= 3:
-        codes[(codes == 0) & (family_slack(q, p) > EPS_ALG)] = CODE_DISKS_GENERAL
+    if _family_ok(p):
+        fill(CODE_DISKS_ELLIPTIC, disk_slack_array(p, q, rho) > EPS_ALG)
+    if _family_ok(q):
+        fill(CODE_DISKS_GENERAL, disk_slack_array(q, p, rho) > EPS_ALG)
     if finite and p >= 3 and q >= 3:
-        imb = np.abs(rho.imag) - im_bound(p, q)
-        codes[(codes == 0) & (imb >= -EPS_ALG)] = CODE_IM_BOUND
+        fill(CODE_IM_BOUND, np.abs(rho.imag) - im_bound(p, q) >= -EPS_ALG)
     if finite and not (p == 2 and q == 2):
         lam = lambda_from_rho_array(p, q, rho)
-        lslack = np.maximum(
-            lambda_slack_array(p, q, lam), lambda_slack_array(q, p, lam)
-        )
-        codes[(codes == 0) & (lslack >= -EPS_ALG)] = CODE_LAMBDA
+        lslack = np.maximum(lambda_slack_array(p, q, lam), lambda_slack_array(q, p, lam))
+        fill(CODE_LAMBDA, lslack >= -EPS_ALG)
     if search:
-        mask = codes == 0
-        if mask.any():
-            slack, _, _ = anchor_search_bulk(p, q, rho[mask])
-            sub = codes[mask]
-            sub[slack > EPS_ALG] = CODE_LINE_FAMILY
-            codes[mask] = sub
+        fill_line_family(p, q, rho, codes)
     return codes

@@ -11,13 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from . import __version__
 from .burau import annulus_report, faithful_certificate, mu_coordinates
 from .certificates import cert_combined
 from .farey import FAREY_WORDS, SLOPES, cusp_residue, solve_cusp
-from .kernels import BACKENDS
 from .lambda_region import lambda_from_rho
 from .mobius import (
     GroupSpec,
@@ -41,7 +41,10 @@ from .scan import MODES, PartialScanError, ScanJob, Window, run_scan
 
 
 def _complex_arg(text: str) -> complex:
-    cleaned = text.strip().replace(" ", "").replace("i", "j").replace("I", "j")
+    # "i" is the imaginary unit except inside "inf"/"infinity", which parse
+    # (like "nan") so that the library rejects them as out of domain.
+    cleaned = re.sub(r"infinity", "inf", text.strip().replace(" ", ""), flags=re.I)
+    cleaned = re.sub(r"i(?!nf)", "j", cleaned, flags=re.I)
     try:
         return complex(cleaned)
     except ValueError:
@@ -146,7 +149,7 @@ def cmd_region(args) -> int:
 def cmd_scan(args) -> int:
     job = ScanJob(p=args.p, q=args.q, window=args.window, resolution=args.res, mode=args.mode)
     try:
-        result = run_scan(job, backend=args.backend, workers=args.workers)
+        result = run_scan(job, workers=args.workers)
     except PartialScanError as exc:
         print(f"error: {exc} (completed_rows={exc.completed_rows})", file=sys.stderr)
         return 1
@@ -245,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--out", required=True, help="output base path (suffixes are appended)")
     scan.add_argument("--format", choices=("svg", "pgm"), default="svg")
     scan.add_argument("--workers", type=int, default=1)
-    scan.add_argument("--backend", choices=BACKENDS, default=None)
     scan.set_defaults(func=cmd_scan)
 
     cmp_ = sub.add_parser("compare-lambda", help="disk vs lambda certificate comparison")

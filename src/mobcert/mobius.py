@@ -75,7 +75,8 @@ def sigma_pq(p, q) -> float:
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """Marked pair (p, q, rho).  rho = 0 is allowed (reducible pair)."""
+    """Marked pair (p, q, rho).  rho = 0 is allowed (reducible pair);
+    a non-finite rho is rejected."""
 
     p: object
     q: object
@@ -86,7 +87,10 @@ class GroupSpec:
             raise InvalidInputError(f"p must be an integer >= 2 or inf, got {self.p!r}")
         if not _valid_order(self.q):
             raise InvalidInputError(f"q must be an integer >= 2 or inf, got {self.q!r}")
-        object.__setattr__(self, "rho", complex(self.rho))
+        rho = complex(self.rho)
+        if not cmath.isfinite(rho):
+            raise InvalidInputError(f"rho must be finite, got {rho!r}")
+        object.__setattr__(self, "rho", rho)
 
     @property
     def alpha(self) -> complex:
@@ -270,13 +274,6 @@ class SectorK:
 
 def disk_meets_sector(disk: Disk, sector: SectorK, tol: float = EPS_GEO) -> bool:
     return sector.distance(disk.center) <= disk.radius + tol
-
-
-def rotation_about(apex: complex, angle: float) -> np.ndarray:
-    """Det-1 matrix rotating the plane by ``angle`` about ``apex``."""
-    h = cmath.exp(0.5j * angle)
-    # conjugate z -> h^2 z by translation to the apex
-    return mat2c(h, apex * (1.0 / h - h), 0.0, 1.0 / h)
 
 
 def map_disk(m: np.ndarray, disk: Disk) -> Disk:

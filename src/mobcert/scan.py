@@ -21,19 +21,22 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from . import __version__, kernels
+from . import __version__
+from .burau import faithful_mask
 from .certificates import (
     CODE_DISKS_ELLIPTIC,
     CODE_LAMBDA,
-    CODE_LINE_FAMILY,
-    anchor_search_bulk,
+    combined_codes_array,
+    disk_slack_array,
+    fill_line_family,
 )
+from .lambda_region import lambda_from_rho_array, lambda_slack_array
 from .mobius import EPS_ALG, InvalidInputError
-from .burau import SQRT3
-from .omega import build_omega
+from .omega import build_omega, omega_margin
 
 MODES = ("omega", "disks", "lambda", "combined", "burau")
 
@@ -103,51 +106,57 @@ class PartialScanError(RuntimeError):
         self.cause = cause
 
 
-def _row_codes(job: ScanJob, xs: np.ndarray, y: float, backend: str | None) -> np.ndarray:
-    """Certificate codes of one row of pixel centers (pure, order-free)."""
-    z = xs + 1j * y
+def _code(hit: np.ndarray, code: int) -> np.ndarray:
+    return np.where(hit, code, 0).astype(np.uint8)
+
+
+def _mode_codes(job: ScanJob) -> Callable[[np.ndarray], np.ndarray]:
+    """The closed-form code function of the job's mode, complex array ->
+    uint8 codes, with its per-scan setup (the Omega lines) done once."""
+    p, q = job.p, job.q
     if job.mode == "omega":
-        region = build_omega(job.p, job.q)
-        margin = kernels.omega_margin_grid(region, z, backend=backend)
-        return np.where(margin < -EPS_ALG, CODE_DISKS_ELLIPTIC, 0).astype(np.uint8)
+        region = build_omega(p, q)
+        return lambda z: _code(omega_margin(region, z) < -EPS_ALG, CODE_DISKS_ELLIPTIC)
     if job.mode == "disks":
-        slack = kernels.disk_slack_grid(job.p, job.q, z, backend=backend)
-        return np.where(slack > EPS_ALG, CODE_DISKS_ELLIPTIC, 0).astype(np.uint8)
+        return lambda z: _code(disk_slack_array(p, q, z) > EPS_ALG, CODE_DISKS_ELLIPTIC)
     if job.mode == "lambda":
-        slack = kernels.lambda_slack_grid(job.p, job.q, z, backend=backend)
-        return np.where(slack >= -EPS_ALG, CODE_LAMBDA, 0).astype(np.uint8)
+        return lambda z: _code(
+            lambda_slack_array(p, q, lambda_from_rho_array(p, q, z)) >= -EPS_ALG, CODE_LAMBDA
+        )
     if job.mode == "burau":
-        slack = kernels.burau_slack_grid(z, backend=backend)
-        with np.errstate(invalid="ignore"):
-            ok = (slack >= -EPS_ALG * SQRT3) & (np.abs(z + 1.0) > EPS_ALG) & (z != 0)
-        return np.where(ok, CODE_LAMBDA, 0).astype(np.uint8)
-    return kernels.combined_codes_grid(job.p, job.q, z, backend=backend)
+        return lambda z: _code(faithful_mask(z), CODE_LAMBDA)
+    return lambda z: combined_codes_array(p, q, z, search=False)
 
 
-def run_scan(job: ScanJob, backend: str | None = None, workers: int = 1) -> ScanResult:
+def _row_codes(codes_of: Callable[[np.ndarray], np.ndarray], xs: np.ndarray, y: float) -> np.ndarray:
+    """Certificate codes of one row of pixel centers (pure, order-free)."""
+    return codes_of(xs + 1j * y)
+
+
+def run_scan(job: ScanJob, workers: int = 1) -> ScanResult:
     """Run a scan job; deterministic and independent of the worker count."""
-    backend = kernels.resolve_backend(backend)
     res = job.resolution
     xs = job.xs()
     ys = job.ys()
     codes = np.full((res, res), CODE_UNSCANNED, dtype=np.uint8)
 
     # Fail fast on bad parameters before any row work starts.
-    _row_codes(job, xs[:1], ys[0], backend)
+    codes_of = _mode_codes(job)
+    _row_codes(codes_of, xs[:1], ys[0])
 
     completed = 0
     failure: BaseException | None = None
     if workers <= 1:
         for i in range(res):
             try:
-                codes[i] = _row_codes(job, xs, ys[i], backend)
+                codes[i] = _row_codes(codes_of, xs, ys[i])
                 completed += 1
             except Exception as exc:  # noqa: BLE001 - rethrown as PartialScanError
                 failure = exc
                 break
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_row_codes, job, xs, ys[i], backend): i for i in range(res)}
+            futures = {pool.submit(_row_codes, codes_of, xs, ys[i]): i for i in range(res)}
             for fut in as_completed(futures):
                 i = futures[fut]
                 try:
@@ -160,15 +169,9 @@ def run_scan(job: ScanJob, backend: str | None = None, workers: int = 1) -> Scan
         raise PartialScanError(completed, res, codes, failure)
 
     if job.mode == "combined":
-        # The residual anchor search runs once over the merged grid, in the
-        # shared numpy path, so both backends and all worker counts agree.
-        mask = codes == 0
-        if mask.any():
-            grid = xs[None, :] + 1j * ys[:, None]
-            slack, _, _ = anchor_search_bulk(job.p, job.q, grid[mask])
-            sub = codes[mask]
-            sub[slack > EPS_ALG] = CODE_LINE_FAMILY
-            codes[mask] = sub
+        # The residual anchor search runs once over the merged grid, so all
+        # worker counts agree.
+        fill_line_family(job.p, job.q, xs[None, :] + 1j * ys[:, None], codes)
 
     metadata = {
         "p": job.p,
@@ -176,7 +179,6 @@ def run_scan(job: ScanJob, backend: str | None = None, workers: int = 1) -> Scan
         "window": [job.window.re_min, job.window.re_max, job.window.im_min, job.window.im_max],
         "resolution": res,
         "mode": job.mode,
-        "backend": backend,
         "version": __version__,
     }
     return ScanResult(codes=codes, metadata=metadata)

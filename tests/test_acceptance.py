@@ -27,7 +27,6 @@ from mobcert.certificates import (
     disk_slack,
 )
 from mobcert.farey import cusp_residue, solve_cusp
-from mobcert.kernels import omega_margin_grid
 from mobcert.lambda_region import (
     LambdaParams,
     lambda_boundary,
@@ -47,7 +46,7 @@ from mobcert.mobius import (
     sin_sin,
     tr2,
 )
-from mobcert.omega import boundary_cusps, build_omega, im_bound, rho_star, x_pq
+from mobcert.omega import boundary_cusps, build_omega, im_bound, omega_margin, rho_star, x_pq
 from mobcert.render import region_svg, scan_csv, scan_svg
 from mobcert.scan import ScanJob, Window, run_scan
 
@@ -148,7 +147,7 @@ def test_criterion_05_soundness_sweep():
                 RNG.uniform(sigma / 2 - 8.0, sigma / 2 + 8.0, 2 * n)
                 + 1j * RNG.uniform(-6.0, 6.0, 2 * n)
             )
-            margin = omega_margin_grid(region, cand, backend="numpy")
+            margin = omega_margin(region, cand)
             pts = np.concatenate([pts, cand[margin < -EPS_ALG]])
         pts = pts[:n]
         codes = combined_codes_array(p, q, pts, search=True)

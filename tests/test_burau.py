@@ -47,6 +47,14 @@ class TestGenerators:
             burau_generators(0.0)
 
 
+    @pytest.mark.parametrize("mu", [complex("nan"), complex("inf"), complex("nan+1j")], ids=["nan", "inf", "nan+1j"])
+    def test_rejects_non_finite(self, mu):
+        with pytest.raises(InvalidInputError):
+            mu_coordinates(mu)
+        with pytest.raises(InvalidInputError):
+            faithful_certificate(mu)
+
+
 class TestCoordinates:
     @given(mu=mu_values)
     @settings(max_examples=80, deadline=None)
@@ -154,6 +162,16 @@ class TestAnnuli:
         bad = bad[np.abs(bad + 1.0) > 1e-9]  # mu = -1 is excluded by fiat
         assert (np.abs(bad) >= lo_c - 1e-9).all()
         assert (np.abs(bad) <= hi_c + 1e-9).all()
+
+    def test_mask_matches_scalar(self):
+        # faithful_mask (the burau scan mode) agrees with the scalar
+        # certificate, including the excluded point mu = -1.
+        rng = np.random.default_rng(4)
+        mu = rng.uniform(-4.0, 4.0, 200) + 1j * rng.uniform(-4.0, 4.0, 200)
+        mu = np.append(mu, [-1.0, 1.0, 3.0])
+        mask = faithful_mask(mu)
+        for ok, m in zip(mask, mu):
+            assert bool(ok) == is_faithful(complex(m))
 
     def test_slack_array_matches_scalar(self):
         rng = np.random.default_rng(2)

@@ -28,6 +28,7 @@ from mobcert.certificates import (
     combined_codes_array,
     disk_centers_elliptic,
     disk_slack,
+    disk_slack_array,
     lambda_feasible,
     line_distance,
 )
@@ -70,6 +71,19 @@ class TestDiskFamily:
             sigma = sigma_pq(p, p)
             assert min(abs(abs(0.0 - c) - 2.0) for c in centers) < 1e-12
             assert min(abs(abs(sigma - c) - 2.0) for c in centers) < 1e-12
+
+    def test_slack_array_matches_scalar(self):
+        rho = RNG.uniform(-6.0, 12.0, 600) + 1j * RNG.uniform(-6.0, 6.0, 600)
+        arr = disk_slack_array(3, 4, rho)
+        assert arr.shape == rho.shape
+        want = np.array([disk_slack(3, 4, complex(z)) for z in rho[:50]])
+        assert np.abs(arr[:50] - want).max() < 1e-12
+
+    def test_slack_array_infinite_q(self):
+        rho = RNG.uniform(-6.0, 12.0, 100) + 1j * RNG.uniform(-6.0, 6.0, 100)
+        arr = disk_slack_array(3, math.inf, rho)
+        want = np.array([disk_slack(3, math.inf, complex(z)) for z in rho])
+        assert np.abs(arr - want).max() < 1e-12
 
     def test_strictness(self):
         spec = GroupSpec(3, 3, 6.0 + 0.0j)
@@ -257,6 +271,21 @@ class TestCanonicalAnchors:
         sigma = sigma_pq(3, 4)
         assert any(abs(a - (sigma - rs)) < 1e-12 for a in a34)
 
+    def test_never_certify_a_line(self):
+        # cert_combined does not try the canonical anchors: none of them
+        # passes the strict disk test under either marking, so no line
+        # through one is ever certified.  Orders 2 and inf have none.
+        orders = list(range(3, 41)) + [100, 1000, 10**6]
+        worst = -math.inf
+        for p in orders:
+            for q in orders:
+                for a in canonical_anchors(p, q):
+                    worst = max(worst, anchor_slack(p, q, a)[0])
+        assert worst <= EPS_ALG
+        for p, q in [(2, 5), (5, 2), (2, 40), (math.inf, 4), (3, math.inf), (math.inf, math.inf)]:
+            with pytest.raises(ValueError):
+                canonical_anchors(p, q)
+
 
 class TestCombined:
     def test_witness_precedence(self):
@@ -289,15 +318,29 @@ class TestCombined:
         assert not c.certified
         assert c.verdict == "NoCertificate"
 
-    def test_scalar_matches_array_codes(self):
-        xs = np.linspace(-2.5, 5.5, 21)
-        ys = np.linspace(-2.0, 2.0, 11)
+    @staticmethod
+    def assert_scalar_matches_array(p, q, xs, ys):
+        # The closed forms alone, then the full cascade with the anchor search.
         grid = (xs[None, :] + 1j * ys[:, None]).ravel()
-        codes = combined_codes_array(3, 4, grid, search=True)
-        for z, code in zip(grid, codes):
-            cert = cert_combined(GroupSpec(3, 4, complex(z)), search=True)
-            assert cert.code == int(code), f"scalar/array mismatch at {z}"
-            assert cert.witness == WITNESS_OF_CODE[int(code)]
+        closed = combined_codes_array(p, q, grid, search=False)
+        full = combined_codes_array(p, q, grid, search=True)
+        for z, c0, c1 in zip(grid, closed, full):
+            spec = GroupSpec(p, q, complex(z))
+            assert cert_combined(spec, search=False).code == int(c0), f"closed forms differ at {z}"
+            cert = cert_combined(spec, search=True)
+            assert cert.code == int(c1), f"scalar/array mismatch at {z}"
+            assert cert.witness == WITNESS_OF_CODE[int(c1)]
+
+    def test_scalar_matches_array_codes(self):
+        self.assert_scalar_matches_array(3, 4, np.linspace(-2.5, 5.5, 21), np.linspace(-2.0, 2.0, 11))
+
+    @pytest.mark.parametrize(
+        "p,q",
+        [(5, 9), (2, 5), (5, 2), (3, math.inf), (math.inf, 4), (math.inf, math.inf), (10**6, 7)],
+    )
+    def test_scalar_matches_array_codes_markings(self, p, q):
+        # 23 x 19 grid of the standard window; (3, 4) is the test above.
+        self.assert_scalar_matches_array(p, q, np.linspace(-3.0, 6.0, 23), np.linspace(-4.5, 4.5, 19))
 
     @given(
         re=st.floats(min_value=-6.0, max_value=9.0),

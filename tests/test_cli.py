@@ -90,6 +90,18 @@ class TestCertify:
         assert rc == 3
         assert "error:" in err
 
+    @pytest.mark.parametrize("rho", ["nan", "inf", "nan+1j", "infinity-2i"])
+    def test_non_finite_rho_exits_3(self, capsys, rho):
+        rc, out, err = run(capsys, "certify", "--p", "3", "--q", "4", "--rho", rho)
+        assert rc == 3 and out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("mu", ["nan", "inf", "nan+1j"])
+    def test_non_finite_mu_exits_3(self, capsys, mu):
+        rc, out, err = run(capsys, "certify", "--burau", "--mu", mu)
+        assert rc == 3 and out == ""
+        assert err.startswith("error:")
+
     def test_malformed_rho_exits_2(self, capsys):
         with pytest.raises(SystemExit) as ei:
             main(["certify", "--p", "3", "--q", "3", "--rho", "spam"])
@@ -125,7 +137,7 @@ class TestScan:
         base = tmp_path / "grid"
         rc, out, _ = run(
             capsys, "scan", "--p", "3", "--q", "3", "--window=-1,1,-1,1",
-            "--res", "8", "--mode", "omega", "--backend", "numpy",
+            "--res", "8", "--mode", "omega",
             "--out", str(base),
         )
         assert rc == 0
@@ -133,6 +145,7 @@ class TestScan:
         assert doc["csv"] == str(base) + ".csv"
         assert doc["raster"] == str(base) + ".svg"
         assert doc["metadata"]["resolution"] == 8
+        assert "backend" not in doc["metadata"]
         csv = (tmp_path / "grid.csv").read_bytes()
         assert csv.startswith(b"x,y,code\n")
         assert len(csv.strip().split(b"\n")) == 1 + 64
@@ -144,7 +157,7 @@ class TestScan:
         rc, out, _ = run(
             capsys, "scan", "--p", "3", "--q", "4", "--window=-1,1,-1,1",
             "--res", "4", "--mode", "disks", "--format", "pgm",
-            "--backend", "numpy", "--out", str(base),
+            "--out", str(base),
         )
         assert rc == 0
         assert (tmp_path / "grid.pgm").read_bytes().startswith(b"P2\n4 4\n5\n")
@@ -157,6 +170,7 @@ class TestScan:
         capsys.readouterr()
 
     def test_bad_backend_choice(self, capsys):
+        # numpy is the only backend; --backend is no longer an option.
         with pytest.raises(SystemExit) as ei:
             main(["scan", "--p", "3", "--q", "3", "--window=-1,1,-1,1",
                   "--res", "4", "--out", "x", "--backend", "fortran"])
@@ -166,7 +180,7 @@ class TestScan:
     def test_invalid_marking_exits_3(self, capsys, tmp_path):
         rc, _, err = run(
             capsys, "scan", "--p", "2", "--q", "2", "--window=-1,1,-1,1",
-            "--res", "4", "--mode", "lambda", "--backend", "numpy",
+            "--res", "4", "--mode", "lambda",
             "--out", str(tmp_path / "x"),
         )
         assert rc == 3

@@ -117,6 +117,17 @@ class TestBranches:
             assert abs(l - big) < 1e-9 * max(1.0, abs(big))
 
 
+    def test_array_branch_slack_matches_scalar(self):
+        # The lambda scan mode composes the array helpers; the scalar path
+        # is lambda_from_rho followed by lambda_slack on the larger branch.
+        rng = np.random.default_rng(6)
+        rho = rng.uniform(-6.0, 12.0, 600) + 1j * rng.uniform(-6.0, 6.0, 600)
+        arr = lambda_slack_array(3, 5, lambda_from_rho_array(3, 5, rho))
+        for z, v in zip(rho[:25], arr[:25]):
+            big, _ = lambda_from_rho(GroupSpec(3, 5, complex(z)))
+            assert abs(lambda_slack(3, 5, big) - v) < 1e-10
+
+
 class TestBoundary:
     @given(
         p=st.integers(min_value=2, max_value=30),

@@ -67,6 +67,11 @@ class TestGenerators:
         with pytest.raises(InvalidInputError):
             make_generators(GroupSpec(3, 3, 0.0))
 
+    @pytest.mark.parametrize("rho", [complex("nan"), complex("inf"), complex("nan+1j")], ids=["nan", "inf", "nan+1j"])
+    def test_rejects_non_finite_rho(self, rho):
+        with pytest.raises(InvalidInputError):
+            GroupSpec(3, 4, rho)
+
     def test_gamma_formula(self):
         # gamma = tr[A,B] - 2 = rho (rho - sigma) for random markings.
         for _ in range(30):

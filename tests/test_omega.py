@@ -95,6 +95,15 @@ class TestRegionShape:
             assert np.abs(m - omega_margin(region, z.conj())).max() < 1e-9
             assert np.abs(m - omega_margin(region, sigma - z)).max() < 1e-9
 
+    def test_margin_array_matches_scalar(self):
+        rng = np.random.default_rng(7)
+        region = build_omega(3, 7)
+        z = rng.uniform(-6.0, 12.0, 600) + 1j * rng.uniform(-6.0, 6.0, 600)
+        arr = omega_margin(region, z)
+        assert arr.shape == z.shape
+        want = np.array([omega_margin(region, complex(v)) for v in z[:50]])
+        assert np.abs(arr[:50] - want).max() < 1e-12
+
     def test_polygon_vertices_on_boundary(self):
         for p, q in [(3, 3), (4, 4), (3, 4), (3, 7)]:
             region = build_omega(p, q)

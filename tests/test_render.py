@@ -33,7 +33,6 @@ def tiny_result(codes):
         "window": [0.0, 1.0, 0.0, 1.0],
         "resolution": res,
         "mode": "combined",
-        "backend": "numpy",
         "version": "test",
     }
     return ScanResult(codes=codes, metadata=meta)
@@ -138,8 +137,8 @@ class TestScanFormats:
 
     def test_deterministic_bytes(self):
         job = ScanJob(3, 3, Window(-2.0, 5.0, -3.0, 3.0), 16, "disks")
-        a = run_scan(job, backend="numpy")
-        b = run_scan(job, backend="numpy", workers=2)
+        a = run_scan(job)
+        b = run_scan(job, workers=2)
         assert scan_csv(a) == scan_csv(b)
         assert scan_svg(a) == scan_svg(b)
         assert scan_pgm(a) == scan_pgm(b)

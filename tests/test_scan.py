@@ -5,14 +5,10 @@ import pytest
 
 import mobcert.scan as scan
 from mobcert import __version__
-from mobcert.kernels import (
-    burau_slack_grid,
-    disk_slack_grid,
-    lambda_slack_grid,
-    omega_margin_grid,
-)
+from mobcert.certificates import combined_codes_array, disk_slack_array
+from mobcert.lambda_region import lambda_from_rho_array, lambda_slack_array
 from mobcert.mobius import EPS_ALG, InvalidInputError
-from mobcert.omega import build_omega
+from mobcert.omega import build_omega, omega_margin
 from mobcert.render import scan_csv
 from mobcert.scan import CODE_UNSCANNED, PartialScanError, ScanJob, Window, run_scan
 
@@ -49,44 +45,44 @@ class TestModeSemantics:
 
     def test_omega_mode(self):
         job = job_33("omega")
-        result = run_scan(job, backend="numpy")
-        margin = omega_margin_grid(build_omega(3, 3), self.grid(job), backend="numpy")
+        result = run_scan(job)
+        margin = omega_margin(build_omega(3, 3), self.grid(job))
         assert ((result.codes == 1) == (margin < -EPS_ALG)).all()
         assert set(np.unique(result.codes)) <= {0, 1}
 
     def test_disks_mode(self):
         job = job_33("disks")
-        result = run_scan(job, backend="numpy")
-        slack = disk_slack_grid(3, 3, self.grid(job), backend="numpy")
+        result = run_scan(job)
+        slack = disk_slack_array(3, 3, self.grid(job))
         assert ((result.codes == 1) == (slack > EPS_ALG)).all()
 
     def test_lambda_mode(self):
         job = job_33("lambda")
-        result = run_scan(job, backend="numpy")
-        slack = lambda_slack_grid(3, 3, self.grid(job), backend="numpy")
+        result = run_scan(job)
+        slack = lambda_slack_array(3, 3, lambda_from_rho_array(3, 3, self.grid(job)))
         assert ((result.codes == 4) == (slack >= -EPS_ALG)).all()
 
     def test_burau_mode_faithful_patch(self):
         job = ScanJob(3, 3, Window(2.5, 4.5, -0.5, 0.5), 2, "burau")
-        result = run_scan(job, backend="numpy")
+        result = run_scan(job)
         assert (result.codes == 4).all()  # mu near 3..4 is certified faithful
 
     def test_burau_mode_exclusions(self):
         # pixel centers land exactly on mu = -1 and mu = 0: both excluded.
         job = ScanJob(3, 3, Window(-1.5, 0.5, -0.5, 1.5), 2, "burau")
-        result = run_scan(job, backend="numpy")
+        result = run_scan(job)
         assert (result.codes[0] == 0).all()  # row y=0: mu = -1, mu = 0
         assert result.codes[1, 1] == 0  # mu = i lies inside the annulus
 
     def test_combined_codes_in_range(self):
-        result = run_scan(job_33("combined", res=32), backend="numpy")
+        result = run_scan(job_33("combined", res=32))
         assert set(np.unique(result.codes)) <= {0, 1, 2, 3, 4, 5}
 
     def test_combined_sound_outside_omega(self):
         # every pixel strictly outside Omega must carry some certificate.
         job = job_33("combined", res=72)
-        result = run_scan(job, backend="numpy")
-        margin = omega_margin_grid(build_omega(3, 3), self.grid(job), backend="numpy")
+        result = run_scan(job)
+        margin = omega_margin(build_omega(3, 3), self.grid(job))
         outside = margin < -EPS_ALG
         assert outside.any()
         assert (result.codes[outside] != 0).all()
@@ -97,23 +93,46 @@ class TestModeSemantics:
 class TestDeterminism:
     def test_worker_count_invariant(self):
         job = job_33("combined", res=36)
-        one = run_scan(job, backend="numpy", workers=1)
-        four = run_scan(job, backend="numpy", workers=4)
+        one = run_scan(job, workers=1)
+        four = run_scan(job, workers=4)
         assert (one.codes == four.codes).all()
         assert one.metadata == four.metadata
         assert scan_csv(one) == scan_csv(four)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_combined_matches_array_codes(self, workers):
+        job = ScanJob(3, 4, Window(-3.0, 6.0, -4.5, 4.5), 40, "combined")
+        grid = job.xs()[None, :] + 1j * job.ys()[:, None]
+        result = run_scan(job, workers=workers)
+        assert (result.codes == combined_codes_array(3, 4, grid, search=True)).all()
+        assert (result.codes == 3).any()
+
     def test_metadata(self):
         job = job_33("omega", res=8)
-        result = run_scan(job, backend="numpy", workers=3)
+        result = run_scan(job, workers=3)
         md = result.metadata
         assert md["p"] == 3 and md["q"] == 3
         assert md["window"] == [-3.0, 6.0, -4.0, 4.0]
         assert md["resolution"] == 8
         assert md["mode"] == "omega"
-        assert md["backend"] == "numpy"
+        assert "backend" not in md
         assert md["version"] == __version__
         assert "workers" not in md
+
+
+class TestSetup:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_omega_built_once_per_scan(self, monkeypatch, workers):
+        calls = []
+
+        def counting(p, q):
+            calls.append((p, q))
+            return build_omega(p, q)
+
+        monkeypatch.setattr(scan, "build_omega", counting)
+        result = run_scan(job_33("omega", res=16), workers=workers)
+        assert calls == [(3, 3)]
+        assert (result.codes == 1).any()
 
 
 class TestPartialFailure:
@@ -122,14 +141,14 @@ class TestPartialFailure:
         ys = job.ys()
         real = scan._row_codes
 
-        def flaky(job_, xs, y, backend):
+        def flaky(codes_of, xs, y):
             if len(xs) > 1 and y >= ys[3] - 1e-12:
                 raise RuntimeError("boom")
-            return real(job_, xs, y, backend)
+            return real(codes_of, xs, y)
 
         monkeypatch.setattr(scan, "_row_codes", flaky)
         with pytest.raises(PartialScanError) as ei:
-            run_scan(job, backend="numpy", workers=1)
+            run_scan(job, workers=1)
         err = ei.value
         assert err.completed_rows == 3
         assert err.total_rows == 8
@@ -142,14 +161,14 @@ class TestPartialFailure:
         ys = job.ys()
         real = scan._row_codes
 
-        def flaky(job_, xs, y, backend):
+        def flaky(codes_of, xs, y):
             if len(xs) > 1 and abs(y - ys[5]) < 1e-12:
                 raise RuntimeError("boom")
-            return real(job_, xs, y, backend)
+            return real(codes_of, xs, y)
 
         monkeypatch.setattr(scan, "_row_codes", flaky)
         with pytest.raises(PartialScanError) as ei:
-            run_scan(job, backend="numpy", workers=4)
+            run_scan(job, workers=4)
         err = ei.value
         assert err.completed_rows == 7
         assert (err.partial[5] == CODE_UNSCANNED).all()
@@ -161,4 +180,4 @@ class TestPartialFailure:
         # an invalid marking dies before any row is scanned
         job = ScanJob(2, 2, Window(-1.0, 1.0, -1.0, 1.0), 4, "lambda")
         with pytest.raises(InvalidInputError):
-            run_scan(job, backend="numpy")
+            run_scan(job)
