@@ -92,7 +92,6 @@ from .certificates import (
     disk_centers_elliptic,
     disk_slack,
     disk_slack_array,
-    fill_line_family,
     lambda_feasible,
     line_distance,
 )

@@ -497,28 +497,13 @@ def cert_combined(spec: GroupSpec, search: bool = True) -> Certificate:
     return Certificate(VERDICT_NONE, None, best, CODE_NONE)
 
 
-def fill_line_family(p, q, rho: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Finish the code-0 entries of codes with the bulk anchor search.
-
-    codes has the shape of rho and is updated in place: every uncertified
-    rho that lies on a certified line gets CODE_LINE_FAMILY.  Returns codes.
-    """
-    mask = codes == 0
-    if mask.any():
-        slack, _, _ = anchor_search_bulk(p, q, rho[mask])
-        sub = codes[mask]
-        sub[slack > EPS_ALG] = CODE_LINE_FAMILY
-        codes[mask] = sub
-    return codes
-
-
 def combined_codes_array(p, q, rho: np.ndarray, search: bool = True) -> np.ndarray:
     """Vectorized cert_combined codes over an array of rho values.
 
     Applies the closed-form tests in the same order as cert_combined --
     elliptic disks (1), swapped-marking disks (2), Im bound (5), lambda
-    region (4) -- and with search=True finishes the code-0 points with
-    fill_line_family.
+    region (4) -- and with search=True gives every code-0 point that lies
+    on a certified line CODE_LINE_FAMILY through anchor_search_bulk.
     """
     rho = np.asarray(rho, dtype=complex)
     codes = np.zeros(rho.shape, dtype=np.uint8)
@@ -537,6 +522,8 @@ def combined_codes_array(p, q, rho: np.ndarray, search: bool = True) -> np.ndarr
         lam = lambda_from_rho_array(p, q, rho)
         lslack = np.maximum(lambda_slack_array(p, q, lam), lambda_slack_array(q, p, lam))
         fill(CODE_LAMBDA, lslack >= -EPS_ALG)
-    if search:
-        fill_line_family(p, q, rho, codes)
+    residual = codes == 0
+    if search and residual.any():
+        slack, _, _ = anchor_search_bulk(p, q, rho[residual])
+        codes[residual] = np.where(slack > EPS_ALG, CODE_LINE_FAMILY, 0)
     return codes

@@ -51,6 +51,23 @@ def _complex_arg(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}") from None
 
 
+def _glue_complex_values(argv: list[str]) -> list[str]:
+    """Join --rho/--mu to a following value that starts with "-" but is no
+    plain negative number ("-2-1i"), which argparse would take for an option."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in ("--rho", "--mu") and tok.startswith("-"):
+            try:
+                _complex_arg(tok)
+            except argparse.ArgumentTypeError:
+                pass
+            else:
+                out[-1] += "=" + tok
+                continue
+        out.append(tok)
+    return out
+
+
 def _order_arg(text: str):
     if text.strip().lower() in {"inf", "infinity", "oo"}:
         return math.inf
@@ -274,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_complex_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except (UnsupportedError, InvalidInputError, PreconditionError) as exc:

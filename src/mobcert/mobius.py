@@ -276,15 +276,6 @@ def disk_meets_sector(disk: Disk, sector: SectorK, tol: float = EPS_GEO) -> bool
     return sector.distance(disk.center) <= disk.radius + tol
 
 
-def map_disk(m: np.ndarray, disk: Disk) -> Disk:
-    """Image of a disk under a Euclidean similarity (c = 0 matrix)."""
-    if abs(m[1, 0]) > EPS_ALG:
-        raise FixesInfinityError("map_disk expects an affine (c = 0) matrix")
-    a, b, d = m[0, 0], m[0, 1], m[1, 1]
-    scale = a / d
-    return Disk(scale * disk.center + b / d, abs(scale) * disk.radius)
-
-
 def _turns_into_range(angle: float, p: int) -> list[int]:
     """Integers m with angle - m * 2pi/p in [-pi/p, pi/p] mod 2pi, ties both ways."""
     step = 2.0 * math.pi / p

@@ -211,14 +211,11 @@ def scan_csv(result: ScanResult) -> bytes:
     res = meta["resolution"]
     w = (re_max - re_min) / res
     h = (im_max - im_min) / res
+    xs = [_g12(re_min + (j + 0.5) * w) for j in range(res)]
     lines = ["x,y,code"]
     for i in range(res):
-        y = im_min + (i + 0.5) * h
-        ys = _g12(y)
-        row = result.codes[i]
-        for j in range(res):
-            x = re_min + (j + 0.5) * w
-            lines.append(f"{_g12(x)},{ys},{int(row[j])}")
+        y = _g12(im_min + (i + 0.5) * h)
+        lines.extend(f"{x},{y},{c}" for x, c in zip(xs, result.codes[i].tolist()))
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -260,7 +257,7 @@ def scan_pgm(result: ScanResult) -> bytes:
     res = result.metadata["resolution"]
     lines = ["P2", f"{res} {res}", "5"]
     for i in range(res - 1, -1, -1):
-        lines.append(" ".join(str(int(v)) for v in result.codes[i]))
+        lines.append(" ".join(map(str, result.codes[i].tolist())))
     return ("\n".join(lines) + "\n").encode("ascii")
 
 

@@ -2,10 +2,11 @@
 
 A scan evaluates one certificate mode at every pixel center of a rectangular
 window (no supersampling) and returns a grid of the witness codes defined in
-``certificates``.  Rows are data-parallel: each row is an independent pure
-computation, and results are merged in row order, so the output is
-independent of the worker count.  Scans that die part-way raise
-PartialScanError carrying the completed-rows count.
+``certificates``.  The rows are cut into bands of about BAND_PIXELS pixels;
+each band is one independent pure computation of the mode's whole code
+function (in combined mode, the anchor search included) that writes its
+own rows, so the output is independent of the worker count.  Scans that
+die part-way raise PartialScanError carrying the completed-rows count.
 
 Mode -> code semantics (0 always means "not certified"):
 
@@ -19,7 +20,7 @@ Mode -> code semantics (0 always means "not certified"):
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,7 +33,6 @@ from .certificates import (
     CODE_LAMBDA,
     combined_codes_array,
     disk_slack_array,
-    fill_line_family,
 )
 from .lambda_region import lambda_from_rho_array, lambda_slack_array
 from .mobius import EPS_ALG, InvalidInputError
@@ -42,6 +42,9 @@ MODES = ("omega", "disks", "lambda", "combined", "burau")
 
 #: Fill value for rows that never completed (only seen via PartialScanError).
 CODE_UNSCANNED = 255
+
+#: Pixels per band, the unit of scan work (the anchor search's chunk size).
+BAND_PIXELS = 4096
 
 
 @dataclass(frozen=True)
@@ -111,8 +114,9 @@ def _code(hit: np.ndarray, code: int) -> np.ndarray:
 
 
 def _mode_codes(job: ScanJob) -> Callable[[np.ndarray], np.ndarray]:
-    """The closed-form code function of the job's mode, complex array ->
-    uint8 codes, with its per-scan setup (the Omega lines) done once."""
+    """The code function of the job's mode, complex array -> uint8 codes,
+    with its per-scan setup (the Omega lines) done once.  Combined mode
+    includes the residual anchor search."""
     p, q = job.p, job.q
     if job.mode == "omega":
         region = build_omega(p, q)
@@ -125,12 +129,7 @@ def _mode_codes(job: ScanJob) -> Callable[[np.ndarray], np.ndarray]:
         )
     if job.mode == "burau":
         return lambda z: _code(faithful_mask(z), CODE_LAMBDA)
-    return lambda z: combined_codes_array(p, q, z, search=False)
-
-
-def _row_codes(codes_of: Callable[[np.ndarray], np.ndarray], xs: np.ndarray, y: float) -> np.ndarray:
-    """Certificate codes of one row of pixel centers (pure, order-free)."""
-    return codes_of(xs + 1j * y)
+    return lambda z: combined_codes_array(p, q, z)
 
 
 def run_scan(job: ScanJob, workers: int = 1) -> ScanResult:
@@ -140,38 +139,36 @@ def run_scan(job: ScanJob, workers: int = 1) -> ScanResult:
     ys = job.ys()
     codes = np.full((res, res), CODE_UNSCANNED, dtype=np.uint8)
 
-    # Fail fast on bad parameters before any row work starts.
+    # Fail fast on bad parameters before any band work starts.
     codes_of = _mode_codes(job)
-    _row_codes(codes_of, xs[:1], ys[0])
+    codes_of(xs[:1] + 1j * ys[0])
+
+    band = max(1, BAND_PIXELS // res)
+    bands = [slice(lo, min(lo + band, res)) for lo in range(0, res, band)]
+
+    def run_band(rows: slice) -> int:
+        codes[rows] = codes_of(xs[None, :] + 1j * ys[rows, None])
+        return rows.stop - rows.start
 
     completed = 0
     failure: BaseException | None = None
     if workers <= 1:
-        for i in range(res):
+        for rows in bands:
             try:
-                codes[i] = _row_codes(codes_of, xs, ys[i])
-                completed += 1
+                completed += run_band(rows)
             except Exception as exc:  # noqa: BLE001 - rethrown as PartialScanError
                 failure = exc
                 break
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_row_codes, codes_of, xs, ys[i]): i for i in range(res)}
-            for fut in as_completed(futures):
-                i = futures[fut]
+            for fut in [pool.submit(run_band, rows) for rows in bands]:
                 try:
-                    codes[i] = fut.result()
-                    completed += 1
+                    completed += fut.result()
                 except Exception as exc:  # noqa: BLE001
                     if failure is None:
                         failure = exc
     if failure is not None:
         raise PartialScanError(completed, res, codes, failure)
-
-    if job.mode == "combined":
-        # The residual anchor search runs once over the merged grid, so all
-        # worker counts agree.
-        fill_line_family(job.p, job.q, xs[None, :] + 1j * ys[:, None], codes)
 
     metadata = {
         "p": job.p,

@@ -102,6 +102,22 @@ class TestCertify:
         assert rc == 3 and out == ""
         assert err.startswith("error:")
 
+    def test_negative_complex_rho(self, capsys):
+        rc, out, _ = run(capsys, "certify", "--p", "3", "--q", "4", "--rho", "-2-1i")
+        assert rc == 0
+        assert json.loads(out)["input"]["rho"] == [-2.0, -1.0]
+
+    def test_negative_complex_mu(self, capsys):
+        rc, out, _ = run(capsys, "certify", "--burau", "--mu", "-1-1i")
+        assert rc == 0
+        assert json.loads(out)["input"]["mu"] == [-1.0, -1.0]
+
+    def test_option_after_rho_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["certify", "--p", "3", "--q", "4", "--rho", "-h"])
+        assert ei.value.code == 2
+        capsys.readouterr()
+
     def test_malformed_rho_exits_2(self, capsys):
         with pytest.raises(SystemExit) as ei:
             main(["certify", "--p", "3", "--q", "3", "--rho", "spam"])

@@ -1,5 +1,6 @@
 """Deterministic emission: SVG/JSON/CSV/PGM formats and their invariants."""
 
+import hashlib
 import json
 import math
 
@@ -142,6 +143,17 @@ class TestScanFormats:
         assert scan_csv(a) == scan_csv(b)
         assert scan_svg(a) == scan_svg(b)
         assert scan_pgm(a) == scan_pgm(b)
+
+    def test_pinned_digests(self):
+        # many-digit bounds exercise the 12-significant-digit CSV coordinates
+        window = Window(-3.0123456789, 6.0987654321, -4.5012345678, 4.4987654321)
+        result = run_scan(ScanJob(3, 4, window, 64, "disks"))
+        assert hashlib.sha256(scan_csv(result)).hexdigest() == (
+            "8d687219b7e7b0f57b4bb009cbcb8b79ee6d14fd9f98fac01fdff6f30387fe64"
+        )
+        assert hashlib.sha256(scan_pgm(result)).hexdigest() == (
+            "f1b5508c75841091857dd3290a33a3a3068ba920b292143a176825f0f03b6ecf"
+        )
 
 
 class TestCompareLambda:

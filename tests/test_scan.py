@@ -1,8 +1,12 @@
-"""Scan jobs: windowing, mode semantics, determinism, partial failure."""
+"""Scan jobs: windowing, mode semantics, determinism, bands, partial failure."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import mobcert.certificates as certificates
 import mobcert.scan as scan
 from mobcert import __version__
 from mobcert.certificates import combined_codes_array, disk_slack_array
@@ -101,11 +105,12 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_combined_matches_array_codes(self, workers):
-        job = ScanJob(3, 4, Window(-3.0, 6.0, -4.5, 4.5), 40, "combined")
-        grid = job.xs()[None, :] + 1j * job.ys()[:, None]
-        result = run_scan(job, workers=workers)
-        assert (result.codes == combined_codes_array(3, 4, grid, search=True)).all()
-        assert (result.codes == 3).any()
+        for res in (40, 96):  # one band; three bands
+            job = ScanJob(3, 4, Window(-3.0, 6.0, -4.5, 4.5), res, "combined")
+            grid = job.xs()[None, :] + 1j * job.ys()[:, None]
+            result = run_scan(job, workers=workers)
+            assert (result.codes == combined_codes_array(3, 4, grid, search=True)).all()
+            assert (result.codes == 3).any()
 
     def test_metadata(self):
         job = job_33("omega", res=8)
@@ -135,18 +140,60 @@ class TestSetup:
         assert (result.codes == 1).any()
 
 
+class TestBands:
+    def test_anchor_search_runs_in_pool_threads(self, monkeypatch):
+        real = certificates.anchor_search_bulk
+        threads = []
+
+        def recording(p, q, rho, *args, **kwargs):
+            if np.size(rho) > 1:  # skip the one-pixel fail-fast probe
+                threads.append(threading.current_thread())
+            return real(p, q, rho, *args, **kwargs)
+
+        monkeypatch.setattr(certificates, "anchor_search_bulk", recording)
+        run_scan(job_33("combined", res=96), workers=2)
+        assert len(threads) >= 2
+        assert all(t is not threading.main_thread() for t in threads)
+
+    def test_one_row_bands_on_more_workers_than_cores(self, monkeypatch):
+        # 36 bands on 8 threads that switch often: every band must land in
+        # its own rows.
+        job = job_33("combined", res=36)
+        one = run_scan(job, workers=1)
+        monkeypatch.setattr(scan, "BAND_PIXELS", 36)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = run_scan(job, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (many.codes == one.codes).all()
+
+
+def flaky_mode_codes(monkeypatch, fails):
+    """Make every band whose ordinates satisfy fails(y) raise, with bands of
+    one row in the 8-row scans below."""
+    real = scan._mode_codes
+
+    def wrapper(job):
+        codes_of = real(job)
+
+        def flaky(z):
+            if np.size(z) > 1 and fails(np.imag(z)).any():
+                raise RuntimeError("boom")
+            return codes_of(z)
+
+        return flaky
+
+    monkeypatch.setattr(scan, "_mode_codes", wrapper)
+    monkeypatch.setattr(scan, "BAND_PIXELS", 8)
+
+
 class TestPartialFailure:
     def test_serial_reports_completed_prefix(self, monkeypatch):
         job = job_33("disks", res=8)
         ys = job.ys()
-        real = scan._row_codes
-
-        def flaky(codes_of, xs, y):
-            if len(xs) > 1 and y >= ys[3] - 1e-12:
-                raise RuntimeError("boom")
-            return real(codes_of, xs, y)
-
-        monkeypatch.setattr(scan, "_row_codes", flaky)
+        flaky_mode_codes(monkeypatch, lambda y: y >= ys[3] - 1e-12)
         with pytest.raises(PartialScanError) as ei:
             run_scan(job, workers=1)
         err = ei.value
@@ -159,14 +206,7 @@ class TestPartialFailure:
     def test_threaded_failure_is_isolated(self, monkeypatch):
         job = job_33("disks", res=8)
         ys = job.ys()
-        real = scan._row_codes
-
-        def flaky(codes_of, xs, y):
-            if len(xs) > 1 and abs(y - ys[5]) < 1e-12:
-                raise RuntimeError("boom")
-            return real(codes_of, xs, y)
-
-        monkeypatch.setattr(scan, "_row_codes", flaky)
+        flaky_mode_codes(monkeypatch, lambda y: abs(y - ys[5]) < 1e-12)
         with pytest.raises(PartialScanError) as ei:
             run_scan(job, workers=4)
         err = ei.value
@@ -175,6 +215,30 @@ class TestPartialFailure:
         rows_done = [i for i in range(8) if i != 5]
         for i in rows_done:
             assert (err.partial[i] != CODE_UNSCANNED).all()
+
+    @pytest.mark.parametrize("workers, completed", [(1, 42), (2, 54)])
+    def test_anchor_stage_failure(self, monkeypatch, workers, completed):
+        # 96 rows make bands of 42, 42 and 12 rows; the middle band fails
+        # inside the anchor search.
+        job = job_33("combined", res=96)
+        ys = job.ys()
+        real = certificates.anchor_search_bulk
+
+        def failing(p, q, rho, *args, **kwargs):
+            y = np.imag(rho)
+            if ((y >= ys[42] - 1e-12) & (y <= ys[83] + 1e-12)).any():
+                raise RuntimeError("anchor boom")
+            return real(p, q, rho, *args, **kwargs)
+
+        monkeypatch.setattr(certificates, "anchor_search_bulk", failing)
+        with pytest.raises(PartialScanError) as ei:
+            run_scan(job, workers=workers)
+        err = ei.value
+        assert err.completed_rows == completed
+        assert isinstance(err.cause, RuntimeError)
+        assert (err.partial[42:84] == CODE_UNSCANNED).all()
+        assert (err.partial[:42] != CODE_UNSCANNED).all()
+        assert (err.partial[84:] != CODE_UNSCANNED).all() == (workers > 1)
 
     def test_fail_fast_probe(self):
         # an invalid marking dies before any row is scanned
