@@ -503,8 +503,12 @@ def combined_codes_array(p, q, rho: np.ndarray, search: bool = True) -> np.ndarr
     Applies the closed-form tests in the same order as cert_combined --
     elliptic disks (1), swapped-marking disks (2), Im bound (5), lambda
     region (4) -- and with search=True gives every code-0 point that lies
-    on a certified line CODE_LINE_FAMILY through anchor_search_bulk.
+    on a certified line CODE_LINE_FAMILY through anchor_search_bulk.  Like
+    cert_combined it rejects the dihedral marking p = q = 2 outright, for
+    any rho array, the empty one included.
     """
+    if p == 2 and q == 2:
+        raise InvalidInputError("p = q = 2 is a degenerate (dihedral) spec")
     rho = np.asarray(rho, dtype=complex)
     codes = np.zeros(rho.shape, dtype=np.uint8)
 
@@ -518,7 +522,7 @@ def combined_codes_array(p, q, rho: np.ndarray, search: bool = True) -> np.ndarr
         fill(CODE_DISKS_GENERAL, disk_slack_array(q, p, rho) > EPS_ALG)
     if finite and p >= 3 and q >= 3:
         fill(CODE_IM_BOUND, np.abs(rho.imag) - im_bound(p, q) >= -EPS_ALG)
-    if finite and not (p == 2 and q == 2):
+    if finite:
         lam = lambda_from_rho_array(p, q, rho)
         lslack = np.maximum(lambda_slack_array(p, q, lam), lambda_slack_array(q, p, lam))
         fill(CODE_LAMBDA, lslack >= -EPS_ALG)

@@ -107,6 +107,8 @@ def lambda_from_rho(spec: GroupSpec) -> tuple[complex, complex]:
     Solves S^2 (lam - 1/lam)^2 = gamma = rho (rho - sigma); the branch
     product is -1, so the branches are lam and -1/lam.  rho = 0 and
     rho = sigma give the degenerate branches lam = +-1 (still returned).
+    Where gamma overflows (|rho| of order 1e154 S and beyond) the large
+    branch comes from _big_branch_rescaled, possibly negated.
     """
     _check_lambda_orders(spec.p, spec.q)
     s = sin_sin(spec.p, spec.q)
@@ -115,6 +117,9 @@ def lambda_from_rho(spec: GroupSpec) -> tuple[complex, complex]:
     w = cmath.sqrt(gamma / (s * s))
     r1 = (w + cmath.sqrt(w * w + 4.0)) / 2.0
     r2 = (w - cmath.sqrt(w * w + 4.0)) / 2.0
+    if not (cmath.isfinite(r1) and cmath.isfinite(r2)):
+        big = complex(_big_branch_rescaled(s, np.array([rho]))[0])
+        return big, -1.0 / big
     if abs(r1) >= abs(r2):
         return r1, r2
     return r2, r1
@@ -202,13 +207,38 @@ def lambda_slack_array(p, q, lam: np.ndarray) -> np.ndarray:
     return np.minimum(s_plus, s_minus)
 
 
+def _big_branch_rescaled(s: float, rho: np.ndarray) -> np.ndarray:
+    """The large lambda branch of rho without squaring anything huge.
+
+    Forms gamma with rho scaled by m = max(|Re rho|, |Im rho|), so
+    w = sqrt(gamma) / S stays finite wherever the large branch is, and takes
+    lam = w (1 + sqrt(1 + (2/w)^2)) / 2, the root of lam - 1/lam = w whose
+    modulus is largest.  The sign of w, hence of lam, may differ from the
+    direct formula; the lambda slack is invariant under lam -> -lam.
+    """
+    m = np.maximum(np.abs(rho.real), np.abs(rho.imag))
+    u = rho / m
+    w = np.sqrt(u * (u - 4.0 * s / m)) / s * m
+    v = 2.0 / w
+    return w * (0.5 + 0.5 * np.sqrt(1.0 + v * v))
+
+
 def lambda_from_rho_array(p, q, rho: np.ndarray) -> np.ndarray:
-    """Vectorized largest-modulus lambda branch for an array of rho values."""
+    """Vectorized largest-modulus lambda branch for an array of rho values.
+
+    Entries where the direct formula overflows are recomputed by
+    _big_branch_rescaled, as in lambda_from_rho.
+    """
     _check_lambda_orders(p, q)
     s = sin_sin(p, q)
     rho = np.asarray(rho, dtype=complex)
-    w = np.sqrt(rho * (rho - 4.0 * s) / (s * s))
-    root = np.sqrt(w * w + 4.0)
-    r1 = (w + root) / 2.0
-    r2 = (w - root) / 2.0
-    return np.where(np.abs(r1) >= np.abs(r2), r1, r2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.sqrt(rho * (rho - 4.0 * s) / (s * s))
+        root = np.sqrt(w * w + 4.0)
+        r1 = (w + root) / 2.0
+        r2 = (w - root) / 2.0
+        lam = np.where(np.abs(r1) >= np.abs(r2), r1, r2)
+    huge = ~np.isfinite(lam)
+    if huge.any():
+        lam[huge] = _big_branch_rescaled(s, rho[huge])
+    return lam

@@ -274,28 +274,36 @@ def _ray_disk_exit(center: complex, phi: float, centers) -> float:
     return t_max
 
 
-def _ray_lambda_exit(p, q, center: complex, phi: float, t_hi: float) -> float:
-    """Largest t with center + t e^{i phi} failing the lambda inequalities."""
-    e = cmath.exp(1j * phi)
+def _ray_lambda_exits(p, q, center: complex, thetas, t_hi: float) -> np.ndarray:
+    """Per ray, the largest t with center + t e^{i theta} failing the lambda
+    inequalities (0.0 for a ray that never fails them).
 
-    def feasible(ts: np.ndarray) -> np.ndarray:
+    Each ray gets its own 1025-sample scan of [0, t_hi]; the rays that left
+    the feasible set then bisect their last infeasible bracket together.
+    """
+    es = np.array([cmath.exp(1j * phi) for phi in thetas])
+
+    def feasible(ts: np.ndarray, e) -> np.ndarray:
         z = center + ts * e
         return lambda_slack_array(p, q, lambda_from_rho_array(p, q, z)) >= -EPS_ALG
 
     ts = np.linspace(0.0, t_hi, 1025)
-    ok = feasible(ts)
-    bad = np.nonzero(~ok)[0]
-    if bad.size == 0:
-        return 0.0
-    lo = ts[bad[-1]]
-    hi = t_hi if bad[-1] + 1 >= ts.size else ts[bad[-1] + 1]
+    live, lo, hi = [], [], []
+    for k, e in enumerate(es):
+        bad = np.nonzero(~feasible(ts, e))[0]
+        if bad.size:
+            live.append(k)
+            lo.append(ts[bad[-1]])
+            hi.append(t_hi if bad[-1] + 1 >= ts.size else ts[bad[-1] + 1])
+    lo, hi, e_live = np.array(lo), np.array(hi), es[live]
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if feasible(np.array([mid]))[0]:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+        ok = feasible(mid, e_live)
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid)
+    t_exit = np.zeros(len(es))
+    t_exit[live] = 0.5 * (lo + hi)
+    return t_exit
 
 
 def compare_lambda_data(p, q, n: int = 360) -> list[dict]:
@@ -310,11 +318,11 @@ def compare_lambda_data(p, q, n: int = 360) -> list[dict]:
     center = complex(sigma_pq(p, q) / 2.0, 0.0)
     centers = disk_centers_elliptic(p, q) + disk_centers_elliptic(q, p)
     t_hi = 8.0 + abs(sigma_pq(p, q))
+    thetas = [2.0 * math.pi * k / n for k in range(n)]
+    t_lambda = _ray_lambda_exits(p, q, center, thetas, t_hi).tolist()
     rows = []
-    for k in range(n):
-        theta = 2.0 * math.pi * k / n
+    for theta, t_l in zip(thetas, t_lambda):
         t_d = _ray_disk_exit(center, theta, centers)
-        t_l = _ray_lambda_exit(p, q, center, theta, t_hi)
         if t_l < t_d - 1e-6:
             winner = "lambda"
         elif t_d < t_l - 1e-6:

@@ -139,9 +139,11 @@ def run_scan(job: ScanJob, workers: int = 1) -> ScanResult:
     ys = job.ys()
     codes = np.full((res, res), CODE_UNSCANNED, dtype=np.uint8)
 
-    # Fail fast on bad parameters before any band work starts.
+    # Fail fast on bad parameters before any band work starts: every mode
+    # checks its parameters whatever the input size, so an empty probe
+    # does no pixel work.
     codes_of = _mode_codes(job)
-    codes_of(xs[:1] + 1j * ys[0])
+    codes_of(np.empty(0, dtype=complex))
 
     band = max(1, BAND_PIXELS // res)
     bands = [slice(lo, min(lo + band, res)) for lo in range(0, res, band)]

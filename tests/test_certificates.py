@@ -288,6 +288,12 @@ class TestCanonicalAnchors:
 
 
 class TestCombined:
+    def test_array_rejects_dihedral(self):
+        # like cert_combined, whatever the input size
+        for rho in (np.array([9.0 + 0.0j]), np.empty(0, dtype=complex)):
+            with pytest.raises(InvalidInputError):
+                combined_codes_array(2, 2, rho)
+
     def test_witness_precedence(self):
         # outside everything -> elliptic disks fire first
         c = cert_combined(GroupSpec(3, 3, 9.0))

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from mobcert.lambda_region import (
     rho_boundary,
     rho_from_lambda,
 )
-from mobcert.mobius import EPS_ALG, GroupSpec, InvalidInputError, sigma_pq
+from mobcert.mobius import EPS_ALG, GroupSpec, InvalidInputError, sigma_pq, sin_sin
 
 finite_orders = st.integers(min_value=2, max_value=30)
 lam_values = st.complex_numbers(
@@ -126,6 +127,39 @@ class TestBranches:
         for z, v in zip(rho[:25], arr[:25]):
             big, _ = lambda_from_rho(GroupSpec(3, 5, complex(z)))
             assert abs(lambda_slack(3, 5, big) - v) < 1e-10
+
+
+class TestHugeRho:
+    # rho (rho - sigma) overflows from |rho| ~ 1e154 S on
+    HUGE = [1e160, 1e200, 1e300 + 1j, -1e300j]
+
+    @pytest.mark.parametrize("p, q", [(3, 4), (5, 9)])
+    def test_branch_finite_quiet_and_scalar_matches_array(self, p, q):
+        s = sin_sin(p, q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam = lambda_from_rho_array(p, q, np.array(self.HUGE))
+            slack = lambda_slack_array(p, q, lam)
+            for rho, lam_k, slack_k in zip(self.HUGE, lam, slack):
+                big, small = lambda_from_rho(GroupSpec(p, q, rho))
+                assert cmath.isfinite(big) and cmath.isfinite(small)
+                assert abs(big * small + 1.0) < 1e-12
+                # |lam| ~ |rho| / S, the large branch
+                assert math.isclose(abs(big), abs(rho) / s, rel_tol=1e-12)
+                assert math.isclose(abs(lam_k), abs(big), rel_tol=1e-12)
+                assert math.isclose(lambda_slack(p, q, big), slack_k, rel_tol=1e-12)
+                assert slack_k > 0.0
+
+    def test_finite_values_keep_the_direct_formula(self):
+        # just below the overflow the direct formula still runs, and the
+        # branch is the one of the (unscaled) quadratic
+        rho = np.array([1e150, 1e150 + 1j, -1e150j, 1e-300, 3.0 + 2.0j])
+        lam = lambda_from_rho_array(3, 4, rho)
+        s = sin_sin(3, 4)
+        w = np.sqrt(rho * (rho - 4.0 * s) / (s * s))
+        root = np.sqrt(w * w + 4.0)
+        r1, r2 = (w + root) / 2.0, (w - root) / 2.0
+        assert (lam == np.where(np.abs(r1) >= np.abs(r2), r1, r2)).all()
 
 
 class TestBoundary:

@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from mobcert.mobius import InvalidInputError
+import mobcert.render as render
+from mobcert.cli import main
+from mobcert.mobius import InvalidInputError, sigma_pq
 from mobcert.omega import build_omega, omega_margin
 from mobcert.render import (
     PALETTE,
@@ -177,6 +179,76 @@ class TestCompareLambda:
     def test_rejects_empty(self):
         with pytest.raises(InvalidInputError):
             compare_lambda_data(3, 3, n=0)
+
+    # SHA-256 of compare_lambda_csv and of `compare-lambda --format json`,
+    # recorded when every ray still ran its own bisection.
+    @pytest.mark.parametrize(
+        "p, q, n, csv_digest, json_digest",
+        [
+            (3, 4, 48,
+             "0eb45aec2e1b433c9fd8ca1bd75c4875cb9d00b81f666b98c07095f1fbd543d2",
+             "765c6b093423fc323569544077ca5778231124b596a2f79c7b23c9db89918e95"),
+            (5, 9, 360,
+             "e075ec24a7ec0176f7ca05f72036cfbd3953a331f0a6f51e720f9bd9cbcb429a",
+             "df4dbadc8b6e03801de4a01197583dafbf56ab3ba9fd473a8d1eec3eb675bbe6"),
+            (7, 7, 7,
+             "5d6c67cf0432a71c4f8dd8185848ff46047c8d04750971295433b5d7704f715a",
+             "c80bc542708d06f2c12715b2a965cf5e176d2c3f9207febe41c54631cbbc8582"),
+            (2, 5, 12,
+             "b34dd8e15a73386a3e586604f31e90859966adf62b64f085b9274031379f7e82",
+             "dcd7ddfde752f6bd11a52590a2366443489537b378cdf20accd3805260612013"),
+        ],
+    )
+    def test_pinned_digests(self, capsys, p, q, n, csv_digest, json_digest):
+        csv = compare_lambda_csv(compare_lambda_data(p, q, n))
+        assert hashlib.sha256(csv).hexdigest() == csv_digest
+        argv = ["compare-lambda", "--p", str(p), "--q", str(q), "--angles", str(n), "--format", "json"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == json_digest
+
+    def test_bisection_is_batched_across_rays(self, monkeypatch):
+        # one 1025-sample scan per ray, then one call per bisection step
+        # for all rays together
+        real = render.lambda_from_rho_array
+        calls = []
+
+        def counting(p, q, rho):
+            calls.append(np.size(rho))
+            return real(p, q, rho)
+
+        monkeypatch.setattr(render, "lambda_from_rho_array", counting)
+        compare_lambda_data(3, 4, 48)
+        assert len(calls) <= 48 + 61
+        assert calls[:48] == [1025] * 48
+
+    def test_rays_that_never_fail_keep_zero(self, monkeypatch):
+        # Make the open upper half-plane and the common ray origin lambda
+        # feasible (a large real lambda): the rays strictly between 0 and
+        # pi never fail, the others bisect exactly as before.
+        p, q, n = 3, 4, 48
+        plain = compare_lambda_data(p, q, n)
+        center = sigma_pq(p, q) / 2.0
+        real = render.lambda_from_rho_array
+
+        def upper_half_feasible(p_, q_, rho):
+            rho = np.asarray(rho)
+            return np.where((rho.imag > 1e-9) | (rho == center), 1e6, real(p_, q_, rho))
+
+        monkeypatch.setattr(render, "lambda_from_rho_array", upper_half_feasible)
+        mixed = compare_lambda_data(p, q, n)
+        for k, (before, after) in enumerate(zip(plain, mixed)):
+            if 0 < k < n // 2:
+                assert after["t_lambda"] == 0.0
+            else:
+                assert after["t_lambda"] == before["t_lambda"] > 0.0
+
+    def test_single_ray(self, monkeypatch):
+        assert compare_lambda_data(3, 4, 1) == compare_lambda_data(3, 4, 48)[:1]
+        monkeypatch.setattr(
+            render, "lambda_from_rho_array", lambda p, q, rho: np.full(np.shape(rho), 1e6 + 0j)
+        )
+        assert compare_lambda_data(3, 4, 1)[0]["t_lambda"] == 0.0
 
     def test_csv_and_svg(self):
         rows = compare_lambda_data(3, 3, n=6)

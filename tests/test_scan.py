@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,16 @@ class TestModeSemantics:
         result = run_scan(job)
         slack = lambda_slack_array(3, 3, lambda_from_rho_array(3, 3, self.grid(job)))
         assert ((result.codes == 4) == (slack >= -EPS_ALG)).all()
+
+    @pytest.mark.parametrize("scale", [1e100, 1e200])
+    def test_lambda_mode_huge_rho(self, scale):
+        # far out every rho is lambda certified, also where rho (rho - sigma)
+        # overflows
+        job = ScanJob(3, 4, Window(scale, 2 * scale, -scale, scale), 8, "lambda")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_scan(job)
+        assert (result.codes == 4).all()
 
     def test_burau_mode_faithful_patch(self):
         job = ScanJob(3, 3, Window(2.5, 4.5, -0.5, 0.5), 2, "burau")
@@ -146,8 +157,7 @@ class TestBands:
         threads = []
 
         def recording(p, q, rho, *args, **kwargs):
-            if np.size(rho) > 1:  # skip the one-pixel fail-fast probe
-                threads.append(threading.current_thread())
+            threads.append(threading.current_thread())
             return real(p, q, rho, *args, **kwargs)
 
         monkeypatch.setattr(certificates, "anchor_search_bulk", recording)
@@ -245,3 +255,25 @@ class TestPartialFailure:
         job = ScanJob(2, 2, Window(-1.0, 1.0, -1.0, 1.0), 4, "lambda")
         with pytest.raises(InvalidInputError):
             run_scan(job)
+
+    def test_fail_fast_probe_combined(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(certificates, "anchor_search_bulk", lambda *a, **k: calls.append(a))
+        job = ScanJob(2, 2, Window(-1.0, 1.0, -1.0, 1.0), 4, "combined")
+        with pytest.raises(InvalidInputError):
+            run_scan(job)
+        assert calls == []
+
+    def test_probe_searches_no_anchor(self, monkeypatch):
+        # The window lies inside Omega, so the first pixel is residual; the
+        # fail-fast probe must not run an anchor search of its own.
+        real = certificates.anchor_search_bulk
+        sizes = []
+
+        def recording(p, q, rho, *args, **kwargs):
+            sizes.append(np.size(rho))
+            return real(p, q, rho, *args, **kwargs)
+
+        monkeypatch.setattr(certificates, "anchor_search_bulk", recording)
+        run_scan(ScanJob(3, 4, Window(0.4, 0.6, 0.0, 0.2), 16, "combined"))
+        assert sizes == [256]
