@@ -15,28 +15,15 @@ certificate for specialized Burau representations of the braid group B_3.
 
 from .mobius import (
     EPS_ALG,
-    EPS_GEO,
-    INF_POINT,
-    Disk,
-    FixesInfinityError,
     GroupSpec,
     InvalidInputError,
     PreconditionError,
-    SectorK,
-    SharedFixedPointError,
-    UndefinedFixedPointsError,
     UnsupportedError,
     det2,
-    disk_meets_sector,
-    fixed_points,
     gamma_of,
-    generator_power,
     inv2,
-    isometric_disks,
     make_generators,
     mat2c,
-    mobius_apply,
-    normalize_into_sector,
     pi_over,
     sigma_pq,
     sin_sin,
@@ -80,11 +67,8 @@ from .certificates import (
     VERDICT_NONE,
     WITNESS_OF_CODE,
     anchor_search,
-    canonical_anchors,
     cert_combined,
     cert_disks_elliptic,
-    cert_disks_general,
-    cert_general_ray,
     cert_im_bound,
     cert_lambda,
     cert_line_family,

@@ -7,8 +7,9 @@ proves the marked group is discrete and a free product Z_p * Z_q, while
 Available tests, in the order cert_combined applies them:
 
 1. DisksElliptic -- rho avoids the four exclusion disks of radius 2.
-2. DisksGeneral  -- the general isometric-disk test applied to B, which
-   coincides with the elliptic disk family of the swapped marking (q, p).
+2. DisksGeneral  -- the disk test of the swapped marking (q, p): rho
+   avoids the four exclusion disks of the (q, p) family.  The swapped
+   marking describes the same group, so its certificates apply.
 3. ImBound       -- |Im rho| >= 2 sqrt(1 - S^2) (closed).
 4. LambdaRegion  -- the lambda branch of rho satisfies the closed
    lambda-coordinate inequalities.
@@ -40,18 +41,10 @@ from .mobius import (
     GroupSpec,
     InvalidInputError,
     PreconditionError,
-    SectorK,
-    SharedFixedPointError,
-    det2,
-    disk_meets_sector,
-    generator_power,
-    inv2,
-    isometric_disks,
     pi_over,
     sin_sin,
-    tr2,
 )
-from .omega import im_bound, rho_star
+from .omega import im_bound
 
 VERDICT_FREE = "FreeDiscrete"
 VERDICT_FAITHFUL = "Faithful"  # used by the Burau faithfulness certificate
@@ -137,44 +130,6 @@ def cert_disks_elliptic(spec: GroupSpec) -> Certificate:
     return Certificate(VERDICT_NONE, None, slack)
 
 
-def cert_disks_general(p, Y: np.ndarray) -> Certificate:
-    """General isometric-disk test for the pair (A, Y), A elliptic of order p.
-
-    Requires Y not to share a fixed point with A (c = 0 means both fix
-    infinity; a quartic in alpha detects a shared finite fixed point) and
-    its isometric disks to meet the closed sector of A; violations raise
-    the matching errors.  The certificate holds when all four moduli
-    exceed 2 strictly.
-    """
-    if abs(det2(Y) - 1.0) > 1e-9:
-        raise InvalidInputError("general disk test expects a det-1 matrix")
-    a, b, c, d = Y[0, 0], Y[0, 1], Y[1, 0], Y[1, 1]
-    if abs(c) < EPS_ALG:
-        raise SharedFixedPointError("Y fixes infinity, sharing it with the rotation A")
-    al = cmath.exp(1j * pi_over(p))
-    quartic = (
-        b * al**4 + (d - a) * al**3 - (2.0 * b + c) * al**2 + (a - d) * al + b
-    )
-    if abs(quartic) <= EPS_ALG:
-        raise SharedFixedPointError("element shares a fixed point with the order-p rotation")
-    sector = SectorK(p)
-    d1, d2 = isometric_disks(Y)
-    if not (disk_meets_sector(d1, sector) and disk_meets_sector(d2, sector)):
-        raise PreconditionError("isometric disks must meet the closed sector of A")
-    t = al - al.conjugate()  # 2 i sin(pi/p)
-    moduli = (
-        abs(c - d * t),
-        abs(c + a * t),
-        abs(c + a * al + d * al.conjugate()),
-        abs(c - a * al.conjugate() - d * al),
-    )
-    slack = min(moduli) - 2.0
-    detail = {"moduli": moduli}
-    if slack > EPS_ALG:
-        return Certificate(VERDICT_FREE, "DisksGeneral", slack, CODE_DISKS_GENERAL, detail)
-    return Certificate(VERDICT_NONE, None, slack, CODE_NONE, detail)
-
-
 def cert_im_bound(spec: GroupSpec) -> Certificate:
     """|Im rho| >= 2 sqrt(1 - S^2), a closed condition (finite p, q >= 3)."""
     for n in (spec.p, spec.q):
@@ -231,44 +186,6 @@ def cert_line_family(spec: GroupSpec, anchor: complex, tol: float = 1e-9) -> Cer
         return Certificate(VERDICT_NONE, None, slack, CODE_NONE, {"on_line": False})
     detail = {"anchor": anchor, "on_line": True}
     return Certificate(VERDICT_FREE, "LineFamily", slack, CODE_LINE_FAMILY, detail)
-
-
-def cert_general_ray(p, q, Y: np.ndarray, t: float) -> Certificate:
-    """Certified ray rho_t = rho_0 + i c t from a general-disk anchor pair.
-
-    Requires the pair (A, Y) to pass cert_disks_general; the certified
-    parameter is rho_t = rho_0 + i c t with c = Y[1,0], where rho_0 is the
-    (p, q) marking parameter with tr[A, B_{rho_0}] = tr[A, Y] -- of the two
-    quadratic roots, the one closest to c, so that Y = B_{rho_0} reduces to
-    cert_line_family's line {rho_0 (1 + i t)}.
-    """
-    base = cert_disks_general(p, Y)
-    if not base.certified:
-        raise PreconditionError("the pair (A, Y) must pass the general disk test")
-    c = complex(Y[1, 0])
-    A = generator_power(p, 1)
-    gamma = complex(tr2(A @ Y @ inv2(A) @ inv2(Y))) - 2.0
-    sigma = 4.0 * sin_sin(p, q)
-    disc = cmath.sqrt(sigma * sigma + 4.0 * gamma)
-    roots = ((sigma + disc) / 2.0, (sigma - disc) / 2.0)
-    rho0 = min(roots, key=lambda r: abs(r - c))
-    rho_t = rho0 + 1j * c * t
-    detail = {"rho0": rho0, "rho_t": rho_t, "c": c, "t": float(t)}
-    return Certificate(VERDICT_FREE, "LineFamily", base.slack, CODE_LINE_FAMILY, detail)
-
-
-def canonical_anchors(p, q) -> list[complex]:
-    """The distinguished anchors: rho_star under both markings, their
-    conjugates, and the sigma - z images of all four."""
-    sigma = 4.0 * sin_sin(p, q)
-    base = [rho_star(p, q)]
-    if p != q:
-        base.append(rho_star(q, p))
-    out = []
-    for r in base:
-        for w in (r, r.conjugate()):
-            out.extend([w, sigma - w])
-    return out
 
 
 def _search_t_grid(n: int = SEARCH_T_POINTS) -> np.ndarray:
@@ -443,8 +360,7 @@ def cert_combined(spec: GroupSpec, search: bool = True) -> Certificate:
     """Run all certificates in order and return the first success.
 
     Order: elliptic disks, the same disk test under the swapped marking
-    (the general disk test applied to B, witnessed as DisksGeneral), the
-    im bound, the lambda region under both markings, then (optionally) the
+    (witnessed as DisksGeneral), the im bound, the lambda region under both markings, then (optionally) the
     anchor search.  The swapped marking describes the same group, so its
     certificates apply.  Tests whose preconditions fail are skipped.  On
     failure returns NoCertificate with the largest slack seen.  The
@@ -452,8 +368,9 @@ def cert_combined(spec: GroupSpec, search: bool = True) -> Certificate:
     covers it.
 
     This scalar cascade is the hand-written reference for
-    combined_codes_array.  The canonical anchors are not tried: their disk
-    slack never exceeds EPS_ALG (the largest, over both markings, is
+    combined_codes_array.  The canonical anchors (rho_star under both
+    markings, their conjugates and symmetry images) are not tried: their
+    disk slack never exceeds EPS_ALG (the largest, over both markings, is
     4.4e-16), so a line through one of them is never certified.
     """
     if spec.p == 2 and spec.q == 2:

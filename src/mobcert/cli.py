@@ -9,6 +9,7 @@ accept integers or "inf".  Exit codes: 0 success, 2 argument/parse errors
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import re
@@ -92,9 +93,12 @@ def _window_arg(text: str) -> Window:
 
 
 def _pair(z: complex | None):
+    """[re, im] of z; None (JSON null) for None or a non-finite value."""
     if z is None:
         return None
     z = complex(z)
+    if not cmath.isfinite(z):
+        return None
     return [z.real, z.imag]
 
 

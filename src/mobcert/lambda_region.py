@@ -28,6 +28,11 @@ from .mobius import GroupSpec, InvalidInputError, pi_over, sin_sin
 
 _SIGNS = (+1, -1)
 
+# Largest |lam| csc(pi/q) for the direct slack formula, whose rounding error
+# (a few ulps of that product) stays below EPS_ALG up to here.  Beyond it
+# (large orders, huge lambda, overflow) _slack_without_cancellation is used.
+_DIRECT_MAX = 1024.0
+
 
 def _check_lambda_orders(p, q) -> None:
     if p == math.inf or q == math.inf:
@@ -77,10 +82,27 @@ def lambda_slack_signed(p, q, lam: complex, sign: int) -> float:
     Returns |lam| csc(pi/q) - |lam cot(pi/q) + sign * cot(pi/p)| - csc(pi/p);
     the inequality of that sign holds iff the margin is >= 0.
     """
-    cot_p, cot_q, csc_p, csc_q = _trig(p, q)
+    trig = cot_p, cot_q, csc_p, csc_q = _trig(p, q)
     sign = _check_sign(sign)
     lam = complex(lam)
-    return abs(lam) * csc_q - abs(lam * cot_q + sign * cot_p) - csc_p
+    if abs(lam) <= _DIRECT_MAX / csc_q:
+        return abs(lam) * csc_q - abs(lam * cot_q + sign * cot_p) - csc_p
+    return _slack_without_cancellation(trig, lam, sign, abs)
+
+
+def _slack_without_cancellation(trig, lam, sign, abs_):
+    """The signed lambda slack, with |lam| csc_q - |lam cot_q + sign cot_p| as
+
+        (|lam| - 2 sign cot_p cot_q Re(lam) / |lam| - cot_p^2 / |lam|)
+        / (csc_q + |cot_q + sign cot_p / lam|)
+
+    by a^2 - b^2 = (a - b)(a + b) and csc^2 - cot^2 = 1, divided through by
+    |lam| so nothing is squared.  abs_ is abs for a scalar, np.abs for arrays.
+    """
+    cot_p, cot_q, csc_p, csc_q = trig
+    r = abs_(lam)
+    num = r - 2.0 * sign * cot_p * cot_q * (lam.real / r) - cot_p * (cot_p / r)
+    return num / (csc_q + abs_(cot_q + sign * cot_p / lam)) - csc_p
 
 
 def lambda_slack(p, q, lam: complex) -> float:
@@ -199,9 +221,20 @@ def envelope_samples(p, q, n: int) -> list[EnvelopeSample]:
 
 def lambda_slack_array(p, q, lam: np.ndarray) -> np.ndarray:
     """Vectorized lambda_slack over an array of lambda values."""
-    cot_p, cot_q, csc_p, csc_q = _trig(p, q)
+    trig = cot_p, cot_q, csc_p, csc_q = _trig(p, q)
     lam = np.asarray(lam, dtype=complex)
-    rhs = np.abs(lam) * csc_q
+    r = np.abs(lam)
+    limit = _DIRECT_MAX / csc_q
+    if np.fmax.reduce(r, axis=None, initial=0.0) > limit:  # fmax skips NaN
+        far = r > limit
+        slack = np.empty(lam.shape)
+        slack[~far] = lambda_slack_array(p, q, lam[~far])  # all below the cutoff
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite lam
+            slack[far] = np.minimum(
+                *(_slack_without_cancellation(trig, lam[far], s, np.abs) for s in _SIGNS)
+            )
+        return slack
+    rhs = r * csc_q
     s_plus = rhs - np.abs(lam * cot_q + cot_p) - csc_p
     s_minus = rhs - np.abs(lam * cot_q - cot_p) - csc_p
     return np.minimum(s_plus, s_minus)
@@ -214,13 +247,15 @@ def _big_branch_rescaled(s: float, rho: np.ndarray) -> np.ndarray:
     w = sqrt(gamma) / S stays finite wherever the large branch is, and takes
     lam = w (1 + sqrt(1 + (2/w)^2)) / 2, the root of lam - 1/lam = w whose
     modulus is largest.  The sign of w, hence of lam, may differ from the
-    direct formula; the lambda slack is invariant under lam -> -lam.
+    direct formula; the lambda slack is invariant under lam -> -lam.  Past
+    the float maximum the result is non-finite, without a warning.
     """
     m = np.maximum(np.abs(rho.real), np.abs(rho.imag))
     u = rho / m
-    w = np.sqrt(u * (u - 4.0 * s / m)) / s * m
-    v = 2.0 / w
-    return w * (0.5 + 0.5 * np.sqrt(1.0 + v * v))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.sqrt(u * (u - 4.0 * s / m)) / s * m
+        v = 2.0 / w
+        return w * (0.5 + 0.5 * np.sqrt(1.0 + v * v))
 
 
 def lambda_from_rho_array(p, q, rho: np.ndarray) -> np.ndarray:

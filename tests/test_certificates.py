@@ -1,10 +1,11 @@
 """Certificates: disk tests, line families, lambda, combined cascade."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mobcert.certificates import (
@@ -17,11 +18,8 @@ from mobcert.certificates import (
     anchor_search,
     anchor_search_bulk,
     anchor_slack,
-    canonical_anchors,
     cert_combined,
     cert_disks_elliptic,
-    cert_disks_general,
-    cert_general_ray,
     cert_im_bound,
     cert_lambda,
     cert_line_family,
@@ -38,9 +36,12 @@ from mobcert.mobius import (
     GroupSpec,
     InvalidInputError,
     PreconditionError,
-    SharedFixedPointError,
+    det2,
+    gamma_of,
+    inv2,
     make_generators,
     sigma_pq,
+    tr2,
 )
 from mobcert.omega import build_omega, omega_margin, rho_star
 
@@ -101,45 +102,78 @@ class TestDiskFamily:
 
 class TestDisksGeneral:
     def test_matches_swapped_elliptic_family(self):
-        # Key identity: the general disk test applied to B of the (p, q)
-        # marking is the elliptic disk test of the swapped marking (q, p).
+        # Key identity: the general isometric-disk test applied to B of the
+        # (p, q) marking is the elliptic disk test of the swapped marking
+        # (q, p).  The general test's four moduli, from the entries of B and
+        # alpha = exp(i pi / p), are the distances from rho to the swapped
+        # disk centers.
         for _ in range(40):
             p, q = (int(v) for v in RNG.integers(2, 10, 2))
             if p == 2 and q == 2:
                 continue
             rho = complex(*RNG.normal(0, 3, 2))
-            if abs(rho) < 0.2 or abs(rho - sigma_pq(p, q)) < 0.2:
-                continue
-            _, B = make_generators(GroupSpec(p, q, rho))
-            try:
-                cert = cert_disks_general(p, B)
-            except PreconditionError:
-                continue  # disks outside the sector: identity not applicable
-            assert abs(cert.slack - disk_slack(q, p, rho)) < 1e-10
+            spec = GroupSpec(p, q, rho)
+            _, B = make_generators(spec)
+            a, c, d = B[0, 0], B[1, 0], B[1, 1]
+            al = spec.alpha
+            t = al - al.conjugate()
+            moduli = (
+                abs(c - d * t),
+                abs(c + a * t),
+                abs(c + a * al + d * al.conjugate()),
+                abs(c - a * al.conjugate() - d * al),
+            )
+            assert abs(min(moduli) - 2.0 - disk_slack(q, p, rho)) < 1e-10
 
     def test_shared_fixed_point_detection(self):
-        # rho = sigma makes B share a fixed point with A (quartic root).
+        # rho = sigma makes B share a fixed point with A: the commutator
+        # trace is 2 (gamma = 0), and no stage of the cascade certifies it.
         p, q = 3, 4
-        sigma = sigma_pq(p, q)
-        _, B = make_generators(GroupSpec(p, q, complex(sigma)))
-        with pytest.raises(SharedFixedPointError):
-            cert_disks_general(p, B)
+        spec = GroupSpec(p, q, complex(sigma_pq(p, q)))
+        A, B = make_generators(spec)
+        assert abs(tr2(A @ B @ inv2(A) @ inv2(B)) - 2.0) < 1e-12
+        assert gamma_of(spec) == 0
+        fixed = 0.5j / math.sin(math.pi / p)  # A's finite fixed point
+        image = (B[0, 0] * fixed + B[0, 1]) / (B[1, 0] * fixed + B[1, 1])
+        assert abs(image - fixed) < 1e-12
+        cert = cert_combined(spec)
+        assert not cert.certified and cert.code == 0
+        assert combined_codes_array(p, q, np.array([spec.rho]))[0] == 0
 
     def test_upper_triangular_shares_infinity(self):
-        Y = np.array([[2.0, 1.0], [0.0, 0.5]], dtype=complex)
-        with pytest.raises(SharedFixedPointError):
-            cert_disks_general(3, Y)
+        # A fixes infinity, so any upper-triangular Y shares that fixed point
+        # and the commutator trace tr[A, Y] is exactly 2.
+        A, _ = make_generators(GroupSpec(3, 4, 1.0))
+        for Y in (
+            np.array([[2.0, 1.0], [0.0, 0.5]], dtype=complex),
+            np.array([[1j, 3.0 - 1j], [0.0, -1j]], dtype=complex),
+        ):
+            assert abs(tr2(A @ Y @ inv2(A) @ inv2(Y)) - 2.0) < 1e-12
 
     def test_det_check(self):
+        # inv2 is the adjugate: the inverse only of a det-1 matrix, which the
+        # generators are; for det 4 it gives 4 times the inverse.
+        for _ in range(10):
+            p, q = (int(v) for v in RNG.integers(3, 10, 2))
+            for m in make_generators(GroupSpec(p, q, complex(*RNG.normal(0, 3, 2)))):
+                assert abs(det2(m) - 1.0) < EPS_ALG
+                assert np.abs(m @ inv2(m) - np.eye(2)).max() < 1e-10
         Y = np.array([[2.0, 0.0], [1.0, 2.0]], dtype=complex)
-        with pytest.raises(InvalidInputError):
-            cert_disks_general(3, Y)
+        assert det2(Y) == 4.0
+        assert np.abs(Y @ inv2(Y) - 4.0 * np.eye(2)).max() == 0
 
     def test_order_two_allowed(self):
-        # unlike the elliptic shortcut, the general test accepts p = 2
-        _, B = make_generators(GroupSpec(2, 5, 7.0 + 0.5j))
-        cert = cert_disks_general(2, B)
-        assert cert.certified
+        # p = 2 has no (p, q) disk family, but the DisksGeneral stage runs
+        # the disk test of the swapped marking (5, 2) and certifies.
+        spec = GroupSpec(2, 5, 7.0 + 0.5j)
+        with pytest.raises(PreconditionError):
+            cert_disks_elliptic(spec)
+        assert cert_disks_elliptic(spec.swapped()).certified
+        cert = cert_combined(spec)
+        assert cert.certified and cert.code == CODE_DISKS_GENERAL
+        assert cert.witness == WITNESS_OF_CODE[CODE_DISKS_GENERAL]
+        assert abs(cert.slack - disk_slack(5, 2, spec.rho)) < 1e-15
+        assert combined_codes_array(2, 5, np.array([spec.rho]))[0] == CODE_DISKS_GENERAL
 
 
 class TestLineFamily:
@@ -170,21 +204,23 @@ class TestLineFamily:
 
 class TestGeneralRay:
     def test_reduces_to_marked_line(self):
-        # For Y = B_rho the recovered rho_0 is rho itself and the ray is
-        # rho (1 + i t) -- the marked line family.
+        # A certified rho anchors the marked line rho (1 + i t): every point
+        # on it is certified through that anchor.
         p, q = 3, 4
         rho = 7.0 + 0.4j
-        _, B = make_generators(GroupSpec(p, q, rho))
+        assert cert_disks_elliptic(GroupSpec(p, q, rho)).certified
         for t in (0.0, 0.8, -2.0):
-            cert = cert_general_ray(p, q, B, t)
-            assert cert.certified
-            assert abs(cert.detail["rho0"] - rho) < 1e-9
-            assert abs(cert.detail["rho_t"] - rho * (1.0 + 1j * t)) < 1e-8
+            cert = cert_line_family(GroupSpec(p, q, rho * (1.0 + 1j * t)), rho)
+            assert cert.certified and cert.code == CODE_LINE_FAMILY
+            assert cert.detail == {"anchor": rho, "on_line": True}
+        off = cert_line_family(GroupSpec(p, q, rho * (1.0 + 0.8j) + 0.1), rho)
+        assert not off.certified and off.detail == {"on_line": False}
 
     def test_requires_certified_base(self):
-        _, B = make_generators(GroupSpec(3, 4, 1.5 + 0.2j))  # deep inside disks
+        base = 1.5 + 0.2j  # deep inside the disks
+        assert not cert_disks_elliptic(GroupSpec(3, 4, base)).certified
         with pytest.raises(PreconditionError):
-            cert_general_ray(3, 4, B, 1.0)
+            cert_line_family(GroupSpec(3, 4, base * (1.0 + 1j)), base)
 
 
 class TestImBound:
@@ -257,6 +293,20 @@ class TestAnchorSearch:
         assert abs(s25 - s52) < 1e-12
         cert = anchor_search(GroupSpec(2, 5, 9.0 + 0.1j))
         assert cert.certified and cert.detail["family"] == "swapped"
+
+
+def canonical_anchors(p, q) -> list[complex]:
+    """The distinguished anchors: rho_star under both markings, their
+    conjugates, and the sigma - z images of all four."""
+    sigma = sigma_pq(p, q)
+    base = [rho_star(p, q)]
+    if p != q:
+        base.append(rho_star(q, p))
+    out = []
+    for r in base:
+        for w in (r, r.conjugate()):
+            out.extend([w, sigma - w])
+    return out
 
 
 class TestCanonicalAnchors:
@@ -362,3 +412,50 @@ class TestCombined:
         cert = cert_combined(GroupSpec(p, q, complex(re, im)), search=False)
         if cert.certified:
             assert omega_margin(region, complex(re, im)) <= 1e-9
+
+
+# orders from 2 to 10^9 and inf; magnitudes of rho from 1e-300 to 1e300
+property_orders = st.one_of(
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=13, max_value=10**9),
+    st.just(math.inf),
+)
+angles = st.floats(min_value=0.0, max_value=2.0 * math.pi)
+
+
+def assert_closed_codes_agree(p, q, rho):
+    """cert_combined and combined_codes_array give one closed-form code."""
+    if p == 2 and q == 2:
+        with pytest.raises(InvalidInputError):
+            cert_combined(GroupSpec(p, q, rho), search=False)
+        with pytest.raises(InvalidInputError):
+            combined_codes_array(p, q, np.array([rho]), search=False)
+        return
+    code = int(combined_codes_array(p, q, np.array([rho]), search=False)[0])
+    assert cert_combined(GroupSpec(p, q, rho), search=False).code == code
+
+
+class TestScalarArrayProperties:
+    @given(
+        p=property_orders,
+        q=property_orders,
+        exponent=st.floats(min_value=-300.0, max_value=300.0),
+        theta=angles,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_any_magnitude(self, p, q, exponent, theta):
+        assert_closed_codes_agree(p, q, 10.0**exponent * cmath.exp(1j * theta))
+
+    @given(
+        p=property_orders,
+        q=property_orders,
+        swapped=st.booleans(),
+        k=st.integers(min_value=0, max_value=3),
+        theta=angles,
+    )
+    @settings(max_examples=150, deadline=None)
+    @example(p=630646483, q=2, swapped=False, k=0, theta=2.0)  # lambda slack cancellation
+    def test_on_disk_circles(self, p, q, swapped, k, theta):
+        # rho on the boundary circle of one exclusion disk of either family
+        center = disk_centers_elliptic(*((q, p) if swapped else (p, q)))[k]
+        assert_closed_codes_agree(p, q, center + 2.0 * cmath.exp(1j * theta))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -55,6 +56,28 @@ class TestCertify:
         assert doc["verdict"] == "FreeDiscrete"
         assert doc["symmetry_image"] is None
         assert doc["lambda_branches"] is None
+
+    @pytest.mark.parametrize("p, q", [("3", "4"), ("5", "9")])
+    def test_huge_rho_is_standard_json(self, capsys, p, q):
+        # gamma overflows from |rho| ~ 1.3e154, and for (5, 9) at 1e308 the
+        # lambda branch does too: those fields are null, never Infinity/NaN
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        argv = ["certify", "--p", p, "--q", q]
+        for rho in ("1e160", "1e300+1i", "-1e300i", "1e308"):
+            argv += ["--rho", rho]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, out, err = run(capsys, *argv)
+        assert rc == 0 and err == ""
+        docs = [json.loads(line, parse_constant=reject) for line in out.splitlines()]
+        assert len(docs) == 4
+        assert all(doc["gamma"] is None for doc in docs)
+        assert all(doc["verdict"] == "FreeDiscrete" for doc in docs)
+        # at 1e308 the (3, 4) branch is still finite, the (5, 9) one is not
+        finite = [b is not None for doc in docs for b in doc["lambda_branches"]]
+        assert finite == [True] * 6 + [p == "3"] * 2
 
     def test_burau_mode(self, capsys):
         rc, out, _ = run(capsys, "certify", "--burau", "--mu", "9")

@@ -162,6 +162,57 @@ class TestHugeRho:
         assert (lam == np.where(np.abs(r1) >= np.abs(r2), r1, r2)).all()
 
 
+class TestSlackRange:
+    # finite lambda branches whose |lam| csc(pi/q) passes the float maximum
+    CASES = [(3, 4, 1e308), (3, 4, -1e308j), (5, 9, 2e307), (5, 9, -2e307j)]
+
+    @pytest.mark.parametrize("p, q, rho", CASES)
+    def test_slack_finite_quiet_and_scalar_matches_array(self, p, q, rho):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam = lambda_from_rho_array(p, q, np.array([rho]))
+            slack = lambda_slack_array(p, q, lam)
+            big, _ = lambda_from_rho(GroupSpec(p, q, rho))
+            scalar = lambda_slack(p, q, big)
+        assert cmath.isfinite(lam[0]) and cmath.isfinite(big)
+        assert math.isfinite(slack[0]) and math.isfinite(scalar)
+        assert math.isclose(scalar, slack[0], rel_tol=1e-12)
+        assert slack[0] > 0.0
+
+    def test_direct_formula_up_to_the_cutoff(self):
+        # up to |lam| csc(pi/q) = 1024 the slack keeps the bits of the
+        # direct formula, in both the array and the scalar path
+        cot_p, cot_q = 1.0 / math.tan(math.pi / 5), 1.0 / math.tan(math.pi / 9)
+        csc_p, csc_q = 1.0 / math.sin(math.pi / 5), 1.0 / math.sin(math.pi / 9)
+        rng = np.random.default_rng(8)
+        lam = rng.normal(0, 50, 200) + 1j * rng.normal(0, 50, 200)
+        lam = np.append(lam[np.abs(lam) <= 1024.0 / csc_q], 1024.0 / csc_q)
+        rhs = np.abs(lam) * csc_q
+        want = np.minimum(
+            rhs - np.abs(lam * cot_q + cot_p) - csc_p,
+            rhs - np.abs(lam * cot_q - cot_p) - csc_p,
+        )
+        assert (lambda_slack_array(5, 9, lam) == want).all()
+        for l in lam:
+            l = complex(l)
+            direct = min(abs(l) * csc_q - abs(l * cot_q + s * cot_p) - csc_p for s in (+1, -1))
+            assert lambda_slack(5, 9, l) == direct
+
+    @pytest.mark.parametrize("p, q", [(2, 10**9), (3, 10**6), (10**6, 7), (10**9, 10**9), (3, 4)])
+    def test_no_cancellation_at_large_orders(self, p, q):
+        # lam = i s, s = csc_p csc_q + sqrt((csc_p csc_q)^2 - 1), lies on the
+        # boundary of both inequalities.  With |lam| csc_q up to 1e26 the
+        # direct formula would be off by ~|lam| csc_q * 1e-16.
+        csc_p, csc_q = 1.0 / math.sin(math.pi / p), 1.0 / math.sin(math.pi / q)
+        lam = 1j * (csc_p * csc_q + math.sqrt((csc_p * csc_q) ** 2 - 1.0))
+        # a NaN entry alongside neither hides the far one nor gets a value
+        nan_slack, slack = lambda_slack_array(p, q, np.array([complex("nan"), lam]))
+        assert math.isnan(nan_slack)
+        for sign in (+1, -1):
+            assert abs(lambda_slack_signed(p, q, lam, sign)) < 1e-12 * max(1.0, csc_p)
+        assert math.isclose(lambda_slack(p, q, lam), slack, rel_tol=1e-9, abs_tol=1e-12 * csc_p)
+
+
 class TestBoundary:
     @given(
         p=st.integers(min_value=2, max_value=30),

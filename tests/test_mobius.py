@@ -1,4 +1,4 @@
-"""Matrix layer: generators, powers, disks, sector normalization."""
+"""Matrix layer: group specs, generators, traces, gamma, symmetry image."""
 
 import cmath
 import math
@@ -8,22 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mobcert.certificates import disk_centers_elliptic
 from mobcert.mobius import (
     EPS_ALG,
-    FixesInfinityError,
     GroupSpec,
     InvalidInputError,
-    PreconditionError,
-    SectorK,
     det2,
-    fixed_points,
     gamma_of,
-    generator_power,
     inv2,
-    isometric_disks,
     make_generators,
-    mobius_apply,
-    normalize_into_sector,
+    pi_over,
     sigma_pq,
     symmetry_image,
     tr2,
@@ -32,12 +26,32 @@ from mobcert.mobius import (
 RNG = np.random.default_rng(20260814)
 
 
-def random_sl2(rng=RNG) -> np.ndarray:
-    m = rng.normal(0, 1, (2, 2)) + 1j * rng.normal(0, 1, (2, 2))
-    return m / np.sqrt(np.linalg.det(m))
+def random_spec(rng=RNG) -> GroupSpec:
+    """A random marking with finite orders in 3..14 and |rho| >= 0.1."""
+    p, q = (int(v) for v in rng.integers(3, 15, 2))
+    rho = complex(*rng.normal(0, 3, 2))
+    while abs(rho) < 0.1:
+        rho = complex(*rng.normal(0, 3, 2))
+    return GroupSpec(p, q, rho)
 
 
-orders = st.one_of(st.integers(min_value=2, max_value=40), st.just(math.inf))
+def act(m: np.ndarray, z: complex) -> complex:
+    """The Mobius map of m at a finite point z with m(z) finite."""
+    return (m[0, 0] * z + m[0, 1]) / (m[1, 0] * z + m[1, 1])
+
+
+def power(m: np.ndarray, k: int) -> np.ndarray:
+    """m^k by repeated products; negative k uses inv2."""
+    step = m if k >= 0 else inv2(m)
+    out = np.eye(2, dtype=complex)
+    for _ in range(abs(k)):
+        out = out @ step
+    return out
+
+
+def apex(p) -> complex:
+    """The finite fixed point of A for a finite order p."""
+    return 0.5j / math.sin(math.pi / p)
 
 
 class TestGenerators:
@@ -100,129 +114,142 @@ class TestGeneratorPower:
     )
     @settings(max_examples=80, deadline=None)
     def test_matches_repeated_product(self, p, k):
-        A = generator_power(p, 1)
-        direct = np.eye(2, dtype=complex)
-        step = A if k >= 0 else inv2(A)
-        for _ in range(abs(k)):
-            direct = direct @ step
-        assert np.abs(generator_power(p, k) - direct).max() < 1e-9
+        # Closed form of A^k: [[alpha^k, s_k], [0, alpha^-k]] with
+        # s_k = (alpha^k - alpha^-k) / (alpha - alpha^-1), or k for p = inf.
+        A, _ = make_generators(GroupSpec(p, 3, 1.0 + 1.0j))
+        if p == math.inf:
+            want = np.array([[1.0, k], [0.0, 1.0]], dtype=complex)
+        else:
+            a = cmath.exp(1j * math.pi / p)
+            s_k = (a**k - a**-k) / (a - 1.0 / a)
+            want = np.array([[a**k, s_k], [0.0, a**-k]])
+        assert np.abs(power(A, k) - want).max() < 1e-9
 
     def test_infinite_order_is_translation(self):
-        assert np.abs(generator_power(math.inf, 5) - np.array([[1, 5], [0, 1]])).max() == 0
+        A, B = make_generators(GroupSpec(math.inf, math.inf, 2.5 - 1j))
+        assert np.abs(power(A, 5) - np.array([[1, 5], [0, 1]])).max() == 0
+        assert np.abs(power(B, -3) - np.array([[1, 0], [-3 * (2.5 - 1j), 1]])).max() == 0
 
 
 class TestTraceIdentity:
     def test_conjugation_invariance(self):
-        # tr[A, A^n Y A^m] = tr[A, Y]: the certificate's key exact identity.
+        # tr[A, A^n B A^m] = tr[A, B] = gamma + 2: conjugating B by powers of
+        # A does not change the group's commutator trace.
         for _ in range(60):
-            p = int(RNG.integers(2, 15))
-            Y = random_sl2()
-            A = generator_power(p, 1)
+            spec = random_spec()
+            A, B = make_generators(spec)
             n, m = (int(v) for v in RNG.integers(-8, 9, 2))
-            Yt = generator_power(p, n) @ Y @ generator_power(p, m)
-            t1 = tr2(A @ Y @ inv2(A) @ inv2(Y))
-            t2 = tr2(A @ Yt @ inv2(A) @ inv2(Yt))
-            assert abs(t1 - t2) < 1e-10
+            Bt = power(A, n) @ B @ power(A, m)
+            t1 = tr2(A @ B @ inv2(A) @ inv2(B))
+            t2 = tr2(A @ Bt @ inv2(A) @ inv2(Bt))
+            assert abs(t1 - t2) < 1e-10 * max(1.0, abs(t1))
+            assert abs(t1 - 2.0 - gamma_of(spec)) < 1e-10 * max(1.0, abs(t1))
 
 
 class TestFixedPointsAndDisks:
     def test_fixed_points_are_fixed(self):
+        # A fixes infinity and i / (2 sin(pi/p)); B fixes 0 and
+        # 2i sin(pi/q) / rho.
         for _ in range(20):
-            m = random_sl2()
-            for z in fixed_points(m):
-                if z == math.inf:
-                    continue
-                assert abs(mobius_apply(m, z) - z) < 1e-8
+            spec = random_spec()
+            A, B = make_generators(spec)
+            assert A[1, 0] == 0 and B[0, 1] == 0
+            zb = 2j * math.sin(math.pi / spec.q) / spec.rho
+            for m, z in ((A, apex(spec.p)), (B, 0.0), (B, zb)):
+                assert abs(act(m, z) - z) < 1e-9 * max(1.0, abs(z))
 
     def test_isometric_disks_radius_and_centers(self):
-        m = random_sl2()
-        a, b, c, d = m.ravel()
-        d1, d2 = isometric_disks(m)
-        assert abs(d1.center - (-d / c)) < 1e-12
-        assert abs(d2.center - (a / c)) < 1e-12
-        assert abs(d1.radius - 1.0 / abs(c)) < 1e-12
-        assert abs(d2.radius - d1.radius) < 1e-12
+        # B's isometric disk (center -d/c) and that of B^-1 (center a/c),
+        # both of radius 1/|rho|, relate to the swapped exclusion disks:
+        # the distance from rho to a (q, p) center is
+        # 2 sin(pi/p) |rho| |center - apex of A|.  So rho clears that disk
+        # exactly when the isometric disk subtends a half-angle below pi/p
+        # at A's fixed point.
+        for _ in range(40):
+            spec = random_spec()
+            _, B = make_generators(spec)
+            a, _, c, d = B.ravel()
+            Bi = inv2(B)
+            assert abs(-Bi[1, 1] / Bi[1, 0] - a / c) < 1e-12 * abs(a / c)
+            assert abs(1.0 / abs(Bi[1, 0]) - 1.0 / abs(c)) < 1e-12 / abs(c)
+            centers = disk_centers_elliptic(spec.q, spec.p)
+            scale = 2.0 * math.sin(math.pi / spec.p) * abs(spec.rho)
+            for z in (-d / c, a / c):
+                dist = scale * abs(z - apex(spec.p))
+                assert min(abs(abs(spec.rho - ck) - dist) for ck in centers) < 1e-10 * max(1.0, dist)
 
     def test_isometric_circle_maps_to_partner(self):
-        # Y maps the boundary of its isometric disk onto the boundary of the
-        # isometric disk of Y^{-1}.
+        # B maps the boundary of its isometric disk onto the boundary of the
+        # isometric disk of B^-1.
         for _ in range(20):
-            m = random_sl2()
-            if abs(m[1, 0]) < 1e-6:
-                continue
-            d1, d2 = isometric_disks(m)
+            spec = random_spec()
+            _, B = make_generators(spec)
+            a, _, c, d = B.ravel()
+            radius = 1.0 / abs(c)
             for ang in np.linspace(0.0, 2.0 * math.pi, 7):
-                z = d1.center + d1.radius * cmath.exp(1j * ang)
-                w = mobius_apply(m, z)
-                assert abs(abs(w - d2.center) - d2.radius) < 1e-9
+                z = -d / c + radius * cmath.exp(1j * ang)
+                assert abs(abs(act(B, z) - a / c) - radius) < 1e-9 * max(1.0, radius)
 
     def test_upper_triangular_rejected(self):
-        m = np.array([[2.0, 1.0], [0.0, 0.5]], dtype=complex)
-        with pytest.raises(FixesInfinityError):
-            isometric_disks(m)
+        # rho = 0 makes B diagonal, so B shares infinity with A: the pair is
+        # reducible, gamma vanishes and make_generators refuses it.
+        spec = GroupSpec(3, 5, 0.0)
+        assert gamma_of(spec) == 0
+        with pytest.raises(InvalidInputError):
+            make_generators(spec)
 
 
 class TestSectorNormalization:
-    def _in_sector(self, p, Y) -> bool:
-        s = SectorK(p)
-        lim = math.pi / p + 1e-12
-
-        def ang(c):
-            w = c - s.apex
-            return 0.0 if abs(w) < 1e-12 else cmath.phase(w * 1j)
-
-        d1, d2 = isometric_disks(Y)
-        return abs(ang(d1.center)) <= lim and abs(ang(d2.center)) <= lim
-
-    def test_matches_brute_force(self):
-        # Oracle: enumerate all |m|, |n| <= p and take the smallest
-        # (|m|+|n|, m, n) whose disks land in the sector.
-        for _ in range(25):
-            p = int(RNG.integers(3, 8))
-            Y = random_sl2()
-            if abs(Y[1, 0]) < 1e-6:
-                continue
-            yt, m, n = normalize_into_sector(p, Y)
-            assert self._in_sector(p, yt)
-            best = None
-            for m2 in range(-p, p + 1):
-                for n2 in range(-p, p + 1):
-                    cand = generator_power(p, n2) @ Y @ generator_power(p, m2)
-                    if self._in_sector(p, cand):
-                        key = (abs(m2) + abs(n2), m2, n2)
-                        best = key if best is None or key < best else best
-            assert best == (abs(m) + abs(n), m, n)
-
     def test_recomposition_and_trace(self):
+        # A^p = -I, so A^n B A^m recomposes as +-A^(n mod p) B A^(m mod p)
+        # with the same commutator trace.
         for _ in range(25):
-            p = int(RNG.integers(3, 10))
-            Y = random_sl2()
-            if abs(Y[1, 0]) < 1e-6:
-                continue
-            yt, m, n = normalize_into_sector(p, Y)
-            rec = generator_power(p, n) @ Y @ generator_power(p, m)
-            assert np.abs(rec - yt).max() < 1e-12
-            A = generator_power(p, 1)
-            t1 = tr2(A @ Y @ inv2(A) @ inv2(Y))
-            t2 = tr2(A @ yt @ inv2(A) @ inv2(yt))
-            assert abs(t1 - t2) < 1e-10
+            spec = random_spec()
+            A, B = make_generators(spec)
+            p = spec.p
+            n, m = (int(v) for v in RNG.integers(-3 * p, 3 * p + 1, 2))
+            full = power(A, n) @ B @ power(A, m)
+            reduced = power(A, n % p) @ B @ power(A, m % p)
+            sign = (-1) ** ((n - n % p) // p + (m - m % p) // p)
+            assert np.abs(full - sign * reduced).max() < 1e-9 * max(1.0, abs(spec.rho))
+            t1 = tr2(A @ full @ inv2(A) @ inv2(full))
+            t2 = tr2(A @ reduced @ inv2(A) @ inv2(reduced))
+            assert abs(t1 - t2) < 1e-9 * max(1.0, abs(t1))
 
     def test_preconditions(self):
-        Y = random_sl2()
-        with pytest.raises(PreconditionError):
-            normalize_into_sector(2, Y)
-        with pytest.raises(PreconditionError):
-            normalize_into_sector(math.inf, Y)
+        # orders are integers >= 2 or inf; the symmetry image needs finite ones
+        for bad in (1, 0, -3, 2.5, math.nan):
+            with pytest.raises(InvalidInputError):
+                pi_over(bad)
+            with pytest.raises(InvalidInputError):
+                GroupSpec(bad, 3, 1.0)
+            with pytest.raises(InvalidInputError):
+                GroupSpec(3, bad, 1.0)
+        for p, q in ((math.inf, 3), (3, math.inf)):
+            with pytest.raises(InvalidInputError):
+                symmetry_image(GroupSpec(p, q, 1.0))
 
 
 class TestSector:
     def test_apex_and_containment(self):
-        s = SectorK(4)
-        assert abs(s.apex - 0.5j / math.sin(math.pi / 4)) < 1e-12
-        # the axis points toward -i: apex - i t is inside for t > 0
-        assert s.contains(s.apex - 1j)
-        assert not s.contains(s.apex + 1j)
+        # A is the rotation by 2 pi / p about its fixed point (the apex):
+        # A(apex + w) = apex + alpha^2 w, and A^p is the identity on points.
+        p = 4
+        A, _ = make_generators(GroupSpec(p, 3, 1.0))
+        top = apex(p)
+        assert abs(top - 0.5j / math.sin(math.pi / 4)) < 1e-12
+        alpha2 = cmath.exp(2j * pi_over(p))
+        for w in (-1j, 0.3 + 0.2j, 2.0):
+            assert abs(act(A, top + w) - (top + alpha2 * w)) < 1e-12
+            z = top + w
+            for _ in range(p):
+                z = act(A, z)
+            assert abs(z - (top + w)) < 1e-12
 
     def test_infinite_order_half_plane(self):
-        s = SectorK(math.inf)
-        assert s.contains(-1j)
+        # For p = inf, A is the translation z -> z + 1: parabolic, with no
+        # finite fixed point.
+        A, _ = make_generators(GroupSpec(math.inf, 3, 1.0))
+        assert tr2(A) == 2 and A[1, 0] == 0
+        for z in (-1j, 2.0 + 3.0j):
+            assert act(A, z) == z + 1

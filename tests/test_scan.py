@@ -77,6 +77,19 @@ class TestModeSemantics:
             result = run_scan(job)
         assert (result.codes == 4).all()
 
+    @pytest.mark.parametrize(
+        "p, q, rho", [(3, 4, 1e308), (3, 4, -1e308j), (5, 9, 2e307), (5, 9, -2e307j)]
+    )
+    def test_lambda_mode_slack_overflow(self, p, q, rho):
+        # the lambda branch is finite there but |lam| csc(pi/q) overflows
+        h = 0.05 * abs(rho)
+        z = complex(rho)
+        job = ScanJob(p, q, Window(z.real - h, z.real + h, z.imag - h, z.imag + h), 4, "lambda")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_scan(job)
+        assert (result.codes == 4).all()
+
     def test_burau_mode_faithful_patch(self):
         job = ScanJob(3, 3, Window(2.5, 4.5, -0.5, 0.5), 2, "burau")
         result = run_scan(job)
