@@ -146,6 +146,7 @@ class AnnulusReport:
     in_conjectured_annulus: bool
     certified_faithful: bool
     slack: float
+    verdict: str
 
 
 def annulus_report(mu: complex) -> AnnulusReport:
@@ -159,6 +160,7 @@ def annulus_report(mu: complex) -> AnnulusReport:
         in_conjectured_annulus=ANNULUS_CONJECTURED[0] <= r <= ANNULUS_CONJECTURED[1],
         certified_faithful=cert.certified,
         slack=cert.slack,
+        verdict=cert.verdict,
     )
 
 
@@ -177,10 +179,10 @@ def burau_slack_array(mu: np.ndarray) -> np.ndarray:
     return big - 3.0
 
 
-def faithful_mask(mu: np.ndarray, tol: float = EPS_ALG) -> np.ndarray:
+def faithful_mask(mu: np.ndarray) -> np.ndarray:
     """Vectorized closed faithfulness test, excluding mu = -1 (and mu = 0,
     where the representation is undefined)."""
     mu = np.asarray(mu, dtype=complex)
     with np.errstate(invalid="ignore"):
-        ok = burau_slack_array(mu) >= -tol * SQRT3
-    return ok & (np.abs(mu + 1.0) > tol) & (mu != 0)
+        ok = burau_slack_array(mu) >= -EPS_ALG * SQRT3
+    return ok & (np.abs(mu + 1.0) > EPS_ALG) & (mu != 0)

@@ -4,28 +4,35 @@ Each certificate is a sufficient condition: a ``FreeDiscrete`` verdict
 proves the marked group is discrete and a free product Z_p * Z_q, while
 ``NoCertificate`` only means this particular test was inconclusive.
 
-Available tests, in the order cert_combined applies them:
+The combined cascade is the table CASCADE of Stage rows, each with a code,
+a witness, a precondition on (p, q), an array slack function and a rule:
+open conditions are strict (slack > EPS_ALG), closed ones accept slack >=
+-EPS_ALG, so exact boundary points such as cusps fail the strict tests.
 
-1. DisksElliptic -- rho avoids the four exclusion disks of radius 2.
-2. DisksGeneral  -- the disk test of the swapped marking (q, p): rho
-   avoids the four exclusion disks of the (q, p) family.  The swapped
-   marking describes the same group, so its certificates apply.
-3. ImBound       -- |Im rho| >= 2 sqrt(1 - S^2) (closed).
-4. LambdaRegion  -- the lambda branch of rho satisfies the closed
-   lambda-coordinate inequalities.
-5. LineFamily    -- rho lies on a certified line {a (1 + i t)} through an
-   anchor a that the disk tests certify strictly (the anchor search).
+1. DisksElliptic -- rho avoids the four exclusion disks of radius 2 (strict).
+2. DisksGeneral  -- the same for the swapped marking (q, p), which describes
+   the same group, so its certificates apply (strict).
+3. ImBound       -- |Im rho| >= 2 sqrt(1 - S^2), finite p, q >= 3 (closed).
+4. LambdaRegion  -- the lambda branch of rho meets the lambda inequalities
+   of (p, q), then (5) those of (q, p); finite orders (closed).
+6. LineFamily    -- rho lies on a line {a (1 + i t)} through an anchor a
+   that the disk tests certify: the anchor search (strict).
 
-Open conditions (disks, lines) are certified strictly (slack > EPS_ALG);
-closed conditions (im bound, lambda) allow slack >= -EPS_ALG, so exact
-boundary points such as cusps are rejected by the strict tests.
+combined_codes_array runs the rows over an array, the disks and lambda scan
+modes run single rows, and cert_combined is the size-1 case, so certify and
+a scan give a point one code and one slack.  The scalar per-stage tests
+(cert_disks_elliptic, cert_im_bound, cert_lambda, cert_line_family) apply a
+row's rule to a slack computed in scalar arithmetic: they are the
+independent references for checking a witness.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -57,19 +64,15 @@ CODE_LINE_FAMILY = 3
 CODE_LAMBDA = 4
 CODE_IM_BOUND = 5
 
-WITNESS_OF_CODE = {
-    CODE_NONE: None,
-    CODE_DISKS_ELLIPTIC: "DisksElliptic",
-    CODE_DISKS_GENERAL: "DisksGeneral",
-    CODE_LINE_FAMILY: "LineFamily",
-    CODE_LAMBDA: "LambdaRegion",
-    CODE_IM_BOUND: "ImBound",
-}
-
 # anchor search grid: |t| log-spaced in [1e-3, 1e3], both signs
 SEARCH_T_MIN = 1e-3
 SEARCH_T_MAX = 1e3
 SEARCH_T_POINTS = 512
+SEARCH_BRACKETS = 4  # coarse maxima refined per point when none certifies
+SEARCH_ITERS = 60  # golden-section steps per refinement
+SEARCH_CHUNK = 4096  # points searched at once
+
+LINE_TOL = 1e-9  # how far rho may lie from a line {anchor (1 + i t)} and be on it
 
 
 @dataclass(frozen=True)
@@ -90,11 +93,6 @@ def _family_ok(p) -> bool:
     return p == math.inf or p >= 3
 
 
-def _min_order(p) -> None:
-    if not _family_ok(p):
-        raise PreconditionError(f"test needs order >= 3 (or inf), got {p}")
-
-
 def disk_centers_elliptic(p, q) -> tuple[complex, complex, complex, complex]:
     """Centers of the four radius-2 exclusion disks for the (p, q) marking."""
     a = cmath.exp(1j * pi_over(p))
@@ -106,6 +104,13 @@ def disk_centers_elliptic(p, q) -> tuple[complex, complex, complex, complex]:
     return c1, c2, c3, c4
 
 
+@lru_cache(maxsize=128)
+def _centers_array(p, q) -> np.ndarray:
+    centers = np.array(disk_centers_elliptic(p, q), dtype=complex)
+    centers.flags.writeable = False
+    return centers
+
+
 def disk_slack(p, q, z: complex) -> float:
     """min_k |z - c_k| - 2 over the four exclusion disks; > 0 certifies."""
     z = complex(z)
@@ -114,31 +119,98 @@ def disk_slack(p, q, z: complex) -> float:
 
 def disk_slack_array(p, q, rho: np.ndarray) -> np.ndarray:
     """Vectorized disk_slack: min_k |rho - c_k| - 2 over an array of rho."""
-    rho = np.asarray(rho, dtype=complex)
-    d = np.full(rho.shape, np.inf)
-    for c in disk_centers_elliptic(p, q):
-        np.minimum(d, np.abs(rho - c), out=d)
-    return d - 2.0
+    return np.minimum.reduce(np.abs(np.subtract.outer(_centers_array(p, q), rho)), axis=0) - 2.0
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One row of the cascade table: slack(p, q, rho array) is the row's
+    slack where applies(p, q); a strict row certifies where slack >
+    EPS_ALG, a closed one where slack >= -EPS_ALG.  detail is the default
+    detail of the row's certificates."""
+
+    code: int
+    witness: str
+    applies: Callable
+    slack: Callable
+    strict: bool
+    detail: dict = field(default_factory=dict)
+
+    def passes(self, slack):
+        return slack > EPS_ALG if self.strict else slack >= -EPS_ALG
+
+    def certificate(self, slack: float, detail: dict | None = None) -> Certificate:
+        detail = dict(self.detail if detail is None else detail)
+        if self.passes(slack):
+            return Certificate(VERDICT_FREE, self.witness, slack, self.code, detail)
+        return Certificate(VERDICT_NONE, None, slack, CODE_NONE, detail)
+
+
+def _swapped(stage: Stage, **changes) -> Stage:
+    """stage under the swapped marking (q, p), which describes the same group."""
+    swap = dict(applies=lambda p, q: stage.applies(q, p), slack=lambda p, q, rho: stage.slack(q, p, rho))
+    return replace(stage, **swap, **changes)
+
+
+def _finite(p, q) -> bool:
+    return p != math.inf and q != math.inf
+
+
+DISKS_ELLIPTIC = Stage(
+    CODE_DISKS_ELLIPTIC, "DisksElliptic", lambda p, q: _family_ok(p), disk_slack_array, strict=True
+)
+IM_BOUND = Stage(
+    CODE_IM_BOUND, "ImBound", lambda p, q: _finite(p, q) and p >= 3 and q >= 3,
+    lambda p, q, rho: np.abs(rho.imag) - im_bound(p, q), strict=False,
+)
+LAMBDA_REGION = Stage(
+    CODE_LAMBDA, "LambdaRegion", _finite,
+    lambda p, q, rho: lambda_slack_array(p, q, lambda_from_rho_array(p, q, rho)), strict=False,
+)
+LINE_FAMILY = Stage(
+    CODE_LINE_FAMILY, "LineFamily", lambda p, q: _family_ok(p) or _family_ok(q),
+    lambda p, q, rho: anchor_search_bulk(p, q, rho)[0], strict=True,
+)
+CASCADE = (
+    DISKS_ELLIPTIC,
+    _swapped(DISKS_ELLIPTIC, code=CODE_DISKS_GENERAL, witness="DisksGeneral", detail={"family": "swapped"}),
+    IM_BOUND,
+    LAMBDA_REGION,
+    _swapped(LAMBDA_REGION),
+    LINE_FAMILY,
+)
+
+WITNESS_OF_CODE = {CODE_NONE: None, **{stage.code: stage.witness for stage in CASCADE}}
+
+
+@lru_cache(maxsize=128)
+def _stages(p, q, search: bool) -> tuple[Stage, ...]:
+    """The rows of CASCADE whose preconditions (p, q) meets, the line
+    family only with search.  The dihedral marking p = q = 2 is rejected
+    outright: no certificate family covers it."""
+    if p == 2 and q == 2:
+        raise InvalidInputError("p = q = 2 is a degenerate (dihedral) spec")
+    rows = CASCADE if search else CASCADE[:-1]
+    return tuple(stage for stage in rows if stage.applies(p, q))
+
+
+def _require(stage: Stage, spec: GroupSpec) -> None:
+    if not stage.applies(spec.p, spec.q):
+        raise PreconditionError(f"{stage.witness} test does not apply to orders ({spec.p}, {spec.q})")
 
 
 def cert_disks_elliptic(spec: GroupSpec) -> Certificate:
-    """rho outside all four exclusion disks (strict)."""
-    _min_order(spec.p)
-    slack = disk_slack(spec.p, spec.q, spec.rho)
-    if slack > EPS_ALG:
-        return Certificate(VERDICT_FREE, "DisksElliptic", slack, CODE_DISKS_ELLIPTIC)
-    return Certificate(VERDICT_NONE, None, slack)
+    """rho outside all four exclusion disks (strict): the DisksElliptic row
+    at one point, its slack from the scalar disk_slack."""
+    _require(DISKS_ELLIPTIC, spec)
+    return DISKS_ELLIPTIC.certificate(disk_slack(spec.p, spec.q, spec.rho))
 
 
 def cert_im_bound(spec: GroupSpec) -> Certificate:
-    """|Im rho| >= 2 sqrt(1 - S^2), a closed condition (finite p, q >= 3)."""
-    for n in (spec.p, spec.q):
-        if n == math.inf or n < 3:
-            raise PreconditionError(f"im-bound test needs finite orders >= 3, got {n}")
-    slack = abs(spec.rho.imag) - im_bound(spec.p, spec.q)
-    if slack >= -EPS_ALG:
-        return Certificate(VERDICT_FREE, "ImBound", slack, CODE_IM_BOUND)
-    return Certificate(VERDICT_NONE, None, slack)
+    """|Im rho| >= 2 sqrt(1 - S^2) (closed): the ImBound row at one point,
+    its slack in scalar arithmetic."""
+    _require(IM_BOUND, spec)
+    return IM_BOUND.certificate(abs(spec.rho.imag) - im_bound(spec.p, spec.q))
 
 
 def anchor_slack(p, q, a: complex) -> tuple[float, str]:
@@ -168,45 +240,23 @@ def line_distance(rho: complex, anchor: complex) -> float:
     return abs((rho / anchor).real - 1.0) * abs(anchor)
 
 
-def cert_line_family(spec: GroupSpec, anchor: complex, tol: float = 1e-9) -> Certificate:
+def cert_line_family(spec: GroupSpec, anchor: complex) -> Certificate:
     """Certified line {anchor (1 + i t)} through a strictly certified anchor.
 
     Raises PreconditionError unless the anchor passes the elliptic disk
     test of the spec's marking strictly; returns NoCertificate when rho is
-    farther than tol from the line (not-applicable, not an error).
+    farther than LINE_TOL from the line (not-applicable, not an error).
     """
     anchor = complex(anchor)
     if anchor == 0:
         raise InvalidInputError("line family needs a nonzero anchor")
-    _min_order(spec.p)
+    _require(DISKS_ELLIPTIC, spec)
     slack = disk_slack(spec.p, spec.q, anchor)
-    if not slack > EPS_ALG:
+    if not DISKS_ELLIPTIC.passes(slack):
         raise PreconditionError("anchor must pass the elliptic disk test strictly")
-    if line_distance(spec.rho, anchor) > tol:
+    if line_distance(spec.rho, anchor) > LINE_TOL:
         return Certificate(VERDICT_NONE, None, slack, CODE_NONE, {"on_line": False})
-    detail = {"anchor": anchor, "on_line": True}
-    return Certificate(VERDICT_FREE, "LineFamily", slack, CODE_LINE_FAMILY, detail)
-
-
-def _search_t_grid(n: int = SEARCH_T_POINTS) -> np.ndarray:
-    half = np.geomspace(SEARCH_T_MIN, SEARCH_T_MAX, n // 2)
-    return np.concatenate([-half[::-1], half])
-
-
-def _valid_families(p, q) -> np.ndarray:
-    """Disk centers of the valid anchor families, one row of 4 per family.
-
-    The elliptic family needs order p >= 3 (or inf), the swapped family
-    order q >= 3 (or inf); p = q = 2 leaves nothing to anchor a line on.
-    """
-    rows = []
-    if _family_ok(p):
-        rows.append(disk_centers_elliptic(p, q))
-    if _family_ok(q):
-        rows.append(disk_centers_elliptic(q, p))
-    if not rows:
-        raise PreconditionError("anchor test needs an order >= 3 (or inf)")
-    return np.array(rows, dtype=complex)
+    return LINE_FAMILY.certificate(slack, {"anchor": anchor, "on_line": True})
 
 
 def _anchor_slack_at(centers: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -224,11 +274,11 @@ def _anchor_slack_at(centers: np.ndarray, a: np.ndarray) -> np.ndarray:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _refine_bulk(centers, w, t_lo, t_hi, iters: int = 60):
+def _refine_bulk(centers, w, t_lo, t_hi):
     """Vectorized golden-section maximization of anchor slack over t."""
     lo = np.asarray(t_lo, dtype=float).copy()
     hi = np.asarray(t_hi, dtype=float).copy()
-    for _ in range(iters):
+    for _ in range(SEARCH_ITERS):
         x1 = hi - _GOLDEN * (hi - lo)
         x2 = lo + _GOLDEN * (hi - lo)
         f1 = _anchor_slack_at(centers, w / (1.0 + 1j * x1))
@@ -240,7 +290,7 @@ def _refine_bulk(centers, w, t_lo, t_hi, iters: int = 60):
     return tm, _anchor_slack_at(centers, w / (1.0 + 1j * tm))
 
 
-def _search_chunk(centers, tgrid, w, n_brackets, iters):
+def _search_chunk(centers, tgrid, w):
     """Best (slack, t) over the anchor circle of each w in one chunk."""
     prof = _anchor_slack_at(centers, w[:, None] / (1.0 + 1j * tgrid[None, :]))
     idx = prof.argmax(axis=1)
@@ -253,12 +303,12 @@ def _search_chunk(centers, tgrid, w, n_brackets, iters):
         interior = sub_prof[:, 1:-1]
         is_max = (interior >= sub_prof[:, :-2]) & (interior >= sub_prof[:, 2:])
         ranked = np.where(is_max, interior, -np.inf)
-        order = np.argsort(ranked, axis=1)[:, ::-1][:, :n_brackets] + 1
+        order = np.argsort(ranked, axis=1)[:, ::-1][:, :SEARCH_BRACKETS] + 1
         sub_best = slack[need].copy()
         sub_t = t_at[need].copy()
         for b in range(order.shape[1]):
             cols = order[:, b]
-            tb, fb = _refine_bulk(centers, sub_w, tgrid[cols - 1], tgrid[cols + 1], iters)
+            tb, fb = _refine_bulk(centers, sub_w, tgrid[cols - 1], tgrid[cols + 1])
             better = fb > sub_best
             sub_best = np.where(better, fb, sub_best)
             sub_t = np.where(better, tb, sub_t)
@@ -267,15 +317,7 @@ def _search_chunk(centers, tgrid, w, n_brackets, iters):
     return slack, t_at
 
 
-def anchor_search_bulk(
-    p,
-    q,
-    rho: np.ndarray,
-    n_t: int = SEARCH_T_POINTS,
-    n_brackets: int = 4,
-    iters: int = 60,
-    chunk: int = 4096,
-):
+def anchor_search_bulk(p, q, rho: np.ndarray):
     """Search certified line anchors for many rho values at once.
 
     For each rho the search scans anchors a = w / (1 + i t) on the circle
@@ -286,20 +328,25 @@ def anchor_search_bulk(
     EPS_ALG carry a certified line through rho or its symmetry image.
     Raises PreconditionError when no anchor family is valid (p = q = 2).
     """
+    # one row of 4 disk centers per family that may anchor a line: the
+    # elliptic family needs p >= 3 (or inf), the swapped family q >= 3
+    centers = np.array([_centers_array(a, b) for a, b in ((p, q), (q, p)) if _family_ok(a)])
+    if not len(centers):
+        raise PreconditionError("anchor test needs an order >= 3 (or inf)")
+    half = np.geomspace(SEARCH_T_MIN, SEARCH_T_MAX, SEARCH_T_POINTS // 2)
+    tgrid = np.concatenate([-half[::-1], half])
     rho = np.asarray(rho, dtype=complex)
     flat = rho.ravel()
     sigma = 4.0 * sin_sin(p, q)
-    centers = _valid_families(p, q)
-    tgrid = _search_t_grid(n_t)
     best_slack = np.full(flat.shape, -np.inf)
     best_t = np.zeros(flat.shape)
     best_w = flat.copy()
     for w_all in (flat, sigma - flat):
         ok = np.abs(w_all) > EPS_ALG
         idx_ok = np.nonzero(ok)[0]
-        for lo in range(0, len(idx_ok), chunk):
-            sel = idx_ok[lo : lo + chunk]
-            slack, t_at = _search_chunk(centers, tgrid, w_all[sel], n_brackets, iters)
+        for lo in range(0, len(idx_ok), SEARCH_CHUNK):
+            sel = idx_ok[lo : lo + SEARCH_CHUNK]
+            slack, t_at = _search_chunk(centers, tgrid, w_all[sel])
             better = slack > best_slack[sel]
             upd = sel[better]
             best_slack[upd] = slack[better]
@@ -315,32 +362,13 @@ def anchor_search_bulk(
     )
 
 
-def anchor_search(spec: GroupSpec, n_t: int = SEARCH_T_POINTS) -> Certificate:
-    """Certified-line anchor search for a single spec."""
-    rho = np.array([spec.rho], dtype=complex)
-    slack, anchor, w = anchor_search_bulk(spec.p, spec.q, rho, n_t=n_t)
-    s = float(slack[0])
-    detail = {
-        "anchor": complex(anchor[0]),
-        "symmetry_image": complex(w[0]),
-        "family": anchor_slack(spec.p, spec.q, complex(anchor[0]))[1] if s > EPS_ALG else None,
-    }
-    if s > EPS_ALG:
-        return Certificate(VERDICT_FREE, "LineFamily", s, CODE_LINE_FAMILY, detail)
-    return Certificate(VERDICT_NONE, None, s, CODE_NONE, detail)
-
-
 def lambda_feasible(params: LambdaParams) -> Certificate:
     """Closed lambda-coordinate certificate at a given lambda value.
 
     FreeDiscrete iff both sign choices of |lam cot(pi/q) +- cot(pi/p)| +
     csc(pi/p) <= |lam| csc(pi/q) hold; boundary equality is accepted.
     """
-    slack = lambda_slack(params.p, params.q, params.lam)
-    detail = {"lam": params.lam}
-    if slack >= -EPS_ALG:
-        return Certificate(VERDICT_FREE, "LambdaRegion", slack, CODE_LAMBDA, detail)
-    return Certificate(VERDICT_NONE, None, slack, CODE_NONE, detail)
+    return LAMBDA_REGION.certificate(lambda_slack(params.p, params.q, params.lam), {"lam": params.lam})
 
 
 def cert_lambda(spec: GroupSpec) -> Certificate:
@@ -356,95 +384,57 @@ def cert_lambda(spec: GroupSpec) -> Certificate:
     return Certificate(cert.verdict, cert.witness, cert.slack, cert.code, detail)
 
 
+def anchor_search(spec: GroupSpec) -> Certificate:
+    """The LineFamily row for a single spec, with the anchor it found."""
+    slack, anchor, w = anchor_search_bulk(spec.p, spec.q, np.array([spec.rho]))
+    s = float(slack[0])
+    detail = {
+        "anchor": complex(anchor[0]),
+        "symmetry_image": complex(w[0]),
+        "family": anchor_slack(spec.p, spec.q, complex(anchor[0]))[1] if LINE_FAMILY.passes(s) else None,
+    }
+    return LINE_FAMILY.certificate(s, detail)
+
+
 def cert_combined(spec: GroupSpec, search: bool = True) -> Certificate:
-    """Run all certificates in order and return the first success.
+    """The cascade at one point: the first row of CASCADE that certifies.
 
-    Order: elliptic disks, the same disk test under the swapped marking
-    (witnessed as DisksGeneral), the im bound, the lambda region under both markings, then (optionally) the
-    anchor search.  The swapped marking describes the same group, so its
-    certificates apply.  Tests whose preconditions fail are skipped.  On
-    failure returns NoCertificate with the largest slack seen.  The
-    dihedral marking p = q = 2 is rejected outright: no certificate family
-    covers it.
-
-    This scalar cascade is the hand-written reference for
-    combined_codes_array.  The canonical anchors (rho_star under both
-    markings, their conjugates and symmetry images) are not tried: their
-    disk slack never exceeds EPS_ALG (the largest, over both markings, is
-    4.4e-16), so a line through one of them is never certified.
+    The rows run on a size-1 array, so the code and slack are those of
+    combined_codes_array; the LineFamily row runs as anchor_search, which
+    keeps the anchor in the detail.  On failure returns NoCertificate with
+    the largest slack seen.  search=False leaves out the LineFamily row.
     """
-    if spec.p == 2 and spec.q == 2:
-        raise InvalidInputError("p = q = 2 is a degenerate (dihedral) spec")
+    p, q = spec.p, spec.q
+    rho = np.array([spec.rho])
     best = -math.inf
-
-    def run(fn, *args):
-        nonlocal best
-        try:
-            cert = fn(*args)
-        except (PreconditionError, InvalidInputError):
-            return None
+    for stage in _stages(p, q, search):
+        if stage is LINE_FAMILY:
+            cert = anchor_search(spec)
+        else:
+            cert = stage.certificate(float(stage.slack(p, q, rho)[0]))
+        if cert.certified:
+            return cert
         best = max(best, cert.slack)
-        return cert if cert.certified else None
-
-    cert = run(cert_disks_elliptic, spec)
-    if cert:
-        return cert
-
-    swapped = spec.swapped()
-    cert = run(cert_disks_elliptic, swapped)
-    if cert:
-        return Certificate(
-            VERDICT_FREE, "DisksGeneral", cert.slack, CODE_DISKS_GENERAL, {"family": "swapped"}
-        )
-
-    cert = run(cert_im_bound, spec)
-    if cert:
-        return cert
-
-    for marked in (spec, swapped):
-        cert = run(cert_lambda, marked)
-        if cert:
-            return cert
-
-    if search:
-        cert = run(anchor_search, spec)
-        if cert:
-            return cert
-
     return Certificate(VERDICT_NONE, None, best, CODE_NONE)
 
 
 def combined_codes_array(p, q, rho: np.ndarray, search: bool = True) -> np.ndarray:
-    """Vectorized cert_combined codes over an array of rho values.
+    """cert_combined codes over an array of rho values.
 
-    Applies the closed-form tests in the same order as cert_combined --
-    elliptic disks (1), swapped-marking disks (2), Im bound (5), lambda
-    region (4) -- and with search=True gives every code-0 point that lies
-    on a certified line CODE_LINE_FAMILY through anchor_search_bulk.  Like
-    cert_combined it rejects the dihedral marking p = q = 2 outright, for
-    any rho array, the empty one included.
+    Each row of CASCADE decides the points that no earlier row certified;
+    with search=False the LineFamily row (the anchor search) is left out.
+    Like cert_combined it rejects the dihedral marking p = q = 2 outright,
+    for any rho array, the empty one included.
     """
-    if p == 2 and q == 2:
-        raise InvalidInputError("p = q = 2 is a degenerate (dihedral) spec")
+    stages = _stages(p, q, search)
     rho = np.asarray(rho, dtype=complex)
-    codes = np.zeros(rho.shape, dtype=np.uint8)
-
-    def fill(code, hit):
-        codes[(codes == 0) & hit] = code
-
-    finite = p != math.inf and q != math.inf
-    if _family_ok(p):
-        fill(CODE_DISKS_ELLIPTIC, disk_slack_array(p, q, rho) > EPS_ALG)
-    if _family_ok(q):
-        fill(CODE_DISKS_GENERAL, disk_slack_array(q, p, rho) > EPS_ALG)
-    if finite and p >= 3 and q >= 3:
-        fill(CODE_IM_BOUND, np.abs(rho.imag) - im_bound(p, q) >= -EPS_ALG)
-    if finite:
-        lam = lambda_from_rho_array(p, q, rho)
-        lslack = np.maximum(lambda_slack_array(p, q, lam), lambda_slack_array(q, p, lam))
-        fill(CODE_LAMBDA, lslack >= -EPS_ALG)
-    residual = codes == 0
-    if search and residual.any():
-        slack, _, _ = anchor_search_bulk(p, q, rho[residual])
-        codes[residual] = np.where(slack > EPS_ALG, CODE_LINE_FAMILY, 0)
-    return codes
+    flat = rho.ravel()
+    codes = np.zeros(flat.shape, dtype=np.uint8)
+    rest = np.arange(flat.size)
+    for stage in stages:
+        if rest.size == 0:
+            break
+        hit = stage.passes(stage.slack(p, q, flat[rest]))
+        codes[rest[hit]] = stage.code
+        rest = rest[~hit]
+    return codes.reshape(rho.shape)

@@ -220,7 +220,6 @@ def cmd_burau_annulus(args) -> int:
     lines = []
     for mu in args.mu:
         rep = annulus_report(mu)
-        cert = faithful_certificate(mu)
         doc = {
             "input": {"mu": _pair(mu)},
             "abs_mu": rep.abs_mu,
@@ -228,7 +227,7 @@ def cmd_burau_annulus(args) -> int:
             "in_conjectured_annulus": rep.in_conjectured_annulus,
             "certified_faithful": rep.certified_faithful,
             "slack": rep.slack,
-            "verdict": cert.verdict,
+            "verdict": rep.verdict,
         }
         lines.append(_json_line(doc))
     _emit("".join(lines), args.out)

@@ -64,7 +64,7 @@ class LambdaParams:
         lam = complex(self.lam)
         if lam == 0:
             raise InvalidInputError("lambda must be nonzero")
-        if abs(lam) < 1.0:
+        if _modulus(lam) < 1.0:
             lam = 1.0 / lam
         object.__setattr__(self, "lam", lam)
 
@@ -76,6 +76,14 @@ def _trig(p, q) -> tuple[float, float, float, float]:
     return math.cos(pi_over(p)) / sp, math.cos(pi_over(q)) / sq, 1.0 / sp, 1.0 / sq
 
 
+def _modulus(z: complex) -> float:
+    """abs(z), or inf (as np.abs gives) where abs raises OverflowError."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def lambda_slack_signed(p, q, lam: complex, sign: int) -> float:
     """Margin of one of the two feasibility inequalities.
 
@@ -85,9 +93,9 @@ def lambda_slack_signed(p, q, lam: complex, sign: int) -> float:
     trig = cot_p, cot_q, csc_p, csc_q = _trig(p, q)
     sign = _check_sign(sign)
     lam = complex(lam)
-    if abs(lam) <= _DIRECT_MAX / csc_q:
+    if _modulus(lam) <= _DIRECT_MAX / csc_q:
         return abs(lam) * csc_q - abs(lam * cot_q + sign * cot_p) - csc_p
-    return _slack_without_cancellation(trig, lam, sign, abs)
+    return _slack_without_cancellation(trig, lam, sign, _modulus)
 
 
 def _slack_without_cancellation(trig, lam, sign, abs_):
@@ -97,7 +105,7 @@ def _slack_without_cancellation(trig, lam, sign, abs_):
         / (csc_q + |cot_q + sign cot_p / lam|)
 
     by a^2 - b^2 = (a - b)(a + b) and csc^2 - cot^2 = 1, divided through by
-    |lam| so nothing is squared.  abs_ is abs for a scalar, np.abs for arrays.
+    |lam| so nothing is squared.  abs_ is _modulus for a scalar, np.abs for arrays.
     """
     cot_p, cot_q, csc_p, csc_q = trig
     r = abs_(lam)

@@ -215,9 +215,9 @@ def omega_margin(region: OmegaRegion, z):
     return out
 
 
-def omega_contains(region: OmegaRegion, rho: complex, tol: float = EPS_ALG) -> bool:
+def omega_contains(region: OmegaRegion, rho: complex) -> bool:
     """Strict membership in the open region; boundary points are outside."""
-    return bool(omega_margin(region, complex(rho)) > tol)
+    return bool(omega_margin(region, complex(rho)) > EPS_ALG)
 
 
 def boundary_cusps(p, q) -> tuple[complex, complex, complex, complex]:

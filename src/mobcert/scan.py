@@ -31,10 +31,10 @@ from .burau import faithful_mask
 from .certificates import (
     CODE_DISKS_ELLIPTIC,
     CODE_LAMBDA,
+    DISKS_ELLIPTIC,
+    LAMBDA_REGION,
     combined_codes_array,
-    disk_slack_array,
 )
-from .lambda_region import lambda_from_rho_array, lambda_slack_array
 from .mobius import EPS_ALG, InvalidInputError
 from .omega import build_omega, omega_margin
 
@@ -121,12 +121,9 @@ def _mode_codes(job: ScanJob) -> Callable[[np.ndarray], np.ndarray]:
     if job.mode == "omega":
         region = build_omega(p, q)
         return lambda z: _code(omega_margin(region, z) < -EPS_ALG, CODE_DISKS_ELLIPTIC)
-    if job.mode == "disks":
-        return lambda z: _code(disk_slack_array(p, q, z) > EPS_ALG, CODE_DISKS_ELLIPTIC)
-    if job.mode == "lambda":
-        return lambda z: _code(
-            lambda_slack_array(p, q, lambda_from_rho_array(p, q, z)) >= -EPS_ALG, CODE_LAMBDA
-        )
+    stage = {"disks": DISKS_ELLIPTIC, "lambda": LAMBDA_REGION}.get(job.mode)
+    if stage is not None:  # one cascade row alone
+        return lambda z: _code(stage.passes(stage.slack(p, q, z)), stage.code)
     if job.mode == "burau":
         return lambda z: _code(faithful_mask(z), CODE_LAMBDA)
     return lambda z: combined_codes_array(p, q, z)

@@ -1,6 +1,7 @@
 """Certificates: disk tests, line families, lambda, combined cascade."""
 
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -30,7 +31,7 @@ from mobcert.certificates import (
     lambda_feasible,
     line_distance,
 )
-from mobcert.lambda_region import LambdaParams
+from mobcert.lambda_region import LambdaParams, lambda_from_rho_array, lambda_slack_array
 from mobcert.mobius import (
     EPS_ALG,
     GroupSpec,
@@ -374,21 +375,37 @@ class TestCombined:
         assert not c.certified
         assert c.verdict == "NoCertificate"
 
-    @staticmethod
-    def assert_scalar_matches_array(p, q, xs, ys):
-        # The closed forms alone, then the full cascade with the anchor search.
+    # SHA-256 of the combined_codes_array(search=True) codes (uint8, rows of
+    # constant Im rho, bottom row first) on each test grid, recorded before
+    # cert_combined became the size-1 case of the same table.
+    CODE_DIGESTS = {
+        (3, 4): "e3f2a6f8c6dc50ea786edee1ec7b830e49c5f68da627ad604936984e7ef192f9",
+        (5, 9): "d0071d7654e2c209db37dfd1a59c752f5c642fa613c562a0b0bf89ef9dac91b6",
+        (2, 5): "17bca4a82ca361bfa4b1d65fa72a50826c78df60d21a18a4108c0d904d9dd0a3",
+        (5, 2): "6aeebe2e27e15144d088a5e97394f29729945d03689adb9f471e209cdbcf8841",
+        (3, math.inf): "e5b7250c9a866b98274663c750caf32280f41400986280d9ffe2a51b3a3c97ca",
+        (math.inf, 4): "2fff145a2513300516bca0f2b976983396eea5fc3303ced9f970672f2fbdf60e",
+        (math.inf, math.inf): "76426f54df4ca89f7eab15fa397a3fd3bcc78908a4fcb1522749d5def274fba8",
+        (10**6, 7): "3e6f78db5ca921edddf611cbf09626957f23741b40ca48dd8fcb2bcb42e19678",
+    }
+
+    def assert_codes_pinned(self, p, q, xs, ys):
         grid = (xs[None, :] + 1j * ys[:, None]).ravel()
-        closed = combined_codes_array(p, q, grid, search=False)
         full = combined_codes_array(p, q, grid, search=True)
-        for z, c0, c1 in zip(grid, closed, full):
-            spec = GroupSpec(p, q, complex(z))
-            assert cert_combined(spec, search=False).code == int(c0), f"closed forms differ at {z}"
-            cert = cert_combined(spec, search=True)
-            assert cert.code == int(c1), f"scalar/array mismatch at {z}"
-            assert cert.witness == WITNESS_OF_CODE[int(c1)]
+        assert hashlib.sha256(full.tobytes()).hexdigest() == self.CODE_DIGESTS[(p, q)]
+        # cert_combined runs the same rows on one point: the closed forms
+        # everywhere, the anchor search on two residual points of each outcome
+        closed = combined_codes_array(p, q, grid, search=False)
+        for z, c0 in zip(grid, closed):
+            assert cert_combined(GroupSpec(p, q, complex(z)), search=False).code == c0, z
+        residual = np.flatnonzero(closed == 0)
+        for code in (CODE_LINE_FAMILY, 0):
+            for k in residual[full[residual] == code][:2]:
+                cert = cert_combined(GroupSpec(p, q, complex(grid[k])), search=True)
+                assert cert.code == code and cert.witness == WITNESS_OF_CODE[code], grid[k]
 
     def test_scalar_matches_array_codes(self):
-        self.assert_scalar_matches_array(3, 4, np.linspace(-2.5, 5.5, 21), np.linspace(-2.0, 2.0, 11))
+        self.assert_codes_pinned(3, 4, np.linspace(-2.5, 5.5, 21), np.linspace(-2.0, 2.0, 11))
 
     @pytest.mark.parametrize(
         "p,q",
@@ -396,7 +413,20 @@ class TestCombined:
     )
     def test_scalar_matches_array_codes_markings(self, p, q):
         # 23 x 19 grid of the standard window; (3, 4) is the test above.
-        self.assert_scalar_matches_array(p, q, np.linspace(-3.0, 6.0, 23), np.linspace(-4.5, 4.5, 19))
+        self.assert_codes_pinned(p, q, np.linspace(-3.0, 6.0, 23), np.linspace(-4.5, 4.5, 19))
+
+    def test_slack_is_the_firing_rows_array_slack(self):
+        # At these points the scalar references and the array functions
+        # round the slack differently (abs and np.abs round complex moduli
+        # differently); certify reports the number a scan thresholds.
+        lam_slack = lambda p, q, rho: lambda_slack_array(p, q, lambda_from_rho_array(p, q, rho))
+        for rho, code, array_slack in [
+            (-3.0 + 0.1j, CODE_DISKS_ELLIPTIC, disk_slack_array),
+            (-1.1 + 1.1j, CODE_LAMBDA, lam_slack),
+        ]:
+            cert = cert_combined(GroupSpec(3, 4, rho))
+            assert cert.code == code
+            assert cert.slack == array_slack(3, 4, np.array([rho]))[0]
 
     @given(
         re=st.floats(min_value=-6.0, max_value=9.0),
@@ -423,8 +453,27 @@ property_orders = st.one_of(
 angles = st.floats(min_value=0.0, max_value=2.0 * math.pi)
 
 
+def reference_closed_code(p, q, rho) -> int:
+    """The closed-form cascade from the per-stage scalar certificates."""
+    spec = GroupSpec(p, q, rho)
+    steps = [
+        (CODE_DISKS_ELLIPTIC, cert_disks_elliptic, spec),
+        (CODE_DISKS_GENERAL, cert_disks_elliptic, spec.swapped()),
+        (CODE_IM_BOUND, cert_im_bound, spec),
+        (CODE_LAMBDA, cert_lambda, spec),
+        (CODE_LAMBDA, cert_lambda, spec.swapped()),
+    ]
+    for code, test, marked in steps:
+        try:
+            if test(marked).certified:
+                return code
+        except (PreconditionError, InvalidInputError):
+            continue
+    return 0
+
+
 def assert_closed_codes_agree(p, q, rho):
-    """cert_combined and combined_codes_array give one closed-form code."""
+    """combined_codes_array gives the scalar references' closed-form code."""
     if p == 2 and q == 2:
         with pytest.raises(InvalidInputError):
             cert_combined(GroupSpec(p, q, rho), search=False)
@@ -432,7 +481,7 @@ def assert_closed_codes_agree(p, q, rho):
             combined_codes_array(p, q, np.array([rho]), search=False)
         return
     code = int(combined_codes_array(p, q, np.array([rho]), search=False)[0])
-    assert cert_combined(GroupSpec(p, q, rho), search=False).code == code
+    assert reference_closed_code(p, q, rho) == code
 
 
 class TestScalarArrayProperties:

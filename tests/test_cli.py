@@ -267,6 +267,21 @@ class TestOtherCommands:
         assert not near["certified_faithful"]
         assert near["in_conjectured_annulus"] and near["in_proved_annulus"]
 
+    def test_burau_annulus_certifies_each_mu_once(self, capsys, monkeypatch):
+        from mobcert import burau, cli
+
+        calls = []
+        real = burau.faithful_certificate
+
+        def counting(mu):
+            calls.append(mu)
+            return real(mu)
+
+        monkeypatch.setattr(burau, "faithful_certificate", counting)
+        monkeypatch.setattr(cli, "faithful_certificate", counting)
+        rc, _, _ = run(capsys, "burau-annulus", "--mu", "9", "--mu", "1")
+        assert rc == 0 and len(calls) == 2
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as ei:
             main(["--version"])

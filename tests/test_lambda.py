@@ -179,6 +179,19 @@ class TestSlackRange:
         assert math.isclose(scalar, slack[0], rel_tol=1e-12)
         assert slack[0] > 0.0
 
+    def test_scalar_slack_past_the_float_maximum(self):
+        # finite parts but |lam| above the float maximum: abs() raises
+        # OverflowError where np.abs gives inf, and the scalar slack must be
+        # the array's
+        lam = 1.5e308 + 1.5e308j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lambda_slack_array(3, 4, np.array([lam]))[0] == math.inf
+            assert lambda_slack(3, 4, lam) == math.inf
+            for sign in (+1, -1):
+                assert lambda_slack_signed(3, 4, lam, sign) == math.inf
+            assert LambdaParams(3, 4, lam).lam == lam
+
     def test_direct_formula_up_to_the_cutoff(self):
         # up to |lam| csc(pi/q) = 1024 the slack keeps the bits of the
         # direct formula, in both the array and the scalar path
