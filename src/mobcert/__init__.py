@@ -31,11 +31,8 @@ from .mobius import (
     tr2,
 )
 from .lambda_region import (
-    EnvelopeSample,
     LambdaParams,
-    envelope_samples,
     lambda_boundary,
-    lambda_boundary_equal_orders,
     lambda_from_rho,
     lambda_slack,
     lambda_slack_signed,
@@ -48,7 +45,6 @@ from .omega import (
     boundary_cusps,
     build_omega,
     im_bound,
-    omega_contains,
     omega_margin,
     rho_star,
     x_pq,
@@ -76,7 +72,6 @@ from .certificates import (
     disk_centers_elliptic,
     disk_slack,
     disk_slack_array,
-    lambda_feasible,
     line_distance,
 )
 from .farey import FAREY_WORDS, SLOPES, cusp_residue, farey_poly, farey_word_matrix, solve_cusp
@@ -90,9 +85,7 @@ from .burau import (
     burau_generators,
     faithful_certificate,
     faithful_mask,
-    is_faithful,
     mu_coordinates,
-    rho_of_mu,
 )
 
 __version__ = "0.1.0"

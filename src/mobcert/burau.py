@@ -14,6 +14,9 @@ is certified faithful when the larger branch satisfies the closed (3, 2)
 lambda inequality |lambda| >= sqrt(3) -- equivalently |z +- sqrt(z^2+3)|
 reaches 3 -- except at the single boundary point mu = -1, the known
 unfaithful specialization.
+
+Where z^2 overflows (|mu| below ~1e-308) the large branch is taken
+without squaring z, so a tiny mu gets a finite branch and slack.
 """
 
 from __future__ import annotations
@@ -79,29 +82,28 @@ class BurauPoint:
     rho: complex  # sqrt(3) + i z = i sqrt(mu) + sqrt(3) - i/sqrt(mu)
 
 
+def _big_root(z, sqrt):
+    """The larger root z +- sqrt(z^2 + 3) as z (1 + sqrt(1 + 3/z^2)), with z unsquared."""
+    v = SQRT3 / z
+    return z * (1.0 + sqrt(1.0 + v * v))
+
+
 def mu_coordinates(mu: complex) -> BurauPoint:
     """z, both lambda branches (sqrt(3) lam = z +- sqrt(z^2+3)) and rho."""
     mu = _check_mu(mu)
     r = cmath.sqrt(mu)
     z = r - 1.0 / r
-    root = cmath.sqrt(z * z + 3.0)
-    b1 = (z + root) / SQRT3
-    b2 = (z - root) / SQRT3
-    if abs(b1) < abs(b2):
-        b1, b2 = b2, b1
+    zz = z * z
+    if cmath.isfinite(zz):
+        root = cmath.sqrt(zz + 3.0)
+        b1 = (z + root) / SQRT3
+        b2 = (z - root) / SQRT3
+        if abs(b1) < abs(b2):
+            b1, b2 = b2, b1
+    else:
+        b1 = _big_root(z, cmath.sqrt) / SQRT3
+        b2 = -1.0 / b1
     return BurauPoint(mu=mu, z=z, lam=b1, lam_other=b2, rho=SQRT3 + 1j * z)
-
-
-def rho_of_mu(mu: complex, both: bool = False):
-    """rho = i sqrt(mu) + sqrt(3) - i/sqrt(mu) (principal branch).
-
-    With both=True returns (rho, rho') where rho' uses the other sqrt(mu)
-    branch; the two are symmetry partners (rho + rho' = 2 sqrt(3)).
-    """
-    pt = mu_coordinates(mu)
-    if both:
-        return pt.rho, SQRT3 - 1j * pt.z
-    return pt.rho
 
 
 def faithful_certificate(mu: complex) -> Certificate:
@@ -125,10 +127,6 @@ def faithful_certificate(mu: complex) -> Certificate:
     if slack >= -EPS_ALG:
         return Certificate(VERDICT_FAITHFUL, "LambdaRegion", slack, CODE_LAMBDA, detail)
     return Certificate(VERDICT_NONE, None, slack, CODE_NONE, detail)
-
-
-def is_faithful(mu: complex) -> bool:
-    return faithful_certificate(mu).certified
 
 
 @dataclass(frozen=True)
@@ -172,10 +170,14 @@ def burau_slack_array(mu: np.ndarray) -> np.ndarray:
     """
     mu = np.asarray(mu, dtype=complex)
     r = np.sqrt(mu)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         z = r - 1.0 / r
-    root = np.sqrt(z * z + 3.0)
-    big = np.maximum(np.abs(z + root), np.abs(z - root))
+        zz = z * z
+        root = np.sqrt(zz + 3.0)
+        big = np.maximum(np.abs(z + root), np.abs(z - root))
+        far = ~np.isfinite(zz)
+        if far.any():
+            big[far] = np.abs(_big_root(z[far], np.sqrt))
     return big - 3.0
 
 

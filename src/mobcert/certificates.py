@@ -362,26 +362,17 @@ def anchor_search_bulk(p, q, rho: np.ndarray):
     )
 
 
-def lambda_feasible(params: LambdaParams) -> Certificate:
-    """Closed lambda-coordinate certificate at a given lambda value.
-
-    FreeDiscrete iff both sign choices of |lam cot(pi/q) +- cot(pi/p)| +
-    csc(pi/p) <= |lam| csc(pi/q) hold; boundary equality is accepted.
-    """
-    return LAMBDA_REGION.certificate(lambda_slack(params.p, params.q, params.lam), {"lam": params.lam})
-
-
 def cert_lambda(spec: GroupSpec) -> Certificate:
     """Closed lambda certificate on the large lambda branch of rho.
 
     The branches of rho are lam and -1/lam; the slack is conjugation- and
     negation-invariant and increases with |lam| along a fixed direction, so
-    testing the large branch alone is sharp.
+    testing the large branch alone is sharp.  Boundary equality is accepted.
     """
     lam_big, lam_small = lambda_from_rho(spec)
-    cert = lambda_feasible(LambdaParams(spec.p, spec.q, lam_big))
-    detail = dict(cert.detail, lambda_branches=(lam_big, lam_small))
-    return Certificate(cert.verdict, cert.witness, cert.slack, cert.code, detail)
+    lam = LambdaParams(spec.p, spec.q, lam_big).lam
+    detail = {"lam": lam, "lambda_branches": (lam_big, lam_small)}
+    return LAMBDA_REGION.certificate(lambda_slack(spec.p, spec.q, lam), detail)
 
 
 def anchor_search(spec: GroupSpec) -> Certificate:

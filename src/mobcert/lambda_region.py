@@ -14,6 +14,8 @@ inequalities
 hold.  The inequalities are invariant under lambda -> -lambda but not under
 lambda -> 1/lambda, so lambda is normalized to |lambda| >= 1 (both moduli
 describe the same conjugacy class, and rho_minus/rho_plus are unchanged).
+
+A lambda past the float maximum (the branch inf+nanj of a huge rho) has slack +inf.
 """
 
 from __future__ import annotations
@@ -95,7 +97,16 @@ def lambda_slack_signed(p, q, lam: complex, sign: int) -> float:
     lam = complex(lam)
     if _modulus(lam) <= _DIRECT_MAX / csc_q:
         return abs(lam) * csc_q - abs(lam * cot_q + sign * cot_p) - csc_p
+    if _modulus(lam) == math.inf and _certified_past_float_max(csc_p, csc_q):
+        return math.inf
     return _slack_without_cancellation(trig, lam, sign, _modulus)
+
+
+def _certified_past_float_max(csc_p, csc_q) -> bool:
+    """Each signed slack is >= |lam| tan(pi/2q) - cot(pi/2p), positive for
+    |lam| > cot(pi/2p) cot(pi/2q), which is <= 4 csc_p csc_q: so every lam
+    past the float maximum certifies while that bound is a float."""
+    return math.isfinite(4.0 * csc_p * csc_q)
 
 
 def _slack_without_cancellation(trig, lam, sign, abs_):
@@ -170,17 +181,6 @@ def lambda_boundary(p, q, theta: float, sign: int) -> complex:
     return (base + math.sqrt(rad)) * cmath.exp(1j * theta)
 
 
-def lambda_boundary_equal_orders(p, theta: float, sign: int) -> complex:
-    """Specialized p = q boundary point (same values as the general form)."""
-    _check_lambda_orders(p, p)
-    sign = _check_sign(sign)
-    sp, cp = math.sin(pi_over(p)), math.cos(pi_over(p))
-    csc2 = 1.0 / (sp * sp)
-    c = math.cos(theta)
-    rad = cp * cp * ((c + sign) ** 2 + math.sin(theta) ** 2 * sp * sp)
-    return csc2 * (1.0 + sign * c * cp * cp + math.sqrt(rad)) * cmath.exp(1j * theta)
-
-
 def rho_boundary(p, q, theta: float) -> tuple[complex, complex]:
     """(rho_minus, rho_plus) traced by the lambda boundary at angle theta.
 
@@ -192,39 +192,6 @@ def rho_boundary(p, q, theta: float) -> tuple[complex, complex]:
     """
     lam = lambda_boundary(p, q, theta, +1)
     return rho_from_lambda(LambdaParams(p, q, lam))
-
-
-@dataclass(frozen=True)
-class EnvelopeSample:
-    """One tangent-line sample of the certified-line envelope."""
-
-    theta: float
-    lam: complex
-    rho: complex  # the rho_plus root of lam
-    nu: complex  # line direction (lam^2 - 1) / lam
-
-
-def envelope_samples(p, q, n: int) -> list[EnvelopeSample]:
-    """n samples of the tangency locus lam = r_plus(theta) e^{i theta}.
-
-    Each sample carries the point rho (the rho_plus root of the boundary
-    lambda) and the direction nu = (lam^2 - 1)/lam of the certified line
-    through it; nu is real for real lam and imaginary for imaginary lam.
-    Intended for rendering the envelope of the certified line family.
-    """
-    if n < 1:
-        raise InvalidInputError("need at least one sample")
-    _check_lambda_orders(p, q)
-    if p < 3 or q < 3:
-        raise InvalidInputError("envelope sampling needs orders p, q >= 3")
-    out = []
-    for k in range(n):
-        theta = 2.0 * math.pi * k / n
-        lam = lambda_boundary(p, q, theta, +1)
-        _, rho_plus = rho_from_lambda(LambdaParams(p, q, lam))
-        nu = (lam * lam - 1.0) / lam
-        out.append(EnvelopeSample(theta, lam, rho_plus, nu))
-    return out
 
 
 def lambda_slack_array(p, q, lam: np.ndarray) -> np.ndarray:
@@ -241,6 +208,8 @@ def lambda_slack_array(p, q, lam: np.ndarray) -> np.ndarray:
             slack[far] = np.minimum(
                 *(_slack_without_cancellation(trig, lam[far], s, np.abs) for s in _SIGNS)
             )
+        if _certified_past_float_max(csc_p, csc_q):
+            slack[r == np.inf] = np.inf
         return slack
     rhs = r * csc_q
     s_plus = rhs - np.abs(lam * cot_q + cot_p) - csc_p

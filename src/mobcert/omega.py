@@ -118,44 +118,21 @@ def _line_through(a: complex, b: complex, inner: complex) -> OrientedLine:
     return OrientedLine(a, d, +1 if probe > 0 else -1)
 
 
-def _line_key(line: OrientedLine, tol: float = 1e-12) -> tuple:
-    """Canonical (direction, offset) key identifying the unoriented line."""
-    d = line.direction
-    if d.real < -tol or (abs(d.real) <= tol and d.imag < 0):
-        d = -d
-    offset = (line.point / d).imag  # normal component identifying the line
-    return (round(d.real / tol), round(d.imag / tol), round(offset / tol))
-
-
 @dataclass(frozen=True)
 class OmegaRegion:
-    """Omega_{p,q} as an intersection of open half-planes, plus the
-    constants used to build it.  Orders are normalized to p <= q."""
+    """Omega_{p,q} as an intersection of open half-planes.  Orders are
+    normalized to p <= q."""
 
     p: int
     q: int
     lines: tuple
-    xi_p: float
-    xi_q: float
-    rho_star_pq: complex
-    rho_star_qp: complex
-    x_pq: float
-    x_qp: float
-
-    @property
-    def sigma(self) -> float:
-        return sigma_pq(self.p, self.q)
-
-    @property
-    def center(self) -> complex:
-        return complex(self.sigma / 2.0, 0.0)
 
 
 def build_omega(p, q) -> OmegaRegion:
     """The oriented boundary lines of Omega_{p,q} (12, or 6 when p = q).
 
     Lines are oriented so the symmetry center 2S is inside.  For p = q the
-    swapped slant family repeats the first (deduplicated at 1e-12) and the
+    swapped slant family is the first one, so it is built once, and the
     two vertical lines meet the closed hexagon only at its real vertices
     x_{p,p} = 4 and sigma - 4, so they are omitted as redundant.
     """
@@ -167,13 +144,13 @@ def build_omega(p, q) -> OmegaRegion:
     h = im_bound(p, q)
     v = 2.0 + 2.0 * math.cos(pi_over(p) - pi_over(q))
 
-    candidates: list[OrientedLine] = []
+    lines: list[OrientedLine] = []
     if p != q:
         for x0 in (v, sigma - v):
-            candidates.append(_line_through(x0, x0 + 1j, inner))
+            lines.append(_line_through(x0, x0 + 1j, inner))
     for y0 in (h, -h):
-        candidates.append(_line_through(1j * y0, 1j * y0 + 1.0, inner))
-    for a, b in ((p, q), (q, p)):
+        lines.append(_line_through(1j * y0, 1j * y0 + 1.0, inner))
+    for a, b in ((p, q), (q, p)) if p != q else ((p, q),):
         rs = rho_star(a, b)
         x0 = x_pq(a, b)
         for z0, x1 in (
@@ -182,27 +159,8 @@ def build_omega(p, q) -> OmegaRegion:
             (sigma - rs, sigma - x0),
             (sigma - rs.conjugate(), sigma - x0),
         ):
-            candidates.append(_line_through(z0, x1, inner))
-
-    lines: list[OrientedLine] = []
-    seen = set()
-    for line in candidates:
-        key = _line_key(line)
-        if key not in seen:
-            seen.add(key)
-            lines.append(line)
-
-    return OmegaRegion(
-        p=int(p),
-        q=int(q),
-        lines=tuple(lines),
-        xi_p=xi(p),
-        xi_q=xi(q),
-        rho_star_pq=rho_star(p, q),
-        rho_star_qp=rho_star(q, p),
-        x_pq=x_pq(p, q),
-        x_qp=x_pq(q, p),
-    )
+            lines.append(_line_through(z0, x1, inner))
+    return OmegaRegion(p=int(p), q=int(q), lines=tuple(lines))
 
 
 def omega_margin(region: OmegaRegion, z):
@@ -213,11 +171,6 @@ def omega_margin(region: OmegaRegion, z):
     for m in margins[1:]:
         out = np.minimum(out, m)
     return out
-
-
-def omega_contains(region: OmegaRegion, rho: complex) -> bool:
-    """Strict membership in the open region; boundary points are outside."""
-    return bool(omega_margin(region, complex(rho)) > EPS_ALG)
 
 
 def boundary_cusps(p, q) -> tuple[complex, complex, complex, complex]:

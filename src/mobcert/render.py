@@ -23,6 +23,7 @@ from .omega import OmegaRegion, boundary_cusps, build_omega, rho_star, x_pq
 from .scan import ScanResult
 
 SCALE = 60.0  # px per unit
+PAD = 0.5  # units of margin around a figure
 REGION_FILL = "#cccccc"
 DISK_FILL = "#d33"
 DISK_OPACITY = 0.4
@@ -52,11 +53,11 @@ def _g12(v: float) -> str:
 class _Frame:
     """Maps complex plane coordinates to a y-flipped pixel frame."""
 
-    def __init__(self, x_min, x_max, y_min, y_max, pad=0.5):
-        self.x_min = x_min - pad
-        self.x_max = x_max + pad
-        self.y_min = y_min - pad
-        self.y_max = y_max + pad
+    def __init__(self, x_min, x_max, y_min, y_max):
+        self.x_min = x_min - PAD
+        self.x_max = x_max + PAD
+        self.y_min = y_min - PAD
+        self.y_max = y_max + PAD
         self.width = (self.x_max - self.x_min) * SCALE
         self.height = (self.y_max - self.y_min) * SCALE
 
@@ -98,8 +99,8 @@ def region_polygon(region: OmegaRegion) -> list[complex]:
     return pts
 
 
-def _clip_line(line, frame: _Frame) -> tuple[complex, complex] | None:
-    """Liang-Barsky clip of an infinite line against the frame rectangle."""
+def _clip_line(line, frame: _Frame) -> tuple[complex, complex]:
+    """Liang-Barsky clip of a line that crosses the frame, as every Omega side does."""
     p, d = line.point, line.direction
     t_lo, t_hi = -math.inf, math.inf
     for num, den in (
@@ -108,21 +109,17 @@ def _clip_line(line, frame: _Frame) -> tuple[complex, complex] | None:
         (frame.y_min - p.imag, d.imag),
         (p.imag - frame.y_max, -d.imag),
     ):
-        if abs(den) < 1e-15:
-            if num > 0:
-                return None
+        if abs(den) < 1e-15:  # parallel to this edge of the frame
             continue
         t = num / den
         if den > 0:
             t_lo = max(t_lo, t)
         else:
             t_hi = min(t_hi, t)
-    if t_lo >= t_hi:
-        return None
     return p + t_lo * d, p + t_hi * d
 
 
-def _svg_circle(frame, center, r_units, fill, opacity=None, stroke=None) -> str:
+def _svg_circle(frame, center, r_units, fill, opacity=None) -> str:
     cx, cy = frame.to_px(center)
     bits = [
         f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r_units * SCALE)}"',
@@ -130,8 +127,6 @@ def _svg_circle(frame, center, r_units, fill, opacity=None, stroke=None) -> str:
     ]
     if opacity is not None:
         bits.append(f' fill-opacity="{opacity}"')
-    if stroke is not None:
-        bits.append(f' stroke="{stroke}"')
     bits.append("/>")
     return "".join(bits)
 
@@ -163,10 +158,7 @@ def region_svg(p, q) -> str:
     for c in disks:
         out.append(_svg_circle(frame, c, 2.0, DISK_FILL, opacity=DISK_OPACITY))
     for ln in region.lines:
-        seg = _clip_line(ln, frame)
-        if seg is None:  # pragma: no cover - every Omega side crosses the frame
-            continue
-        (x1, y1), (x2, y2) = frame.to_px(seg[0]), frame.to_px(seg[1])
+        (x1, y1), (x2, y2) = map(frame.to_px, _clip_line(ln, frame))
         out.append(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
             f'stroke="#333333" stroke-width="1.5"/>'
@@ -340,10 +332,8 @@ def compare_lambda_csv(rows: list[dict]) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def compare_lambda_svg(p, q, rows: list[dict] | None = None, n: int = 360) -> str:
-    """Overlay of the rho_boundary curves on the exclusion disks."""
-    if rows is None:
-        rows = compare_lambda_data(p, q, n)
+def compare_lambda_svg(p, q, rows: list[dict]) -> str:
+    """The rho_boundary curves and each row's nearer exit over the exclusion disks."""
     disks = disk_centers_elliptic(p, q)
     curve_n = 720
     minus_pts = []

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,11 +17,9 @@ from mobcert.burau import (
     burau_slack_array,
     faithful_certificate,
     faithful_mask,
-    is_faithful,
     mu_coordinates,
-    rho_of_mu,
 )
-from mobcert.mobius import EPS_ALG, InvalidInputError, det2, inv2, tr2
+from mobcert.mobius import EPS_ALG, InvalidInputError, det2, inv2, sigma_pq, tr2
 
 SQRT3 = math.sqrt(3.0)
 MU_SHARP = (3.0 + math.sqrt(5.0)) / 2.0
@@ -81,8 +80,49 @@ class TestCoordinates:
         assert abs(pt.rho - (SQRT3 + 1j * pt.z)) < 1e-12
 
     def test_rho_of_mu_both_branches_sum_to_sigma(self):
-        rho1, rho2 = rho_of_mu(4.0 + 1.0j, both=True)
-        assert abs((rho1 + rho2) - 2.0 * SQRT3) < 1e-12
+        # the other branch -sqrt(mu) flips z, and gives the symmetry partner
+        # of rho under the (3, 2) marking, sigma = 2 sqrt(3)
+        mu = 4.0 + 1.0j
+        r = -cmath.sqrt(mu)
+        rho1 = mu_coordinates(mu).rho
+        rho2 = SQRT3 + 1j * (r - 1.0 / r)
+        assert abs((rho1 + rho2) - sigma_pq(3, 2)) < 1e-12
+
+    # z = sqrt(mu) - 1/sqrt(mu) squares past the float maximum here
+    TINY_MU = [5e-324, 1e-310, -1e-310, 1e-309j]
+
+    @pytest.mark.parametrize("mu", TINY_MU)
+    def test_tiny_mu_finite_and_faithful(self, mu):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pt = mu_coordinates(mu)
+            cert = faithful_certificate(mu)
+            slack = burau_slack_array(np.array([mu]))[0]
+            ok = faithful_mask(np.array([mu]))[0]
+        assert all(cmath.isfinite(v) for v in (pt.z, pt.lam, pt.lam_other, pt.rho))
+        # sqrt(3) lam = z (1 + sqrt(1 + 3/z^2)), branch product -1
+        assert abs(SQRT3 * pt.lam / pt.z - 2.0) < 1e-12
+        assert abs(pt.lam * pt.lam_other + 1.0) < 1e-12
+        assert cert.verdict == "Faithful" and ok
+        assert math.isfinite(cert.slack) and math.isfinite(slack)
+        assert math.isclose(slack, SQRT3 * abs(pt.lam) - 3.0, rel_tol=1e-12)
+
+    def test_finite_square_keeps_the_direct_formula(self):
+        # where z^2 is finite the branches and the slack keep their bits
+        mu = np.array([1e-300, 1e300, 2.0 + 1.0j, -0.5 + 0.2j])
+        r = np.sqrt(mu)
+        z = r - 1.0 / r
+        root = np.sqrt(z * z + 3.0)
+        want = np.maximum(np.abs(z + root), np.abs(z - root)) - 3.0
+        assert (burau_slack_array(mu) == want).all()
+        for m in mu:
+            m = complex(m)
+            rs = cmath.sqrt(m)
+            zs = rs - 1.0 / rs
+            root_s = cmath.sqrt(zs * zs + 3.0)
+            branches = {(zs + root_s) / SQRT3, (zs - root_s) / SQRT3}
+            pt = mu_coordinates(m)
+            assert {pt.lam, pt.lam_other} == branches
 
 
 class TestFaithfulness:
@@ -109,12 +149,12 @@ class TestFaithfulness:
         cert = faithful_certificate(-1.0 + 0.0j)
         assert not cert.certified
         assert cert.detail.get("exception") == "mu = -1"
-        assert not is_faithful(-1.0 + 0.0j)
 
     def test_reference_values(self):
-        assert is_faithful(9.0 + 0.0j)
-        assert is_faithful(3.0 + 0.0j)
-        assert not is_faithful(1.0 + 0.0j)  # branches +-sqrt(3), modulus 3 not reached
+        assert faithful_certificate(9.0 + 0.0j).certified
+        assert faithful_certificate(3.0 + 0.0j).certified
+        # branches +-sqrt(3): the modulus 3 is not reached
+        assert not faithful_certificate(1.0 + 0.0j).certified
         c9 = faithful_certificate(9.0 + 0.0j)
         assert c9.slack > 1.6
 
@@ -122,8 +162,8 @@ class TestFaithfulness:
     @settings(max_examples=60, deadline=None)
     def test_inversion_invariance(self, mu):
         # the faithful set is invariant under mu -> 1/mu (z flips sign).
-        a = is_faithful(mu)
-        b = is_faithful(1.0 / mu)
+        a = faithful_certificate(mu).certified
+        b = faithful_certificate(1.0 / mu).certified
         assert a == b
 
 
@@ -171,7 +211,7 @@ class TestAnnuli:
         mu = np.append(mu, [-1.0, 1.0, 3.0])
         mask = faithful_mask(mu)
         for ok, m in zip(mask, mu):
-            assert bool(ok) == is_faithful(complex(m))
+            assert bool(ok) == faithful_certificate(complex(m)).certified
 
     def test_slack_array_matches_scalar(self):
         rng = np.random.default_rng(2)

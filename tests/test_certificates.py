@@ -28,10 +28,14 @@ from mobcert.certificates import (
     disk_centers_elliptic,
     disk_slack,
     disk_slack_array,
-    lambda_feasible,
     line_distance,
 )
-from mobcert.lambda_region import LambdaParams, lambda_from_rho_array, lambda_slack_array
+from mobcert.lambda_region import (
+    LambdaParams,
+    lambda_from_rho_array,
+    lambda_slack_array,
+    rho_from_lambda,
+)
 from mobcert.mobius import (
     EPS_ALG,
     GroupSpec,
@@ -242,9 +246,14 @@ class TestImBound:
 
 class TestLambdaCert:
     def test_feasible_region_boundary(self):
-        cert = lambda_feasible(LambdaParams(3, 3, 3.0))
+        # lam = 3 lies on the (3, 3) boundary (its rho_plus is the cusp 4),
+        # lam = 2.9 just inside the uncertified oval
+        _, rho = rho_from_lambda(LambdaParams(3, 3, 3.0))
+        cert = cert_lambda(GroupSpec(3, 3, rho))
         assert cert.certified and abs(cert.slack) < 1e-12
-        assert not lambda_feasible(LambdaParams(3, 3, 2.9)).certified
+        assert abs(cert.detail["lam"] - 3.0) < 1e-12
+        _, rho = rho_from_lambda(LambdaParams(3, 3, 2.9))
+        assert not cert_lambda(GroupSpec(3, 3, rho)).certified
 
     def test_cert_lambda_branches_detail(self):
         spec = GroupSpec(3, 3, -1.0 + 0.0j)
@@ -427,6 +436,27 @@ class TestCombined:
             cert = cert_combined(GroupSpec(3, 4, rho))
             assert cert.code == code
             assert cert.slack == array_slack(3, 4, np.array([rho]))[0]
+
+    @pytest.mark.parametrize(
+        "p, q, rho, pq_slack, qp_slack",
+        [
+            (5, 2, 3.171623961439875 + 0.10159719476956752j, -3.077e-12, -9.992e-13),
+            (10**6, 2, 2.0000062831833074 + 0j, -6.366e-7, -9.999e-13),
+        ],
+    )
+    def test_swapped_lambda_row_fires_near_the_boundary(self, p, q, rho, pq_slack, qp_slack):
+        # The (p, q) and (q, p) lambda regions are one set (test_lambda.py,
+        # TestSwappedMarking), but the slacks have different scales, so the
+        # closed rule's -EPS_ALG admits different points within rounding of
+        # the boundary: here only the (q, p) row passes, and gives code 4.
+        z = np.array([rho])
+        slack_pq = lambda_slack_array(p, q, lambda_from_rho_array(p, q, z))[0]
+        slack_qp = lambda_slack_array(q, p, lambda_from_rho_array(q, p, z))[0]
+        assert math.isclose(slack_pq, pq_slack, rel_tol=1e-3) and slack_pq < -EPS_ALG
+        assert math.isclose(slack_qp, qp_slack, rel_tol=1e-3) and slack_qp >= -EPS_ALG
+        assert combined_codes_array(p, q, z)[0] == CODE_LAMBDA
+        cert = cert_combined(GroupSpec(p, q, rho))
+        assert cert.code == CODE_LAMBDA and cert.slack == slack_qp
 
     @given(
         re=st.floats(min_value=-6.0, max_value=9.0),

@@ -4,9 +4,11 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from mobcert import __version__
+from mobcert.burau import faithful_mask
 from mobcert.cli import main
 
 
@@ -14,6 +16,10 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def reject(token):
+    raise ValueError(f"non-standard JSON constant {token}")
 
 
 class TestCertify:
@@ -61,9 +67,6 @@ class TestCertify:
     def test_huge_rho_is_standard_json(self, capsys, p, q):
         # gamma overflows from |rho| ~ 1.3e154, and for (5, 9) at 1e308 the
         # lambda branch does too: those fields are null, never Infinity/NaN
-        def reject(token):
-            raise ValueError(f"non-standard JSON constant {token}")
-
         argv = ["certify", "--p", p, "--q", q]
         for rho in ("1e160", "1e300+1i", "-1e300i", "1e308"):
             argv += ["--rho", rho]
@@ -90,6 +93,23 @@ class TestCertify:
         assert doc["witness"] == "LambdaRegion"
         assert doc["z"] == pytest.approx([8.0 / 3.0, 0.0])
         assert doc["rho"] == pytest.approx([math.sqrt(3.0), 8.0 / 3.0])
+
+    @pytest.mark.parametrize("mu", ["5e-324", "1e-310", "-1e-310", "1e-309i"])
+    def test_tiny_mu_is_faithful_standard_json(self, capsys, mu):
+        # z = sqrt(mu) - 1/sqrt(mu) squares past the float maximum here;
+        # both commands give the burau scan mode's verdict, in finite numbers
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            docs = []
+            for argv in (("certify", "--burau", "--mu", mu), ("burau-annulus", "--mu", mu)):
+                rc, out, err = run(capsys, *argv)
+                assert rc == 0 and err == ""
+                docs.append(json.loads(out, parse_constant=reject))
+            mask = faithful_mask(np.array([complex(mu.replace("i", "j"))]))
+        cert, report = docs
+        assert cert["verdict"] == report["verdict"] == "Faithful"
+        assert report["certified_faithful"] and mask[0]
+        assert None not in cert["lambda_branches"]
 
     def test_no_search_still_runs(self, capsys):
         rc, out, _ = run(

@@ -6,15 +6,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mobcert.lambda_region import (
-    EnvelopeSample,
     LambdaParams,
-    envelope_samples,
     lambda_boundary,
-    lambda_boundary_equal_orders,
     lambda_from_rho,
     lambda_from_rho_array,
     lambda_slack,
@@ -192,6 +189,31 @@ class TestSlackRange:
                 assert lambda_slack_signed(3, 4, lam, sign) == math.inf
             assert LambdaParams(3, 4, lam).lam == lam
 
+    # branches whose modulus itself passes the float maximum: inf+nanj
+    PAST_MAX = [(5, 9, 1e308), (5, 9, -1e308j), (3, 4, 1.7e308)]
+
+    @pytest.mark.parametrize("p, q, rho", PAST_MAX)
+    def test_branch_past_the_float_maximum_certifies(self, p, q, rho):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam = lambda_from_rho_array(p, q, np.array([rho]))
+            slack = lambda_slack_array(p, q, lam)
+            big, _ = lambda_from_rho(GroupSpec(p, q, rho))
+            scalar = lambda_slack(p, q, big)
+        assert not cmath.isfinite(lam[0]) and not cmath.isfinite(big)
+        assert slack[0] == math.inf and scalar == math.inf
+
+    def test_past_the_float_maximum_needs_a_float_bound(self):
+        # the +inf rule rests on |lam| > 4 csc_p csc_q, which is no float
+        # for these orders: such a branch is not certified
+        p = q = 10**160
+        lam = complex(math.inf, math.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            slack = lambda_slack_array(p, q, np.array([lam]))[0]
+            scalar = lambda_slack(p, q, lam)
+        assert not slack >= -EPS_ALG and not scalar >= -EPS_ALG
+
     def test_direct_formula_up_to_the_cutoff(self):
         # up to |lam| csc(pi/q) = 1024 the slack keeps the bits of the
         # direct formula, in both the array and the scalar path
@@ -226,6 +248,36 @@ class TestSlackRange:
         assert math.isclose(lambda_slack(p, q, lam), slack, rel_tol=1e-9, abs_tol=1e-12 * csc_p)
 
 
+class TestSwappedMarking:
+    # Squaring either family of inequalities gives one condition, symmetric
+    # in p and q: for |lam| >= 1 both hold iff
+    #     Q(lam) = |lam|^2 + 1 - 2 |lam| csc_p csc_q - 2 cot_p cot_q |Re lam| >= 0,
+    # so the (p, q) and (q, p) lambda regions are the same set.
+    @given(
+        p=finite_orders,
+        q=finite_orders,
+        theta=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+        scale=st.floats(min_value=-3.0, max_value=3.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(p=5, q=2, theta=0.1, scale=1e-7)
+    @example(p=2, q=30, theta=1.5, scale=-1e-6)
+    def test_both_markings_share_the_sign_of_q(self, p, q, theta, scale):
+        # lam at e^scale times the outer boundary point at angle theta
+        if p == 2 and q == 2:
+            return
+        lam = max((lambda_boundary(p, q, theta, s) for s in (+1, -1)), key=abs) * math.exp(scale)
+        if abs(lam) < 1.0:
+            return
+        cot_p, cot_q = 1.0 / math.tan(math.pi / p), 1.0 / math.tan(math.pi / q)
+        csc_p, csc_q = 1.0 / math.sin(math.pi / p), 1.0 / math.sin(math.pi / q)
+        r = abs(lam)
+        quad = r * r + 1.0 - 2.0 * r * csc_p * csc_q - 2.0 * cot_p * cot_q * abs(lam.real)
+        if abs(quad) <= 1e-9 * r * r:
+            return
+        assert (lambda_slack(p, q, lam) > 0) == (lambda_slack(q, p, lam) > 0) == (quad > 0)
+
+
 class TestBoundary:
     @given(
         p=st.integers(min_value=2, max_value=30),
@@ -234,6 +286,10 @@ class TestBoundary:
         sign=st.sampled_from([+1, -1]),
     )
     @settings(max_examples=150, deadline=None)
+    @example(p=3, q=3, theta=0.0, sign=+1)
+    @example(p=4, q=4, theta=math.pi, sign=-1)
+    @example(p=7, q=7, theta=1.0, sign=+1)
+    @example(p=12, q=12, theta=4.0, sign=-1)
     def test_solves_quadratic_oracle(self, p, q, theta, sign):
         # Independent oracle: r = |lambda_boundary| solves r^2 - 2 B r + 1 = 0
         # with B = csc csc + sign cos(theta) cot cot, hence r = B + sqrt(B^2-1)
@@ -253,14 +309,6 @@ class TestBoundary:
         assert abs(lambda_slack_signed(p, q, lam, sign)) < 1e-9 * max(1.0, r)
         # and the phase is theta
         assert abs(cmath.phase(lam * cmath.exp(-1j * theta))) < 1e-9
-
-    def test_equal_orders_form_matches_general(self):
-        for p in (3, 4, 7, 12):
-            for theta in np.linspace(0.0, 2.0 * math.pi, 17):
-                for sign in (+1, -1):
-                    a = lambda_boundary(p, p, theta, sign)
-                    b = lambda_boundary_equal_orders(p, theta, sign)
-                    assert abs(a - b) < 1e-9 * max(1.0, abs(a))
 
     def test_imaginary_axis_point(self):
         # lam = i s with s = csc csc + sqrt(csc^2 csc^2 - 1) lies on the '+'
@@ -292,23 +340,3 @@ class TestBoundary:
         rm, rp = rho_boundary(3, 3, 0.0)
         assert abs(rm - (-1.0)) < 1e-12
         assert abs(rp - 4.0) < 1e-12
-
-
-class TestEnvelope:
-    def test_samples_shape_and_nu(self):
-        samples = envelope_samples(3, 4, 16)
-        assert len(samples) == 16
-        for s in samples:
-            assert isinstance(s, EnvelopeSample)
-            assert abs(s.nu - (s.lam * s.lam - 1.0) / s.lam) < 1e-12
-            _, rp = rho_from_lambda(LambdaParams(3, 4, s.lam))
-            assert abs(rp - s.rho) < 1e-12
-
-    def test_requires_orders_at_least_three(self):
-        with pytest.raises(InvalidInputError):
-            envelope_samples(2, 5, 8)
-
-    def test_real_and_imaginary_directions(self):
-        samples = envelope_samples(3, 3, 4)  # theta = 0, pi/2, pi, 3pi/2
-        assert abs(samples[0].nu.imag) < 1e-12
-        assert abs(samples[1].nu.real) < 1e-12

@@ -111,6 +111,32 @@ class TestRegionJson:
         assert a["disks"] != b["disks"]
 
 
+class TestRegionDigests:
+    # SHA-256 of region_svg and region_json for distinct orders, recorded
+    # while build_omega still deduplicated its candidate lines; the golden
+    # file region_4_4.svg covers p = q.
+    @pytest.mark.parametrize(
+        "p, q, svg_digest, json_digest",
+        [
+            (3, 4,
+             "0f981fd5fd8b52dfab1318a3af2722046d2f85eab70ac04dd89a4bba5a0e0ff6",
+             "a1477757f433bdb8dd61b3839f752386bd7c8c628ef145c3d336a4d973301f29"),
+            (4, 3,
+             "5b4cb5168239f1f925dd5ed31625b171f1223823dbdb1a26a67537bac8c210f5",
+             "b34f986d112c60f29767fa33fbf3f50870dbad657c21ecb033781f6a04a4d12e"),
+            (3, 7,
+             "50156cd204381cd8cf346c6449371daf1c877c69db7f48fcef958e25bbc7dfc0",
+             "a34350d2773028e084f831addfca7e63eeff0cfd564eaacd33786c916859c8ba"),
+            (5, 9,
+             "f485ef251ad610bdc7cd9c99bb83c26ef5836015757e673b43a0a4f708a451ae",
+             "90a6c4dba33cc17a33f8026b2cef15e5d8b273b399e88d7c2cc8f075a69c5893"),
+        ],
+    )
+    def test_pinned_digests(self, p, q, svg_digest, json_digest):
+        assert hashlib.sha256(region_svg(p, q).encode("utf-8")).hexdigest() == svg_digest
+        assert hashlib.sha256(region_json(p, q).encode("utf-8")).hexdigest() == json_digest
+
+
 class TestScanFormats:
     def test_csv_exact_bytes(self):
         result = tiny_result([[0, 1], [2, 3]])

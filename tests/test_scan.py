@@ -78,10 +78,15 @@ class TestModeSemantics:
         assert (result.codes == 4).all()
 
     @pytest.mark.parametrize(
-        "p, q, rho", [(3, 4, 1e308), (3, 4, -1e308j), (5, 9, 2e307), (5, 9, -2e307j)]
+        "p, q, rho",
+        [
+            (3, 4, 1e308), (3, 4, -1e308j), (5, 9, 2e307), (5, 9, -2e307j),
+            (5, 9, 1e308), (5, 9, -1e308j), (3, 4, 1.7e308),
+        ],
     )
     def test_lambda_mode_slack_overflow(self, p, q, rho):
-        # the lambda branch is finite there but |lam| csc(pi/q) overflows
+        # |lam| csc(pi/q) overflows there, and for the last three windows
+        # |lam| itself passes the float maximum on some pixels (inf+nanj)
         h = 0.05 * abs(rho)
         z = complex(rho)
         job = ScanJob(p, q, Window(z.real - h, z.real + h, z.imag - h, z.imag + h), 4, "lambda")
