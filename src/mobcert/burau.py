@@ -112,15 +112,11 @@ def faithful_certificate(mu: complex) -> Certificate:
     Faithful iff the larger branch reaches |z + sqrt(z^2+3)| >= 3 -- the
     closed (3, 2) lambda inequality |lambda| >= sqrt(3) -- and mu != -1;
     boundary equality is accepted everywhere except that single point.
+    The detail carries z, rho and the lambda branches (larger first).
     """
     pt = mu_coordinates(mu)
     slack = lambda_slack(3, 2, pt.lam)
-    detail = {
-        "z": pt.z,
-        "lambda_branches": (pt.lam, pt.lam_other),
-        "rho": pt.rho,
-        "branch_moduli": (abs(SQRT3 * pt.lam), abs(SQRT3 * pt.lam_other)),
-    }
+    detail = {"z": pt.z, "lambda_branches": (pt.lam, pt.lam_other), "rho": pt.rho}
     if abs(pt.mu + 1.0) <= EPS_ALG:
         detail["exception"] = "mu = -1"
         return Certificate(VERDICT_NONE, None, slack, CODE_NONE, detail)

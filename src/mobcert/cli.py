@@ -16,7 +16,7 @@ import re
 import sys
 
 from . import __version__
-from .burau import annulus_report, faithful_certificate, mu_coordinates
+from .burau import annulus_report, faithful_certificate
 from .certificates import cert_combined
 from .farey import FAREY_WORDS, SLOPES, cusp_residue, solve_cusp
 from .lambda_region import lambda_from_rho
@@ -92,10 +92,8 @@ def _window_arg(text: str) -> Window:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _pair(z: complex | None):
-    """[re, im] of z; None (JSON null) for None or a non-finite value."""
-    if z is None:
-        return None
+def _pair(z: complex):
+    """[re, im] of z; None (JSON null) for a non-finite value."""
     z = complex(z)
     if not cmath.isfinite(z):
         return None
@@ -122,17 +120,14 @@ def cmd_certify(args) -> int:
             raise InvalidInputError("certify --burau needs at least one --mu")
         for mu in args.mu:
             cert = faithful_certificate(mu)
-            pt = None
-            if abs(mu) > 0:
-                pt = mu_coordinates(mu)
             doc = {
                 "input": {"mu": _pair(mu)},
                 "verdict": cert.verdict,
                 "witness": cert.witness,
                 "slack": cert.slack,
-                "z": _pair(pt.z if pt else None),
-                "rho": _pair(pt.rho if pt else None),
-                "lambda_branches": [_pair(pt.lam), _pair(pt.lam_other)] if pt else None,
+                "z": _pair(cert.detail["z"]),
+                "rho": _pair(cert.detail["rho"]),
+                "lambda_branches": [_pair(b) for b in cert.detail["lambda_branches"]],
             }
             lines.append(_json_line(doc))
     else:
@@ -267,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--mode", choices=MODES, default="combined")
     scan.add_argument("--out", required=True, help="output base path (suffixes are appended)")
     scan.add_argument("--format", choices=("svg", "pgm"), default="svg")
-    scan.add_argument("--workers", type=int, default=1)
+    scan.add_argument("--workers", type=int, default=1, help="threads, >= 1; at most one per band")
     scan.set_defaults(func=cmd_scan)
 
     cmp_ = sub.add_parser("compare-lambda", help="disk vs lambda certificate comparison")

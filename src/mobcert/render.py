@@ -5,7 +5,10 @@ All output here is a pure function of its inputs: fixed coordinate scale
 fill #cccccc, exclusion disks #d33 at 40% opacity), fixed float formatting
 (12 significant digits in CSV, '.' decimal separator, '\\n' line endings).
 Running the same job twice, or with different worker counts, produces
-byte-identical files.
+byte-identical files.  The scan writers (CSV, SVG, PGM) assemble their
+bytes with numpy and per-row or per-run joins, never one string per
+pixel, and accept only the palette codes 0..5: any other code raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -196,23 +199,55 @@ def region_json(p, q) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _palette_codes(result: ScanResult) -> np.ndarray:
+    """The code grid, checked to hold palette codes only (0..5)."""
+    codes = result.codes
+    if codes.min() < 0 or codes.max() >= len(PALETTE):
+        bad = codes[(codes < 0) | (codes >= len(PALETTE))].flat[0]
+        raise ValueError(f"scan code {bad} is not a palette code (0..{len(PALETTE) - 1})")
+    return codes
+
+
 def scan_csv(result: ScanResult) -> bytes:
-    """Rows x,y,code with 12-significant-digit coordinates."""
+    """Rows x,y,code with 12-significant-digit coordinates.
+
+    The coordinate strings are formatted once per column and once per row;
+    each row's text is one join of the column strings with that row's
+    ",y,0\\n" tail, and the code digits are then written over the "0"
+    placeholders at their computed byte offsets.
+    """
+    codes = _palette_codes(result)
     meta = result.metadata
     re_min, re_max, im_min, im_max = meta["window"]
     res = meta["resolution"]
     w = (re_max - re_min) / res
     h = (im_max - im_min) / res
-    xs = [_g12(re_min + (j + 0.5) * w) for j in range(res)]
-    lines = ["x,y,code"]
-    for i in range(res):
-        y = _g12(im_min + (i + 0.5) * h)
-        lines.extend(f"{x},{y},{c}" for x, c in zip(xs, result.codes[i].tolist()))
-    return ("\n".join(lines) + "\n").encode("ascii")
+    xs = [_g12(re_min + (j + 0.5) * w).encode("ascii") for j in range(res)]
+    tails = [f",{_g12(im_min + (i + 0.5) * h)},0\n".encode("ascii") for i in range(res)]
+    head = b"x,y,code\n"
+    cells = xs + [b""]  # the join then ends each row with its tail
+    buf = bytearray().join([head, *(tail.join(cells) for tail in tails)])
+
+    # Line j of row i ends x_end[j] + (j + 1) * len(tail_i) bytes into the
+    # row; its code digit sits two bytes before that end.
+    x_end = np.cumsum([len(x) for x in xs])
+    tail_len = np.array([len(t) for t in tails])
+    row_len = x_end[-1] + res * tail_len
+    row_start = len(head) + np.cumsum(row_len) - row_len
+    digit_at = np.multiply.outer(tail_len, np.arange(1, res + 1))
+    digit_at += x_end
+    digit_at += (row_start - 2)[:, None]
+    np.frombuffer(buf, dtype=np.uint8)[digit_at] = codes + ord("0")
+    return bytes(buf)
 
 
 def scan_svg(result: ScanResult) -> str:
-    """Run-length encoded raster of the code grid (code 0 left white)."""
+    """Run-length encoded raster of the code grid (code 0 left white).
+
+    Runs of equal codes along each row are found with numpy; each
+    non-zero run is one <rect>.
+    """
+    codes = _palette_codes(result)
     meta = result.metadata
     re_min, re_max, im_min, im_max = meta["window"]
     res = meta["resolution"]
@@ -225,32 +260,42 @@ def scan_svg(result: ScanResult) -> str:
         f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
         f'<rect x="0" y="0" width="{_fmt(width)}" height="{_fmt(height)}" fill="#ffffff"/>',
     ]
-    for i in range(res):
-        top = (res - 1 - i) * ph
-        row = result.codes[i]
-        j = 0
-        while j < res:
-            code = int(row[j])
-            k = j
-            while k < res and int(row[k]) == code:
-                k += 1
-            if code != 0:
-                out.append(
-                    f'<rect x="{_fmt(j * pw)}" y="{_fmt(top)}" width="{_fmt((k - j) * pw)}" '
-                    f'height="{_fmt(ph)}" fill="{PALETTE.get(code, "#000000")}"/>'
-                )
-            j = k
+    # A run starts at column 0 and wherever the code changes along a row, so
+    # in row-major order each run ends where the next one starts.
+    starts = np.ones(codes.shape, dtype=bool)
+    np.not_equal(codes[:, 1:], codes[:, :-1], out=starts[:, 1:])
+    start = np.flatnonzero(starts)
+    length = np.diff(start, append=codes.size)
+    code = codes.ravel()[start]
+    keep = code != 0
+    start, length, code = start[keep], length[keep], code[keep]
+    xs = [_fmt(j * pw) for j in range(res)]
+    tops = [_fmt((res - 1 - i) * ph) for i in range(res)]
+    widths = [_fmt(n * pw) for n in range(res + 1)]
+    height_attr = f'height="{_fmt(ph)}"'
+    for i, j, n, c in zip(
+        (start // res).tolist(), (start % res).tolist(), length.tolist(), code.tolist()
+    ):
+        out.append(
+            f'<rect x="{xs[j]}" y="{tops[i]}" width="{widths[n]}" {height_attr} fill="{PALETTE[c]}"/>'
+        )
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
 
 def scan_pgm(result: ScanResult) -> bytes:
-    """Plain (P2) PGM of the code grid, top row first, maxval 5."""
+    """Plain (P2) PGM of the code grid, top row first, maxval 5.
+
+    The body is one (res, 2 res) byte array: digits in the even columns,
+    spaces in the odd ones and a newline in the last.
+    """
+    codes = _palette_codes(result)
     res = result.metadata["resolution"]
-    lines = ["P2", f"{res} {res}", "5"]
-    for i in range(res - 1, -1, -1):
-        lines.append(" ".join(map(str, result.codes[i].tolist())))
-    return ("\n".join(lines) + "\n").encode("ascii")
+    body = np.full((res, 2 * res), ord(" "), dtype=np.uint8)
+    body[:, ::2] = codes[::-1]
+    body[:, ::2] += ord("0")
+    body[:, -1] = ord("\n")
+    return b"".join((f"P2\n{res} {res}\n5\n".encode("ascii"), body))
 
 
 def _ray_disk_exit(center: complex, phi: float, centers) -> float:

@@ -130,7 +130,13 @@ def _mode_codes(job: ScanJob) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def run_scan(job: ScanJob, workers: int = 1) -> ScanResult:
-    """Run a scan job; deterministic and independent of the worker count."""
+    """Run a scan job; deterministic and independent of the worker count.
+
+    At most one thread per band runs, so ``workers`` beyond the number of
+    bands starts no extra threads; ``workers`` below 1 is rejected.
+    """
+    if workers < 1:
+        raise InvalidInputError(f"workers must be at least 1, got {workers!r}")
     res = job.resolution
     xs = job.xs()
     ys = job.ys()
@@ -151,7 +157,8 @@ def run_scan(job: ScanJob, workers: int = 1) -> ScanResult:
 
     completed = 0
     failure: BaseException | None = None
-    if workers <= 1:
+    workers = min(workers, len(bands))
+    if workers == 1:
         for rows in bands:
             try:
                 completed += run_band(rows)

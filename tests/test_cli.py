@@ -236,6 +236,17 @@ class TestScan:
         assert ei.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_3(self, capsys, tmp_path, workers):
+        rc, out, err = run(
+            capsys, "scan", "--p", "3", "--q", "3", "--window=-1,1,-1,1",
+            "--res", "4", "--mode", "omega", "--workers", workers,
+            "--out", str(tmp_path / "x"),
+        )
+        assert rc == 3 and out == ""
+        assert err.startswith("error: workers must be at least 1")
+        assert list(tmp_path.iterdir()) == []
+
     def test_invalid_marking_exits_3(self, capsys, tmp_path):
         rc, _, err = run(
             capsys, "scan", "--p", "2", "--q", "2", "--window=-1,1,-1,1",

@@ -6,6 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import mobcert.render as render
 from mobcert.cli import main
@@ -13,7 +16,9 @@ from mobcert.mobius import InvalidInputError, sigma_pq
 from mobcert.omega import build_omega, omega_margin
 from mobcert.render import (
     PALETTE,
+    SCALE,
     _fmt,
+    _g12,
     compare_lambda_csv,
     compare_lambda_data,
     compare_lambda_svg,
@@ -27,18 +32,81 @@ from mobcert.render import (
 from mobcert.scan import ScanJob, ScanResult, Window, run_scan
 
 
-def tiny_result(codes):
+def tiny_result(codes, window=(0.0, 1.0, 0.0, 1.0)):
     codes = np.asarray(codes, dtype=np.uint8)
     res = codes.shape[0]
     meta = {
         "p": 3,
         "q": 3,
-        "window": [0.0, 1.0, 0.0, 1.0],
+        "window": list(window),
         "resolution": res,
         "mode": "combined",
         "version": "test",
     }
     return ScanResult(codes=codes, metadata=meta)
+
+
+# Per-pixel references: the scan writers as they were before they assembled
+# their bytes with numpy.  The writers must match them byte for byte.
+
+
+def ref_scan_csv(result):
+    re_min, re_max, im_min, im_max = result.metadata["window"]
+    res = result.metadata["resolution"]
+    w = (re_max - re_min) / res
+    h = (im_max - im_min) / res
+    xs = [_g12(re_min + (j + 0.5) * w) for j in range(res)]
+    lines = ["x,y,code"]
+    for i in range(res):
+        y = _g12(im_min + (i + 0.5) * h)
+        lines.extend(f"{x},{y},{c}" for x, c in zip(xs, result.codes[i].tolist()))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def ref_scan_svg(result):
+    re_min, re_max, im_min, im_max = result.metadata["window"]
+    res = result.metadata["resolution"]
+    pw = (re_max - re_min) * SCALE / res
+    ph = (im_max - im_min) * SCALE / res
+    width = pw * res
+    height = ph * res
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" height="{_fmt(height)}" '
+        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
+        f'<rect x="0" y="0" width="{_fmt(width)}" height="{_fmt(height)}" fill="#ffffff"/>',
+    ]
+    for i in range(res):
+        top = (res - 1 - i) * ph
+        row = result.codes[i]
+        j = 0
+        while j < res:
+            code = int(row[j])
+            k = j
+            while k < res and int(row[k]) == code:
+                k += 1
+            if code != 0:
+                out.append(
+                    f'<rect x="{_fmt(j * pw)}" y="{_fmt(top)}" width="{_fmt((k - j) * pw)}" '
+                    f'height="{_fmt(ph)}" fill="{PALETTE[code]}"/>'
+                )
+            j = k
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+def ref_scan_pgm(result):
+    res = result.metadata["resolution"]
+    lines = ["P2", f"{res} {res}", "5"]
+    for i in range(res - 1, -1, -1):
+        lines.append(" ".join(map(str, result.codes[i].tolist())))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+bounds = st.floats(-1e200, 1e200, allow_nan=False, allow_infinity=False)
+intervals = st.tuples(bounds, bounds).filter(lambda ab: ab[0] != ab[1]).map(sorted)
+code_grids = st.integers(2, 64).flatmap(
+    lambda res: arrays(np.uint8, (res, res), elements=st.integers(0, 5))
+)
 
 
 class TestFormatting:
@@ -182,6 +250,40 @@ class TestScanFormats:
         assert hashlib.sha256(scan_pgm(result)).hexdigest() == (
             "f1b5508c75841091857dd3290a33a3a3068ba920b292143a176825f0f03b6ecf"
         )
+        # recorded with the per-pixel run-length loop
+        assert hashlib.sha256(scan_svg(result).encode("utf-8")).hexdigest() == (
+            "573feb069ed759f5c158b3a72e0107ea215d2c74f5b072f20f25fc19a272f07e"
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(codes=code_grids, re_bounds=intervals, im_bounds=intervals)
+    @example(  # tiny, subnormal widths
+        codes=np.array([[0, 5], [5, 5]], dtype=np.uint8),
+        re_bounds=[1e-300, 3e-300], im_bounds=[-5e-324, 5e-324],
+    )
+    @example(  # huge
+        codes=np.tile(np.arange(6, dtype=np.uint8), (6, 1)),
+        re_bounds=[-1e200, 1e200], im_bounds=[1e199, 1e200],
+    )
+    @example(  # many digits
+        codes=np.eye(7, dtype=np.uint8) * 3,
+        re_bounds=[-3.0123456789, 6.0987654321], im_bounds=[-4.5012345678, 4.4987654321],
+    )
+    @example(  # crossing zero, one long run per row
+        codes=np.repeat(np.arange(64, dtype=np.uint8)[:, None] % 6, 64, axis=1),
+        re_bounds=[-1e-7, 3e-7], im_bounds=[-2.5, 0.5],
+    )
+    def test_writers_match_per_pixel_references(self, codes, re_bounds, im_bounds):
+        result = tiny_result(codes, window=(*re_bounds, *im_bounds))
+        assert scan_csv(result) == ref_scan_csv(result)
+        assert scan_svg(result) == ref_scan_svg(result)
+        assert scan_pgm(result) == ref_scan_pgm(result)
+
+    @pytest.mark.parametrize("bad", [6, 255])
+    @pytest.mark.parametrize("writer", [scan_csv, scan_svg, scan_pgm])
+    def test_rejects_codes_outside_the_palette(self, writer, bad):
+        with pytest.raises(ValueError, match=f"scan code {bad} "):
+            writer(tiny_result([[0, 1], [bad, 3]]))
 
 
 class TestCompareLambda:

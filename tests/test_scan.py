@@ -38,6 +38,12 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             ScanJob(3, 3, win, 2.5, "omega")
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, monkeypatch, workers):
+        monkeypatch.setattr(scan, "_mode_codes", lambda job: pytest.fail("scan work started"))
+        with pytest.raises(InvalidInputError, match="workers"):
+            run_scan(job_33("omega", res=8), workers=workers)
+
     def test_pixel_centers(self):
         job = ScanJob(3, 3, Window(0.0, 1.0, -1.0, 1.0), 4, "omega")
         assert np.allclose(job.xs(), [0.125, 0.375, 0.625, 0.875])
@@ -169,7 +175,36 @@ class TestSetup:
         assert (result.codes == 1).any()
 
 
+def record_pool_sizes(monkeypatch):
+    """Replace the scan's thread pool by one that records the requested
+    max_workers and runs on a single thread."""
+    sizes = []
+
+    class Recording(scan.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=1)
+
+    monkeypatch.setattr(scan, "ThreadPoolExecutor", Recording)
+    return sizes
+
+
 class TestBands:
+    @pytest.mark.parametrize("workers, pool", [(10**6, 16), (17, 16), (16, 16), (3, 3)])
+    def test_pool_never_exceeds_the_band_count(self, monkeypatch, workers, pool):
+        # 16 one-row bands
+        sizes = record_pool_sizes(monkeypatch)
+        one = run_scan(job_33("omega", res=16))
+        monkeypatch.setattr(scan, "BAND_PIXELS", 16)
+        many = run_scan(job_33("omega", res=16), workers=workers)
+        assert sizes == [pool]
+        assert (many.codes == one.codes).all()
+
+    def test_one_band_runs_without_a_pool(self, monkeypatch):
+        sizes = record_pool_sizes(monkeypatch)
+        run_scan(job_33("omega", res=16), workers=4)  # 4096 // 16 rows: one band
+        assert sizes == []
+
     def test_anchor_search_runs_in_pool_threads(self, monkeypatch):
         real = certificates.anchor_search_bulk
         threads = []
