@@ -16,7 +16,15 @@ open conditions are strict (slack > EPS_ALG), closed ones accept slack >=
 4. LambdaRegion  -- the lambda branch of rho meets the lambda inequalities
    of (p, q), then (5) those of (q, p); finite orders (closed).
 6. LineFamily    -- rho lies on a line {a (1 + i t)} through an anchor a
-   that the disk tests certify: the anchor search (strict).
+   that the disk tests certify: the anchor search (strict).  The anchors
+   for rho lie on the circles with diameters [0, rho] and [0, sigma - rho].
+   anchor_search_bulk, the row's array slack, skips the golden-section
+   refinement of each circle that the exclusion disks of every family
+   cover (_circle_covered, an exact arc-cover test): no anchor there can
+   certify, so a scan's codes are those of the full search.  anchor_search,
+   the row at one point for cert_combined and certify, refines every
+   circle, so the slack it reports for an uncertified point is the best
+   anchor slack found.
 
 combined_codes_array runs the rows over an array, the disks and lambda scan
 modes run single rows, and cert_combined is the size-1 case, so certify and
@@ -274,29 +282,43 @@ def _anchor_slack_at(centers: np.ndarray, a: np.ndarray) -> np.ndarray:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _refine_bulk(centers, w, t_lo, t_hi):
+def _anchor_slack_few(centers: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """_anchor_slack_at in one broadcast over all disk centers: a handful of
+    numpy calls on (a.size, families, 4) arrays, for short arrays of a."""
+    return np.abs(a[..., None, None] - centers).min(axis=-1).max(axis=-1) - 2.0
+
+
+def _refine_bulk(centers, w, t_lo, t_hi, slack_at=_anchor_slack_at):
     """Vectorized golden-section maximization of anchor slack over t."""
     lo = np.asarray(t_lo, dtype=float).copy()
     hi = np.asarray(t_hi, dtype=float).copy()
     for _ in range(SEARCH_ITERS):
         x1 = hi - _GOLDEN * (hi - lo)
         x2 = lo + _GOLDEN * (hi - lo)
-        f1 = _anchor_slack_at(centers, w / (1.0 + 1j * x1))
-        f2 = _anchor_slack_at(centers, w / (1.0 + 1j * x2))
+        f1 = slack_at(centers, w / (1.0 + 1j * x1))
+        f2 = slack_at(centers, w / (1.0 + 1j * x2))
         take_left = f1 >= f2
         hi = np.where(take_left, x2, hi)
         lo = np.where(take_left, lo, x1)
     tm = 0.5 * (lo + hi)
-    return tm, _anchor_slack_at(centers, w / (1.0 + 1j * tm))
+    return tm, slack_at(centers, w / (1.0 + 1j * tm))
 
 
-def _search_chunk(centers, tgrid, w):
-    """Best (slack, t) over the anchor circle of each w in one chunk."""
+def _search_chunk(centers, tgrid, w, live=None):
+    """Best (slack, t) over the anchor circle of each w in one chunk.
+
+    Where the best grid slack does not certify, golden-section refines the
+    SEARCH_BRACKETS best coarse maxima.  With live (anchor_search_bulk) only
+    the live w are refined, all their brackets in one pass; without it
+    (anchor_search) every such w is, one pass per bracket.
+    """
     prof = _anchor_slack_at(centers, w[:, None] / (1.0 + 1j * tgrid[None, :]))
     idx = prof.argmax(axis=1)
     slack = prof[np.arange(len(w)), idx]
     t_at = tgrid[idx]
     need = slack <= EPS_ALG
+    if live is not None:
+        need &= live
     if need.any():
         sub_prof = prof[need]
         sub_w = w[need]
@@ -304,11 +326,18 @@ def _search_chunk(centers, tgrid, w):
         is_max = (interior >= sub_prof[:, :-2]) & (interior >= sub_prof[:, 2:])
         ranked = np.where(is_max, interior, -np.inf)
         order = np.argsort(ranked, axis=1)[:, ::-1][:, :SEARCH_BRACKETS] + 1
+        t_lo, t_hi = tgrid[order - 1], tgrid[order + 1]
+        n_b = order.shape[1]
+        if live is None:  # anchor_search: its per-query cost as before (ROADMAP item 1)
+            passes = [_refine_bulk(centers, sub_w, t_lo[:, b], t_hi[:, b]) for b in range(n_b)]
+        else:
+            tb, fb = _refine_bulk(
+                centers, np.repeat(sub_w, n_b), t_lo.ravel(), t_hi.ravel(), _anchor_slack_few
+            )
+            passes = zip(tb.reshape(-1, n_b).T, fb.reshape(-1, n_b).T)
         sub_best = slack[need].copy()
         sub_t = t_at[need].copy()
-        for b in range(order.shape[1]):
-            cols = order[:, b]
-            tb, fb = _refine_bulk(centers, sub_w, tgrid[cols - 1], tgrid[cols + 1])
+        for tb, fb in passes:
             better = fb > sub_best
             sub_best = np.where(better, fb, sub_best)
             sub_t = np.where(better, tb, sub_t)
@@ -317,22 +346,63 @@ def _search_chunk(centers, tgrid, w):
     return slack, t_at
 
 
-def anchor_search_bulk(p, q, rho: np.ndarray):
-    """Search certified line anchors for many rho values at once.
-
-    For each rho the search scans anchors a = w / (1 + i t) on the circle
-    through 0 and w, for w = rho and its symmetry image sigma - rho, over a
-    log-spaced t grid (|t| in [1e-3, 1e3]); coarse local maxima are refined
-    by golden-section when no strictly positive slack appears on the grid.
-    Returns (slack, anchor, symmetry_image) arrays; entries with slack >
-    EPS_ALG carry a certified line through rho or its symmetry image.
-    Raises PreconditionError when no anchor family is valid (p = q = 2).
-    """
-    # one row of 4 disk centers per family that may anchor a line: the
-    # elliptic family needs p >= 3 (or inf), the swapped family q >= 3
+def _anchor_centers(p, q) -> np.ndarray:
+    """One row of 4 disk centers per family that may anchor a line: the
+    elliptic family needs p >= 3 (or inf), the swapped family q >= 3."""
     centers = np.array([_centers_array(a, b) for a, b in ((p, q), (q, p)) if _family_ok(a)])
     if not len(centers):
         raise PreconditionError("anchor test needs an order >= 3 (or inf)")
+    return centers
+
+
+def _circle_covered(centers: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Whether every family's disks cover the anchor circle of each w.
+
+    centers holds one row of 4 disk centers per family; the disks have
+    radius r = 2 + EPS_ALG/2.  The anchor circle has diameter [0, w]
+    (center w/2, radius R = |w|/2) and holds every anchor w / (1 + i t).
+    A disk at distance D from the circle's
+    center holds the whole circle (D + R <= r), misses it, or covers one
+    arc of half-angle acos((R^2 + D^2 - r^2) / (2 R D)) about the direction
+    of its center.  The arc endpoints of a family cut the circle into gaps
+    that are each covered or uncovered as a whole, so the family covers the
+    circle iff one disk holds it or every gap midpoint lies in some arc.
+    An anchor with slack > EPS_ALG lies more than EPS_ALG/2 outside every
+    disk of its family, so a covered circle holds none.
+    """
+    r = 2.0 + EPS_ALG / 2.0
+    covered = np.zeros(w.shape, dtype=bool)
+    # The disks lie within |z| <= max |c| + r, and the circle passes through w.
+    idx = np.flatnonzero(np.abs(w) <= np.abs(centers).max() + r)
+    mid = w[idx, None, None] / 2.0
+    rad = np.abs(mid)
+    dist = np.abs(centers - mid)  # (points, families, 4)
+    held = (dist + rad <= r).any(axis=-1)  # by one disk of the family
+    covered[idx] = held.all(axis=-1)
+    # the arcs, only where some family holds the circle in no single disk
+    part = ~covered[idx]
+    idx, mid, rad, dist, held = idx[part], mid[part], rad[part], dist[part], held[part]
+    arc = (dist < rad + r) & (dist + r > rad)
+    # R = 0 gives 0/0 and a tiny R a quotient past the float maximum, both
+    # where there is no arc
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cos_half = (rad * rad + dist * dist - r * r) / (2.0 * rad * dist)
+        half = np.where(arc, np.arccos(np.clip(cos_half, -1.0, 1.0)), -1.0)  # -1: no arc
+    phi = np.angle(centers - mid)
+    # A disk without an arc adds two arbitrary endpoints: they only split gaps.
+    ends = np.sort(np.concatenate([phi - half, phi + half], axis=-1) % (2.0 * np.pi), axis=-1)
+    gap_mid = (ends + np.concatenate([ends[..., 1:], ends[..., :1] + 2.0 * np.pi], axis=-1)) / 2.0
+    off = (gap_mid[..., :, None] - phi[..., None, :] + np.pi) % (2.0 * np.pi) - np.pi
+    in_arc = (np.abs(off) <= half[..., None, :]).any(axis=-1)
+    covered[idx] = (held | in_arc.all(axis=-1)).all(axis=-1)
+    return covered
+
+
+def _search_anchors(p, q, rho: np.ndarray, screen: bool):
+    """The anchor search of anchor_search_bulk (screen=True: a w whose
+    anchor circle _circle_covered is not refined) and of anchor_search
+    (screen=False: every w is)."""
+    centers = _anchor_centers(p, q)
     half = np.geomspace(SEARCH_T_MIN, SEARCH_T_MAX, SEARCH_T_POINTS // 2)
     tgrid = np.concatenate([-half[::-1], half])
     rho = np.asarray(rho, dtype=complex)
@@ -346,7 +416,8 @@ def anchor_search_bulk(p, q, rho: np.ndarray):
         idx_ok = np.nonzero(ok)[0]
         for lo in range(0, len(idx_ok), SEARCH_CHUNK):
             sel = idx_ok[lo : lo + SEARCH_CHUNK]
-            slack, t_at = _search_chunk(centers, tgrid, w_all[sel])
+            live = ~_circle_covered(centers, w_all[sel]) if screen else None
+            slack, t_at = _search_chunk(centers, tgrid, w_all[sel], live)
             better = slack > best_slack[sel]
             upd = sel[better]
             best_slack[upd] = slack[better]
@@ -360,6 +431,28 @@ def anchor_search_bulk(p, q, rho: np.ndarray):
         best_anchor.reshape(rho.shape),
         best_w.reshape(rho.shape),
     )
+
+
+def anchor_search_bulk(p, q, rho: np.ndarray):
+    """Search certified line anchors for many rho values at once.
+
+    For each rho the search scans anchors a = w / (1 + i t) on the circle
+    through 0 and w, for w = rho and its symmetry image sigma - rho, over a
+    log-spaced t grid (|t| in [1e-3, 1e3]); coarse local maxima are refined
+    by golden-section when no strictly positive slack appears on the grid.
+    A w whose whole anchor circle the disks cover (_circle_covered) is not
+    refined: no anchor on it can certify, so it keeps its grid slack.  The
+    screen decides no code, it only skips work, so the codes are those of
+    the full search; where neither circle of a rho is covered, slack,
+    anchor and image are too.  The grid still runs on every w: it is one
+    pass proportional to the points, while the refinement is SEARCH_ITERS
+    steps whose cost is nearly fixed, so skipping the grid too would leave
+    a scan's time to whether a few near misses happen to fall in it.
+    Returns (slack, anchor, symmetry_image) arrays; entries with slack >
+    EPS_ALG carry a certified line through rho or its symmetry image.
+    Raises PreconditionError when no anchor family is valid (p = q = 2).
+    """
+    return _search_anchors(p, q, rho, screen=True)
 
 
 def cert_lambda(spec: GroupSpec) -> Certificate:
@@ -376,8 +469,13 @@ def cert_lambda(spec: GroupSpec) -> Certificate:
 
 
 def anchor_search(spec: GroupSpec) -> Certificate:
-    """The LineFamily row for a single spec, with the anchor it found."""
-    slack, anchor, w = anchor_search_bulk(spec.p, spec.q, np.array([spec.rho]))
+    """The LineFamily row for a single spec, with the anchor it found.
+
+    Unlike anchor_search_bulk it refines every w, covered circles
+    included, so the slack of a point it does not certify (which certify
+    reports) is the search's best anchor slack.
+    """
+    slack, anchor, w = _search_anchors(spec.p, spec.q, np.array([spec.rho]), screen=False)
     s = float(slack[0])
     detail = {
         "anchor": complex(anchor[0]),

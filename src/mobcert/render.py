@@ -208,13 +208,14 @@ def _palette_codes(result: ScanResult) -> np.ndarray:
     return codes
 
 
-def scan_csv(result: ScanResult) -> bytes:
+def scan_csv(result: ScanResult) -> bytearray:
     """Rows x,y,code with 12-significant-digit coordinates.
 
     The coordinate strings are formatted once per column and once per row;
     each row's text is one join of the column strings with that row's
     ",y,0\\n" tail, and the code digits are then written over the "0"
-    placeholders at their computed byte offsets.
+    placeholders at their computed byte offsets.  The buffer they are
+    written into is returned as it is, without a copy to bytes.
     """
     codes = _palette_codes(result)
     meta = result.metadata
@@ -238,7 +239,7 @@ def scan_csv(result: ScanResult) -> bytes:
     digit_at += x_end
     digit_at += (row_start - 2)[:, None]
     np.frombuffer(buf, dtype=np.uint8)[digit_at] = codes + ord("0")
-    return bytes(buf)
+    return buf
 
 
 def scan_svg(result: ScanResult) -> str:

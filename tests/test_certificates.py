@@ -3,19 +3,26 @@
 import cmath
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from mobcert import certificates
 from mobcert.certificates import (
     CODE_DISKS_ELLIPTIC,
     CODE_DISKS_GENERAL,
     CODE_IM_BOUND,
     CODE_LAMBDA,
     CODE_LINE_FAMILY,
+    VERDICT_NONE,
     WITNESS_OF_CODE,
+    _anchor_centers,
+    _anchor_slack_at,
+    _circle_covered,
+    _search_anchors,
     anchor_search,
     anchor_search_bulk,
     anchor_slack,
@@ -283,11 +290,19 @@ class TestAnchorSearch:
             assert (slack <= EPS_ALG).all()
 
     def test_bulk_matches_scalar(self):
+        # The bulk search does not refine the covered anchor circles of the
+        # last two points, so their slack is the grid's; anchor_search
+        # refines them, which raises the slack but certifies neither.
         rho = np.array([9.0 + 0.1j, 3.9 + 0.05j, 1.5 + 0.4j])
         slack, anchor, w = anchor_search_bulk(3, 3, rho)
+        centers = _anchor_centers(3, 3)
         for k, z in enumerate(rho):
             cert = anchor_search(GroupSpec(3, 3, complex(z)))
-            assert abs(cert.slack - slack[k]) < 1e-9
+            if k == 0:
+                assert not covered(centers, z) and abs(cert.slack - slack[k]) < 1e-9
+            else:
+                assert covered(centers, z) and covered(centers, sigma_pq(3, 3) - z)
+                assert cert.verdict == VERDICT_NONE and slack[k] < cert.slack <= EPS_ALG
 
     def test_order_two_families_excluded(self):
         # A disk family only anchors lines when its A-order is >= 3; with
@@ -303,6 +318,135 @@ class TestAnchorSearch:
         assert abs(s25 - s52) < 1e-12
         cert = anchor_search(GroupSpec(2, 5, 9.0 + 0.1j))
         assert cert.certified and cert.detail["family"] == "swapped"
+
+
+SCREEN_ORDERS = st.sampled_from([2, 3, 4, 5, 9, 10**6, math.inf])
+FAR = [50.0, 50.0j, -50.0]  # three disks that miss every circle below
+
+
+def covered(centers, w) -> bool:
+    return bool(_circle_covered(np.asarray(centers), np.array([w], dtype=complex))[0])
+
+
+class TestCircleScreen:
+    """_circle_covered, the screen that lets anchor_search_bulk skip the
+    refinement of a w: where it holds, no anchor on the circle with
+    diameter [0, w] certifies."""
+
+    @given(
+        p=SCREEN_ORDERS,
+        q=SCREEN_ORDERS,
+        modulus=st.one_of(
+            st.floats(min_value=0.0, max_value=1e-6),  # tiny, |w| <= EPS_ALG included
+            st.floats(min_value=1e-6, max_value=12.0),  # standard
+            st.floats(min_value=12.0, max_value=1e6),  # huge
+        ),
+        theta=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    )
+    @settings(max_examples=80, deadline=None)
+    @example(p=3, q=3, modulus=3.0, theta=0.0)  # rho = sigma
+    @example(p=5, q=9, modulus=1.0, theta=0.3)
+    @example(p=3, q=4, modulus=2.2250738585072014e-308, theta=0.0)  # quotient overflow
+    def test_covered_circle_has_no_certified_anchor(self, p, q, modulus, theta):
+        assume(not (p == 2 and q == 2))
+        centers = _anchor_centers(p, q)
+        w = modulus * cmath.exp(1j * theta)
+        if covered(centers, w):
+            on_circle = w / 2.0 + abs(w) / 2.0 * np.exp(2j * np.pi * np.arange(4000) / 4000)
+            assert _anchor_slack_at(centers, on_circle).max() <= EPS_ALG
+        # the unscreened search at rho = w searches w and sigma - w; a
+        # certified anchor's circle is never covered
+        slack, anchor, best_w = _search_anchors(p, q, np.array([w]), screen=False)
+        if slack[0] > EPS_ALG:
+            assert not covered(centers, best_w[0])
+
+    def test_one_disk_holds_the_circle(self):
+        assert covered([[1.0, *FAR]], 2.0)  # concentric
+        assert covered([[0.5 + 0.5j, *FAR]], 1.0j)
+        # w = 5 lies 1.5 outside the same disk, and so does part of its circle
+        assert not covered([[1.5, *FAR]], 5.0)
+
+    def test_tangent_circles(self):
+        # inside the radius-2 disk, touching its boundary at w:
+        # |c - w/2| + |w|/2 = 2
+        assert covered([[1.5, *FAR]], 3.5)
+        # reaching 4 EPS_ALG past it: w itself is an anchor with slack > EPS_ALG
+        w = 3.5 + 4 * EPS_ALG
+        assert _anchor_slack_at(np.array([[1.5, *FAR]]), np.array([w]))[0] > EPS_ALG
+        assert not covered([[1.5, *FAR]], w)
+        # outside the disk, touching it: the disk covers no arc
+        assert not covered([[-2.0, *FAR]], 1.0)
+        # two disks whose boundaries cross the circle at 0 and at w: their
+        # arcs, the two half circles, meet and leave two gaps of length 0
+        s3 = math.sqrt(3.0)
+        assert covered([[1.0 + s3 * 1j, 1.0 - s3 * 1j, 50.0, 50.0j]], 2.0)
+
+    @pytest.mark.parametrize("p,q", [(3, 3), (3, 5), (4, 7), (5, 9), (math.inf, math.inf)])
+    def test_rho_zero_and_sigma(self, p, q):
+        # w = sigma is covered and w = 0 is too small to search, so the bulk
+        # search refines neither point; the full search certifies neither.
+        sigma = sigma_pq(p, q)
+        assert covered(_anchor_centers(p, q), sigma)
+        rho = np.array([0.0, sigma], dtype=complex)
+        bulk = anchor_search_bulk(p, q, rho)[0]
+        full = _search_anchors(p, q, rho, screen=False)[0]
+        assert (bulk <= full).all() and (full <= EPS_ALG).all()
+
+    @pytest.mark.parametrize("p,q", [(2, 5), (5, 2), (2, math.inf)])
+    def test_single_order_two_family(self, p, q):
+        centers = _anchor_centers(p, q)
+        assert centers.shape == (1, 4)
+        assert covered(centers, 0.5 + 0.2j)
+        assert not covered(centers, 9.0 + 0.1j)
+        assert anchor_search_bulk(p, q, np.array([9.0 + 0.1j]))[0][0] > EPS_ALG
+
+    def test_tiny_w(self):
+        # a circle of diameter <= EPS_ALG is about the point 0: covered iff 0
+        # lies in a disk of every family, and decided without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for w in (0.0, EPS_ALG, 1e-13j, 2.2250738585072014e-308, 5e-324):
+                assert covered(_anchor_centers(3, 3), w)
+                assert not covered([[3.0, *FAR]], w)
+
+    @pytest.mark.parametrize(
+        "p,q", [(3, 3), (3, 4), (5, 9), (2, 5), (3, math.inf), (math.inf, math.inf), (10**6, 7)]
+    )
+    @pytest.mark.parametrize("window", [(-3.0, 6.0, -4.5, 4.5), (0.2, 1.2, -0.5, 0.5)])
+    def test_screen_keeps_every_certified_point(self, p, q, window):
+        # every residual pixel of a 48 x 48 scan: the screened and the full
+        # search certify the same points (the second window lies inside Omega)
+        xs = np.linspace(window[0], window[1], 48)
+        ys = np.linspace(window[2], window[3], 48)
+        grid = (xs[None, :] + 1j * ys[:, None]).ravel()
+        residual = grid[combined_codes_array(p, q, grid, search=False) == 0]
+        assert residual.size
+        screened = anchor_search_bulk(p, q, residual)
+        full = _search_anchors(p, q, residual, screen=False)
+        assert np.array_equal(screened[0] > EPS_ALG, full[0] > EPS_ALG)
+        assert (screened[0] <= full[0]).all()
+        # where neither circle is covered the two searches are the same
+        centers = _anchor_centers(p, q)
+        sigma = sigma_pq(p, q)
+        both_open = ~_circle_covered(centers, residual) & ~_circle_covered(centers, sigma - residual)
+        for got, want in zip(screened, full):
+            assert np.array_equal(got[both_open], want[both_open])
+
+    @pytest.mark.parametrize("p,q", [(3, 3), (5, 9), (2, 5), (math.inf, math.inf)])
+    def test_one_refinement_pass_matches_one_per_bracket(self, p, q, monkeypatch):
+        # With nothing covered, anchor_search_bulk refines every near miss,
+        # all brackets in one pass, and anchor_search one pass per bracket:
+        # slack, anchor and image agree bit for bit.
+        monkeypatch.setattr(certificates, "_circle_covered", lambda centers, w: np.zeros(w.shape, bool))
+        xs = np.linspace(-3.0, 6.0, 24)
+        ys = np.linspace(-4.5, 4.5, 24)
+        grid = (xs[None, :] + 1j * ys[:, None]).ravel()
+        residual = grid[combined_codes_array(p, q, grid, search=False) == 0]
+        bulk = anchor_search_bulk(p, q, residual)
+        full = _search_anchors(p, q, residual, screen=False)
+        assert (full[0] <= EPS_ALG).sum() > 10  # refined points
+        for got, want in zip(bulk, full):
+            assert np.array_equal(got, want)
 
 
 def canonical_anchors(p, q) -> list[complex]:

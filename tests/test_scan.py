@@ -1,5 +1,6 @@
 """Scan jobs: windowing, mode semantics, determinism, bands, partial failure."""
 
+import hashlib
 import sys
 import threading
 import warnings
@@ -14,7 +15,7 @@ from mobcert.certificates import combined_codes_array, disk_slack_array
 from mobcert.lambda_region import lambda_from_rho_array, lambda_slack_array
 from mobcert.mobius import EPS_ALG, InvalidInputError
 from mobcert.omega import build_omega, omega_margin
-from mobcert.render import scan_csv
+from mobcert.render import scan_csv, scan_svg
 from mobcert.scan import CODE_UNSCANNED, PartialScanError, ScanJob, Window, run_scan
 
 
@@ -146,6 +147,33 @@ class TestDeterminism:
             result = run_scan(job, workers=workers)
             assert (result.codes == combined_codes_array(3, 4, grid, search=True)).all()
             assert (result.codes == 3).any()
+
+    @pytest.mark.parametrize(
+        "p,q,csv_sha,svg_sha",
+        [
+            (
+                3, 3,
+                "7ad6ef02eb6f6149988f6d8a8a1da5aa55e8e34e0090ee5e08fd24a2c252dc82",
+                "4e26d5c44cc138d440e2247d26eee3251b77f6b5575223dc7c14454ff22f9cf3",
+            ),
+            (
+                3, 4,
+                "38dd7279a17872dbf3e64987213f60155f33182e407421ff7b5bcba413e4313f",
+                "1652fccd24610e1cd1c7d80bace9a919b429564c547c9a442ff2a67aa6ae619b",
+            ),
+            (
+                5, 9,
+                "bebcf172fbb9282bfd0edd1298f41d77df47905c3a5780ab390f007ff4740710",
+                "369a04a6edc0cd050f40abca21e57b556297419e524704c18833f8be007a33ae",
+            ),
+        ],
+    )
+    def test_combined_residual_digests_pinned(self, p, q, csv_sha, svg_sha):
+        # 64 x 64 combined scans whose residual pixels reach the anchor
+        # search; recorded when it searched every anchor circle
+        result = run_scan(ScanJob(p, q, Window(-3.0, 6.0, -4.5, 4.5), 64, "combined"))
+        assert hashlib.sha256(scan_csv(result)).hexdigest() == csv_sha
+        assert hashlib.sha256(scan_svg(result).encode("utf-8")).hexdigest() == svg_sha
 
     def test_metadata(self):
         job = job_33("omega", res=8)
