@@ -13,9 +13,10 @@ open conditions are strict (slack > EPS_ALG), closed ones accept slack >=
 2. DisksGeneral  -- the same for the swapped marking (q, p), which describes
    the same group, so its certificates apply (strict).
 3. ImBound       -- |Im rho| >= 2 sqrt(1 - S^2), finite p, q >= 3 (closed).
-4. LambdaRegion  -- the lambda branch of rho meets the lambda inequalities
-   of (p, q), then (5) those of (q, p); finite orders (closed).
-6. LineFamily    -- rho lies on a line {a (1 + i t)} through an anchor a
+4. LambdaRegion  -- rho meets the lambda inequalities, decided in the
+   rho-plane by lambda_slack_rho; finite orders (closed).  The slack is the
+   same float for (p, q) and (q, p), so one row serves both markings.
+5. LineFamily    -- rho lies on a line {a (1 + i t)} through an anchor a
    that the disk tests certify: the anchor search (strict).  The anchors
    for rho lie on the circles with diameters [0, rho] and [0, sigma - rho].
    anchor_search_bulk, the row's array slack, skips the golden-section
@@ -38,19 +39,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .lambda_region import (
-    LambdaParams,
-    lambda_from_rho,
-    lambda_from_rho_array,
-    lambda_slack,
-    lambda_slack_array,
-)
+from .lambda_region import lambda_slack_rho
 from .mobius import (
     EPS_ALG,
     GroupSpec,
@@ -154,12 +149,6 @@ class Stage:
         return Certificate(VERDICT_NONE, None, slack, CODE_NONE, detail)
 
 
-def _swapped(stage: Stage, **changes) -> Stage:
-    """stage under the swapped marking (q, p), which describes the same group."""
-    swap = dict(applies=lambda p, q: stage.applies(q, p), slack=lambda p, q, rho: stage.slack(q, p, rho))
-    return replace(stage, **swap, **changes)
-
-
 def _finite(p, q) -> bool:
     return p != math.inf and q != math.inf
 
@@ -171,20 +160,26 @@ IM_BOUND = Stage(
     CODE_IM_BOUND, "ImBound", lambda p, q: _finite(p, q) and p >= 3 and q >= 3,
     lambda p, q, rho: np.abs(rho.imag) - im_bound(p, q), strict=False,
 )
-LAMBDA_REGION = Stage(
-    CODE_LAMBDA, "LambdaRegion", _finite,
-    lambda p, q, rho: lambda_slack_array(p, q, lambda_from_rho_array(p, q, rho)), strict=False,
-)
+
+
+def _lambda_row_slack(p, q, rho: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):  # E past the float maximum: slack +inf
+        return lambda_slack_rho(p, q, rho)
+
+
+LAMBDA_REGION = Stage(CODE_LAMBDA, "LambdaRegion", _finite, _lambda_row_slack, strict=False)
 LINE_FAMILY = Stage(
     CODE_LINE_FAMILY, "LineFamily", lambda p, q: _family_ok(p) or _family_ok(q),
     lambda p, q, rho: anchor_search_bulk(p, q, rho)[0], strict=True,
 )
 CASCADE = (
     DISKS_ELLIPTIC,
-    _swapped(DISKS_ELLIPTIC, code=CODE_DISKS_GENERAL, witness="DisksGeneral", detail={"family": "swapped"}),
+    Stage(  # the same disks under the swapped marking (q, p), which describes the same group
+        CODE_DISKS_GENERAL, "DisksGeneral", lambda p, q: _family_ok(q),
+        lambda p, q, rho: disk_slack_array(q, p, rho), strict=True, detail={"family": "swapped"},
+    ),
     IM_BOUND,
     LAMBDA_REGION,
-    _swapped(LAMBDA_REGION),
     LINE_FAMILY,
 )
 
@@ -456,16 +451,9 @@ def anchor_search_bulk(p, q, rho: np.ndarray):
 
 
 def cert_lambda(spec: GroupSpec) -> Certificate:
-    """Closed lambda certificate on the large lambda branch of rho.
-
-    The branches of rho are lam and -1/lam; the slack is conjugation- and
-    negation-invariant and increases with |lam| along a fixed direction, so
-    testing the large branch alone is sharp.  Boundary equality is accepted.
-    """
-    lam_big, lam_small = lambda_from_rho(spec)
-    lam = LambdaParams(spec.p, spec.q, lam_big).lam
-    detail = {"lam": lam, "lambda_branches": (lam_big, lam_small)}
-    return LAMBDA_REGION.certificate(lambda_slack(spec.p, spec.q, lam), detail)
+    """The closed LambdaRegion row at one point, its slack lambda_slack_rho
+    of the Python complex rho.  Boundary equality is accepted."""
+    return LAMBDA_REGION.certificate(lambda_slack_rho(spec.p, spec.q, spec.rho))
 
 
 def anchor_search(spec: GroupSpec) -> Certificate:

@@ -14,8 +14,18 @@ inequalities
 hold.  The inequalities are invariant under lambda -> -lambda but not under
 lambda -> 1/lambda, so lambda is normalized to |lambda| >= 1 (both moduli
 describe the same conjugacy class, and rho_minus/rho_plus are unchanged).
+There both hold iff Q(lam) = |lam|^2 + 1 - 2|lam| csc_p csc_q - 2 cot_p cot_q |Re lam|
+>= 0, which is symmetric in p and q.  The cascade decides this in the
+rho-plane (lambda_slack_rho), with E = (|rho| + |rho - sigma|) / 2:
 
-A lambda past the float maximum (the branch inf+nanj of a huge rho) has slack +inf.
+    slack = E - 2 - 2 cos(pi/p) cos(pi/q) |Re rho - sigma/2| / E.
+
+u = (rho - sigma/2)/S = +-(lam + 1/lam), and its focal sum over +-2 gives
+E = S(|lam| + 1/|lam|) and |Re rho - sigma/2| = E |Re lam| / |lam|; with
+S csc_p csc_q = 1 and S cot_p cot_q = cos_p cos_q, slack = S Q(lam) / |lam|.
+
+The lambda-space slacks serve the Burau (3, 2) test and the tests; there a
+lambda past the float maximum (the branch inf+nanj of a huge rho) has slack +inf.
 """
 
 from __future__ import annotations
@@ -129,6 +139,19 @@ def lambda_slack(p, q, lam: complex) -> float:
     return min(lambda_slack_signed(p, q, lam, s) for s in _SIGNS)
 
 
+def lambda_slack_rho(p, q, rho):
+    """The rho-plane lambda slack (module docstring) at a complex or a
+    complex array rho; >= 0 means both inequalities hold.  A rho-plane
+    length, and the same float for (q, p).  rho is halved first, so abs()
+    of a finite complex cannot overflow; an E past the float maximum gives
+    +inf (an array warns unless overflow is ignored)."""
+    _check_lambda_orders(p, q)
+    s = sin_sin(p, q)
+    h = rho / 2.0
+    e = abs(h) + abs(h - 2.0 * s)
+    return e - 2.0 - 4.0 * (math.cos(pi_over(p)) * math.cos(pi_over(q))) * (abs(h.real - s) / e)
+
+
 def rho_from_lambda(params: LambdaParams) -> tuple[complex, complex]:
     """(rho_minus, rho_plus) of a lambda value; the two sum to sigma.
 
@@ -234,23 +257,3 @@ def _big_branch_rescaled(s: float, rho: np.ndarray) -> np.ndarray:
         v = 2.0 / w
         return w * (0.5 + 0.5 * np.sqrt(1.0 + v * v))
 
-
-def lambda_from_rho_array(p, q, rho: np.ndarray) -> np.ndarray:
-    """Vectorized largest-modulus lambda branch for an array of rho values.
-
-    Entries where the direct formula overflows are recomputed by
-    _big_branch_rescaled, as in lambda_from_rho.
-    """
-    _check_lambda_orders(p, q)
-    s = sin_sin(p, q)
-    rho = np.asarray(rho, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = np.sqrt(rho * (rho - 4.0 * s) / (s * s))
-        root = np.sqrt(w * w + 4.0)
-        r1 = (w + root) / 2.0
-        r2 = (w - root) / 2.0
-        lam = np.where(np.abs(r1) >= np.abs(r2), r1, r2)
-    huge = ~np.isfinite(lam)
-    if huge.any():
-        lam[huge] = _big_branch_rescaled(s, rho[huge])
-    return lam

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .certificates import disk_centers_elliptic
-from .lambda_region import lambda_from_rho_array, lambda_slack_array, rho_boundary
+from .lambda_region import lambda_slack_rho, rho_boundary
 from .mobius import EPS_ALG, InvalidInputError, sigma_pq
 from .omega import OmegaRegion, boundary_cusps, build_omega, rho_star, x_pq
 from .scan import ScanResult
@@ -323,7 +323,7 @@ def _ray_lambda_exits(p, q, center: complex, thetas, t_hi: float) -> np.ndarray:
 
     def feasible(ts: np.ndarray, e) -> np.ndarray:
         z = center + ts * e
-        return lambda_slack_array(p, q, lambda_from_rho_array(p, q, z)) >= -EPS_ALG
+        return lambda_slack_rho(p, q, z) >= -EPS_ALG
 
     ts = np.linspace(0.0, t_hi, 1025)
     live, lo, hi = [], [], []

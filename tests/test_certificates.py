@@ -39,8 +39,9 @@ from mobcert.certificates import (
 )
 from mobcert.lambda_region import (
     LambdaParams,
-    lambda_from_rho_array,
+    lambda_from_rho,
     lambda_slack_array,
+    lambda_slack_rho,
     rho_from_lambda,
 )
 from mobcert.mobius import (
@@ -258,15 +259,14 @@ class TestLambdaCert:
         _, rho = rho_from_lambda(LambdaParams(3, 3, 3.0))
         cert = cert_lambda(GroupSpec(3, 3, rho))
         assert cert.certified and abs(cert.slack) < 1e-12
-        assert abs(cert.detail["lam"] - 3.0) < 1e-12
         _, rho = rho_from_lambda(LambdaParams(3, 3, 2.9))
         assert not cert_lambda(GroupSpec(3, 3, rho)).certified
 
     def test_cert_lambda_branches_detail(self):
+        # certify reports the branches of lambda_from_rho, beside the verdict
         spec = GroupSpec(3, 3, -1.0 + 0.0j)
-        cert = cert_lambda(spec)
-        assert cert.certified
-        big, small = cert.detail["lambda_branches"]
+        assert cert_lambda(spec).certified
+        big, small = lambda_from_rho(spec)
         assert abs(big - 3.0) < 1e-9
         assert abs(big * small + 1.0) < 1e-12
 
@@ -572,14 +572,14 @@ class TestCombined:
         # At these points the scalar references and the array functions
         # round the slack differently (abs and np.abs round complex moduli
         # differently); certify reports the number a scan thresholds.
-        lam_slack = lambda p, q, rho: lambda_slack_array(p, q, lambda_from_rho_array(p, q, rho))
-        for rho, code, array_slack in [
-            (-3.0 + 0.1j, CODE_DISKS_ELLIPTIC, disk_slack_array),
-            (-1.1 + 1.1j, CODE_LAMBDA, lam_slack),
+        for rho, code, array_slack, scalar in [
+            (-3.0 + 0.1j, CODE_DISKS_ELLIPTIC, disk_slack_array, cert_disks_elliptic),
+            (-1.3 + 0.8j, CODE_LAMBDA, certificates.LAMBDA_REGION.slack, cert_lambda),
         ]:
             cert = cert_combined(GroupSpec(3, 4, rho))
             assert cert.code == code
             assert cert.slack == array_slack(3, 4, np.array([rho]))[0]
+            assert cert.slack != scalar(GroupSpec(3, 4, rho)).slack
 
     @pytest.mark.parametrize(
         "p, q, rho, pq_slack, qp_slack",
@@ -590,17 +590,25 @@ class TestCombined:
     )
     def test_swapped_lambda_row_fires_near_the_boundary(self, p, q, rho, pq_slack, qp_slack):
         # The (p, q) and (q, p) lambda regions are one set (test_lambda.py,
-        # TestSwappedMarking), but the slacks have different scales, so the
-        # closed rule's -EPS_ALG admits different points within rounding of
-        # the boundary: here only the (q, p) row passes, and gives code 4.
+        # TestSwappedMarking).  In lambda space the two slacks have different
+        # scales, so the closed rule's -EPS_ALG split them at these points,
+        # within rounding of the boundary, and a (q, p) row gave code 4.  The
+        # rho-plane slack is one float for both markings, so the cascade has
+        # one lambda row, and these points fail it (code 0).
         z = np.array([rho])
-        slack_pq = lambda_slack_array(p, q, lambda_from_rho_array(p, q, z))[0]
-        slack_qp = lambda_slack_array(q, p, lambda_from_rho_array(q, p, z))[0]
+        big_pq, _ = lambda_from_rho(GroupSpec(p, q, rho))
+        big_qp, _ = lambda_from_rho(GroupSpec(q, p, rho))
+        slack_pq = lambda_slack_array(p, q, np.array([big_pq]))[0]
+        slack_qp = lambda_slack_array(q, p, np.array([big_qp]))[0]
         assert math.isclose(slack_pq, pq_slack, rel_tol=1e-3) and slack_pq < -EPS_ALG
         assert math.isclose(slack_qp, qp_slack, rel_tol=1e-3) and slack_qp >= -EPS_ALG
-        assert combined_codes_array(p, q, z)[0] == CODE_LAMBDA
-        cert = cert_combined(GroupSpec(p, q, rho))
-        assert cert.code == CODE_LAMBDA and cert.slack == slack_qp
+        slack = certificates.LAMBDA_REGION.slack(p, q, z)[0]
+        assert slack == certificates.LAMBDA_REGION.slack(q, p, z)[0]
+        assert lambda_slack_rho(p, q, rho) == lambda_slack_rho(q, p, rho)
+        assert -2.1e-12 < slack < -EPS_ALG
+        assert sum(stage.code == CODE_LAMBDA for stage in certificates.CASCADE) == 1
+        assert combined_codes_array(p, q, z)[0] == 0
+        assert cert_combined(GroupSpec(p, q, rho)).code == 0
 
     @given(
         re=st.floats(min_value=-6.0, max_value=9.0),
@@ -635,7 +643,6 @@ def reference_closed_code(p, q, rho) -> int:
         (CODE_DISKS_GENERAL, cert_disks_elliptic, spec.swapped()),
         (CODE_IM_BOUND, cert_im_bound, spec),
         (CODE_LAMBDA, cert_lambda, spec),
-        (CODE_LAMBDA, cert_lambda, spec.swapped()),
     ]
     for code, test, marked in steps:
         try:
@@ -678,6 +685,7 @@ class TestScalarArrayProperties:
     )
     @settings(max_examples=150, deadline=None)
     @example(p=630646483, q=2, swapped=False, k=0, theta=2.0)  # lambda slack cancellation
+    @example(p=92480960, q=92480960, swapped=False, k=1, theta=0.0)  # rho = 4, the 0/1 cusp
     def test_on_disk_circles(self, p, q, swapped, k, theta):
         # rho on the boundary circle of one exclusion disk of either family
         center = disk_centers_elliptic(*((q, p) if swapped else (p, q)))[k]

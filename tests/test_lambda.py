@@ -9,13 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mobcert.certificates import LAMBDA_REGION, cert_lambda
 from mobcert.lambda_region import (
     LambdaParams,
     lambda_boundary,
     lambda_from_rho,
-    lambda_from_rho_array,
     lambda_slack,
     lambda_slack_array,
+    lambda_slack_rho,
     lambda_slack_signed,
     rho_boundary,
     rho_from_lambda,
@@ -95,6 +96,7 @@ class TestBranches:
             if abs(rho) > 1e6:
                 continue
             big, small = lambda_from_rho(GroupSpec(p, q, rho))
+            assert abs(big) >= abs(small)
             assert abs(big * small + 1.0) < 1e-6 * max(1.0, abs(big))
             # the recovered branch set contains the normalized lambda
             match = min(
@@ -105,25 +107,20 @@ class TestBranches:
             )
             assert match < 1e-6 * max(1.0, abs(params.lam))
 
-    def test_branch_order_and_array_agreement(self):
-        rng = np.random.default_rng(3)
-        rho = rng.normal(0, 3, 50) + 1j * rng.normal(0, 3, 50)
-        arr = lambda_from_rho_array(4, 5, rho)
-        for z, l in zip(rho, arr):
-            big, small = lambda_from_rho(GroupSpec(4, 5, complex(z)))
-            assert abs(big) >= abs(small) - 1e-12
-            assert abs(l - big) < 1e-9 * max(1.0, abs(big))
-
-
     def test_array_branch_slack_matches_scalar(self):
-        # The lambda scan mode composes the array helpers; the scalar path
-        # is lambda_from_rho followed by lambda_slack on the larger branch.
+        # lambda_slack_rho on an array (the lambda scan mode) and on each
+        # Python complex (cert_lambda) is one formula, rounded alike up to
+        # abs versus np.abs; its sign is that of lambda_slack on the larger
+        # lambda branch.
         rng = np.random.default_rng(6)
         rho = rng.uniform(-6.0, 12.0, 600) + 1j * rng.uniform(-6.0, 6.0, 600)
-        arr = lambda_slack_array(3, 5, lambda_from_rho_array(3, 5, rho))
-        for z, v in zip(rho[:25], arr[:25]):
+        arr = lambda_slack_rho(3, 5, rho)
+        for z, v in zip(rho, arr):
+            assert abs(lambda_slack_rho(3, 5, complex(z)) - v) < 1e-14
             big, _ = lambda_from_rho(GroupSpec(3, 5, complex(z)))
-            assert abs(lambda_slack(3, 5, big) - v) < 1e-10
+            lam_slack = lambda_slack(3, 5, big)
+            if abs(lam_slack) > 1e-9:
+                assert (v > 0) == (lam_slack > 0)
 
 
 class TestHugeRho:
@@ -135,28 +132,17 @@ class TestHugeRho:
         s = sin_sin(p, q)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lam = lambda_from_rho_array(p, q, np.array(self.HUGE))
-            slack = lambda_slack_array(p, q, lam)
-            for rho, lam_k, slack_k in zip(self.HUGE, lam, slack):
+            slack = LAMBDA_REGION.slack(p, q, np.array(self.HUGE))
+            for rho, slack_k in zip(self.HUGE, slack):
                 big, small = lambda_from_rho(GroupSpec(p, q, rho))
                 assert cmath.isfinite(big) and cmath.isfinite(small)
                 assert abs(big * small + 1.0) < 1e-12
                 # |lam| ~ |rho| / S, the large branch
                 assert math.isclose(abs(big), abs(rho) / s, rel_tol=1e-12)
-                assert math.isclose(abs(lam_k), abs(big), rel_tol=1e-12)
-                assert math.isclose(lambda_slack(p, q, big), slack_k, rel_tol=1e-12)
-                assert slack_k > 0.0
-
-    def test_finite_values_keep_the_direct_formula(self):
-        # just below the overflow the direct formula still runs, and the
-        # branch is the one of the (unscaled) quadratic
-        rho = np.array([1e150, 1e150 + 1j, -1e150j, 1e-300, 3.0 + 2.0j])
-        lam = lambda_from_rho_array(3, 4, rho)
-        s = sin_sin(3, 4)
-        w = np.sqrt(rho * (rho - 4.0 * s) / (s * s))
-        root = np.sqrt(w * w + 4.0)
-        r1, r2 = (w + root) / 2.0, (w - root) / 2.0
-        assert (lam == np.where(np.abs(r1) >= np.abs(r2), r1, r2)).all()
+                assert lambda_slack(p, q, big) > 0.0
+                # the rho-plane slack is ~ |rho| there
+                assert math.isclose(lambda_slack_rho(p, q, rho), slack_k, rel_tol=1e-12)
+                assert math.isclose(slack_k, abs(rho), rel_tol=1e-9)
 
 
 class TestSlackRange:
@@ -167,11 +153,10 @@ class TestSlackRange:
     def test_slack_finite_quiet_and_scalar_matches_array(self, p, q, rho):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lam = lambda_from_rho_array(p, q, np.array([rho]))
-            slack = lambda_slack_array(p, q, lam)
             big, _ = lambda_from_rho(GroupSpec(p, q, rho))
+            slack = lambda_slack_array(p, q, np.array([big]))
             scalar = lambda_slack(p, q, big)
-        assert cmath.isfinite(lam[0]) and cmath.isfinite(big)
+        assert cmath.isfinite(big)
         assert math.isfinite(slack[0]) and math.isfinite(scalar)
         assert math.isclose(scalar, slack[0], rel_tol=1e-12)
         assert slack[0] > 0.0
@@ -189,19 +174,28 @@ class TestSlackRange:
                 assert lambda_slack_signed(3, 4, lam, sign) == math.inf
             assert LambdaParams(3, 4, lam).lam == lam
 
-    # branches whose modulus itself passes the float maximum: inf+nanj
-    PAST_MAX = [(5, 9, 1e308), (5, 9, -1e308j), (3, 4, 1.7e308)]
+    # branches whose modulus itself passes the float maximum: inf+nanj.
+    # For the last |rho| itself does, abs() of it raises OverflowError, and
+    # the branch is nan+nanj.
+    PAST_MAX = [(5, 9, 1e308), (5, 9, -1e308j), (3, 4, 1.7e308), (3, 4, 1.7e308 + 1.7e308j)]
 
     @pytest.mark.parametrize("p, q, rho", PAST_MAX)
     def test_branch_past_the_float_maximum_certifies(self, p, q, rho):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lam = lambda_from_rho_array(p, q, np.array([rho]))
-            slack = lambda_slack_array(p, q, lam)
             big, _ = lambda_from_rho(GroupSpec(p, q, rho))
+            slack = lambda_slack_array(p, q, np.array([big]))
             scalar = lambda_slack(p, q, big)
-        assert not cmath.isfinite(lam[0]) and not cmath.isfinite(big)
-        assert slack[0] == math.inf and scalar == math.inf
+            # the rho-plane slack needs no branch: E = (|rho| + |rho - sigma|)/2
+            # is finite but for the last, whose slack is +inf
+            cert = cert_lambda(GroupSpec(p, q, rho))
+            row = LAMBDA_REGION.slack(p, q, np.array([rho]))[0]
+        assert not cmath.isfinite(big)
+        if cmath.isinf(big):
+            assert slack[0] == math.inf and scalar == math.inf
+        assert cert.certified and cert.slack > 1e307
+        assert math.isclose(cert.slack, row, rel_tol=1e-15)
+        assert (cert.slack == math.inf) == (rho == self.PAST_MAX[-1][2])
 
     def test_past_the_float_maximum_needs_a_float_bound(self):
         # the +inf rule rests on |lam| > 4 csc_p csc_q, which is no float
@@ -276,6 +270,40 @@ class TestSwappedMarking:
         if abs(quad) <= 1e-9 * r * r:
             return
         assert (lambda_slack(p, q, lam) > 0) == (lambda_slack(q, p, lam) > 0) == (quad > 0)
+
+
+class TestRhoPlaneSlack:
+    # lambda_slack_rho decides the lambda inequalities at rho without a
+    # lambda branch: it is S Q(lam) / |lam| (the Q of TestSwappedMarking)
+    # at either root rho of lam, and the same float for (p, q) and (q, p).
+    @given(
+        p=st.one_of(st.integers(min_value=2, max_value=12), st.integers(min_value=13, max_value=10**9)),
+        q=st.one_of(st.integers(min_value=2, max_value=12), st.integers(min_value=13, max_value=10**9)),
+        log_r=st.floats(min_value=0.0, max_value=6.0),
+        theta=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(p=3, q=3, log_r=math.log10(3.0), theta=0.0)  # the 0/1 cusp rho = 4
+    @example(p=1000, q=7, log_r=5.5, theta=1.0)
+    def test_is_the_symmetric_q_condition(self, p, q, log_r, theta):
+        if p == 2 and q == 2:
+            return
+        lam = 10.0**log_r * cmath.exp(1j * theta)
+        cot_p, cot_q = 1.0 / math.tan(math.pi / p), 1.0 / math.tan(math.pi / q)
+        csc_p, csc_q = 1.0 / math.sin(math.pi / p), 1.0 / math.sin(math.pi / q)
+        r = abs(lam)
+        quad = r * r + 1.0 - 2.0 * r * csc_p * csc_q - 2.0 * cot_p * cot_q * abs(lam.real)
+        s = sin_sin(p, q)
+        for rho in rho_from_lambda(LambdaParams(p, q, lam)):
+            slack = lambda_slack_rho(p, q, rho)
+            assert slack == lambda_slack_rho(q, p, rho)
+            if abs(quad) > 1e-9 * r * r:
+                assert (slack > 0) == (lambda_slack(p, q, lam) > 0) == (lambda_slack(q, p, lam) > 0)
+                assert (slack > 0) == (quad > 0)
+            if max(p, q) <= 1000:
+                # relative to the size of its terms, E = S (r + 1/r) and 2
+                scale = s * (r + 1.0 / r) + 2.0
+                assert math.isclose(slack, s * quad / r, rel_tol=1e-12, abs_tol=1e-12 * scale)
 
 
 class TestBoundary:

@@ -309,22 +309,22 @@ class TestCompareLambda:
             compare_lambda_data(3, 3, n=0)
 
     # SHA-256 of compare_lambda_csv and of `compare-lambda --format json`,
-    # recorded when every ray still ran its own bisection.
+    # recorded since the lambda test is the rho-plane slack lambda_slack_rho.
     @pytest.mark.parametrize(
         "p, q, n, csv_digest, json_digest",
         [
             (3, 4, 48,
              "0eb45aec2e1b433c9fd8ca1bd75c4875cb9d00b81f666b98c07095f1fbd543d2",
-             "765c6b093423fc323569544077ca5778231124b596a2f79c7b23c9db89918e95"),
+             "7eac1a4a8a4ebb6c918491d91c30ca32510f60b4ea8b5db14d2bbafb08418a77"),
             (5, 9, 360,
-             "e075ec24a7ec0176f7ca05f72036cfbd3953a331f0a6f51e720f9bd9cbcb429a",
-             "df4dbadc8b6e03801de4a01197583dafbf56ab3ba9fd473a8d1eec3eb675bbe6"),
+             "ec1a4c811a3130209992f3a143034b51fa8c84beb6071d249298c766f56cd590",
+             "044c2130bb12073f5a9daa7e75670da96b2bb157cd764be1af59c70d8073429a"),
             (7, 7, 7,
              "5d6c67cf0432a71c4f8dd8185848ff46047c8d04750971295433b5d7704f715a",
-             "c80bc542708d06f2c12715b2a965cf5e176d2c3f9207febe41c54631cbbc8582"),
+             "4bf5cc3a34d16dd41bceea78cb8a8592f3db46f8c47e9ee8ab095b2f9e91a37e"),
             (2, 5, 12,
              "b34dd8e15a73386a3e586604f31e90859966adf62b64f085b9274031379f7e82",
-             "dcd7ddfde752f6bd11a52590a2366443489537b378cdf20accd3805260612013"),
+             "58e85b18c2e012dcdeb8a27e0800a9ce02a8ccef3a1783d5d25b7b55c14f0013"),
         ],
     )
     def test_pinned_digests(self, capsys, p, q, n, csv_digest, json_digest):
@@ -338,32 +338,32 @@ class TestCompareLambda:
     def test_bisection_is_batched_across_rays(self, monkeypatch):
         # one 1025-sample scan per ray, then one call per bisection step
         # for all rays together
-        real = render.lambda_from_rho_array
+        real = render.lambda_slack_rho
         calls = []
 
         def counting(p, q, rho):
             calls.append(np.size(rho))
             return real(p, q, rho)
 
-        monkeypatch.setattr(render, "lambda_from_rho_array", counting)
+        monkeypatch.setattr(render, "lambda_slack_rho", counting)
         compare_lambda_data(3, 4, 48)
         assert len(calls) <= 48 + 61
         assert calls[:48] == [1025] * 48
 
     def test_rays_that_never_fail_keep_zero(self, monkeypatch):
         # Make the open upper half-plane and the common ray origin lambda
-        # feasible (a large real lambda): the rays strictly between 0 and
-        # pi never fail, the others bisect exactly as before.
+        # feasible (a positive slack): the rays strictly between 0 and pi
+        # never fail, the others bisect exactly as before.
         p, q, n = 3, 4, 48
         plain = compare_lambda_data(p, q, n)
         center = sigma_pq(p, q) / 2.0
-        real = render.lambda_from_rho_array
+        real = render.lambda_slack_rho
 
         def upper_half_feasible(p_, q_, rho):
             rho = np.asarray(rho)
-            return np.where((rho.imag > 1e-9) | (rho == center), 1e6, real(p_, q_, rho))
+            return np.where((rho.imag > 1e-9) | (rho == center), 1.0, real(p_, q_, rho))
 
-        monkeypatch.setattr(render, "lambda_from_rho_array", upper_half_feasible)
+        monkeypatch.setattr(render, "lambda_slack_rho", upper_half_feasible)
         mixed = compare_lambda_data(p, q, n)
         for k, (before, after) in enumerate(zip(plain, mixed)):
             if 0 < k < n // 2:
@@ -373,9 +373,7 @@ class TestCompareLambda:
 
     def test_single_ray(self, monkeypatch):
         assert compare_lambda_data(3, 4, 1) == compare_lambda_data(3, 4, 48)[:1]
-        monkeypatch.setattr(
-            render, "lambda_from_rho_array", lambda p, q, rho: np.full(np.shape(rho), 1e6 + 0j)
-        )
+        monkeypatch.setattr(render, "lambda_slack_rho", lambda p, q, rho: np.full(np.shape(rho), 1.0))
         assert compare_lambda_data(3, 4, 1)[0]["t_lambda"] == 0.0
 
     def test_csv_and_svg(self):

@@ -12,8 +12,8 @@ import mobcert.certificates as certificates
 import mobcert.scan as scan
 from mobcert import __version__
 from mobcert.certificates import combined_codes_array, disk_slack_array
-from mobcert.lambda_region import lambda_from_rho_array, lambda_slack_array
-from mobcert.mobius import EPS_ALG, InvalidInputError
+from mobcert.lambda_region import lambda_from_rho, lambda_slack
+from mobcert.mobius import EPS_ALG, GroupSpec, InvalidInputError
 from mobcert.omega import build_omega, omega_margin
 from mobcert.render import scan_csv, scan_svg
 from mobcert.scan import CODE_UNSCANNED, PartialScanError, ScanJob, Window, run_scan
@@ -71,14 +71,26 @@ class TestModeSemantics:
     def test_lambda_mode(self):
         job = job_33("lambda")
         result = run_scan(job)
-        slack = lambda_slack_array(3, 3, lambda_from_rho_array(3, 3, self.grid(job)))
+        # the independent lambda-space reference: the scalar slack of the
+        # larger lambda branch of each pixel
+        slack = np.array(
+            [lambda_slack(3, 3, lambda_from_rho(GroupSpec(3, 3, complex(z)))[0]) for z in self.grid(job).ravel()]
+        ).reshape(result.codes.shape)
         assert ((result.codes == 4) == (slack >= -EPS_ALG)).all()
 
-    @pytest.mark.parametrize("scale", [1e100, 1e200])
-    def test_lambda_mode_huge_rho(self, scale):
+    @pytest.mark.parametrize(
+        "p, q, scale",
+        [
+            pytest.param(3, 4, 1e100, id="1e+100"),
+            pytest.param(3, 4, 1e200, id="1e+200"),
+            # a lambda branch of NaN there once read 0 on every pixel
+            pytest.param(92480960, 92480960, 1e299, id="92480960-92480960-1e+299"),
+        ],
+    )
+    def test_lambda_mode_huge_rho(self, p, q, scale):
         # far out every rho is lambda certified, also where rho (rho - sigma)
         # overflows
-        job = ScanJob(3, 4, Window(scale, 2 * scale, -scale, scale), 8, "lambda")
+        job = ScanJob(p, q, Window(scale, 2 * scale, -scale, scale), 8, "lambda")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = run_scan(job)
