@@ -17,22 +17,19 @@ open conditions are strict (slack > EPS_ALG), closed ones accept slack >=
    rho-plane by lambda_slack_rho; finite orders (closed).  The slack is the
    same float for (p, q) and (q, p), so one row serves both markings.
 5. LineFamily    -- rho lies on a line {a (1 + i t)} through an anchor a
-   that the disk tests certify: the anchor search (strict).  The anchors
-   for rho lie on the circles with diameters [0, rho] and [0, sigma - rho].
-   anchor_search_bulk, the row's array slack, skips the golden-section
-   refinement of each circle that the exclusion disks of every family
-   cover (_circle_covered, an exact arc-cover test): no anchor there can
-   certify, so a scan's codes are those of the full search.  anchor_search,
-   the row at one point for cert_combined and certify, refines every
-   circle, so the slack it reports for an uncertified point is the best
-   anchor slack found.
+   that the disk tests certify (strict).  The anchors for rho lie on the
+   circles with diameters [0, rho] and [0, sigma - rho].
+   anchor_search_bulk, the row's array slack, finds the best anchor on
+   each circle in closed form (_circle_max), over the whole array at once.
+   anchor_search, the row at one point for cert_combined and certify,
+   searches a t grid with golden-section refinement instead.
 
 combined_codes_array runs the rows over an array, the disks and lambda scan
 modes run single rows, and cert_combined is the size-1 case, so certify and
-a scan give a point one code and one slack.  The scalar per-stage tests
-(cert_disks_elliptic, cert_im_bound, cert_lambda, cert_line_family) apply a
-row's rule to a slack computed in scalar arithmetic: they are the
-independent references for checking a witness.
+a scan give a point that a closed row decides one code and one slack.  The
+scalar per-stage tests (cert_disks_elliptic, cert_im_bound, cert_lambda,
+cert_line_family) apply a row's rule to a slack computed in scalar
+arithmetic: they are the independent references for checking a witness.
 """
 
 from __future__ import annotations
@@ -73,7 +70,6 @@ SEARCH_T_MAX = 1e3
 SEARCH_T_POINTS = 512
 SEARCH_BRACKETS = 4  # coarse maxima refined per point when none certifies
 SEARCH_ITERS = 60  # golden-section steps per refinement
-SEARCH_CHUNK = 4096  # points searched at once
 
 LINE_TOL = 1e-9  # how far rho may lie from a line {anchor (1 + i t)} and be on it
 
@@ -277,43 +273,37 @@ def _anchor_slack_at(centers: np.ndarray, a: np.ndarray) -> np.ndarray:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _anchor_slack_few(centers: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """_anchor_slack_at in one broadcast over all disk centers: a handful of
-    numpy calls on (a.size, families, 4) arrays, for short arrays of a."""
-    return np.abs(a[..., None, None] - centers).min(axis=-1).max(axis=-1) - 2.0
-
-
-def _refine_bulk(centers, w, t_lo, t_hi, slack_at=_anchor_slack_at):
+def _refine_bulk(centers, w, t_lo, t_hi):
     """Vectorized golden-section maximization of anchor slack over t."""
     lo = np.asarray(t_lo, dtype=float).copy()
     hi = np.asarray(t_hi, dtype=float).copy()
     for _ in range(SEARCH_ITERS):
         x1 = hi - _GOLDEN * (hi - lo)
         x2 = lo + _GOLDEN * (hi - lo)
-        f1 = slack_at(centers, w / (1.0 + 1j * x1))
-        f2 = slack_at(centers, w / (1.0 + 1j * x2))
+        f1 = _anchor_slack_at(centers, w / (1.0 + 1j * x1))
+        f2 = _anchor_slack_at(centers, w / (1.0 + 1j * x2))
         take_left = f1 >= f2
         hi = np.where(take_left, x2, hi)
         lo = np.where(take_left, lo, x1)
     tm = 0.5 * (lo + hi)
-    return tm, slack_at(centers, w / (1.0 + 1j * tm))
+    return tm, _anchor_slack_at(centers, w / (1.0 + 1j * tm))
 
 
-def _search_chunk(centers, tgrid, w, live=None):
-    """Best (slack, t) over the anchor circle of each w in one chunk.
+def _grid_max(centers, w):
+    """Best (slack, anchor) over the anchor circle of each w by search.
 
-    Where the best grid slack does not certify, golden-section refines the
-    SEARCH_BRACKETS best coarse maxima.  With live (anchor_search_bulk) only
-    the live w are refined, all their brackets in one pass; without it
-    (anchor_search) every such w is, one pass per bracket.
+    The anchors w / (1 + i t) are sampled on a log-spaced t grid (|t| in
+    [SEARCH_T_MIN, SEARCH_T_MAX], both signs); where the best grid slack
+    does not certify, golden-section refines the SEARCH_BRACKETS best
+    coarse maxima, one pass per bracket.
     """
+    half = np.geomspace(SEARCH_T_MIN, SEARCH_T_MAX, SEARCH_T_POINTS // 2)
+    tgrid = np.concatenate([-half[::-1], half])
     prof = _anchor_slack_at(centers, w[:, None] / (1.0 + 1j * tgrid[None, :]))
     idx = prof.argmax(axis=1)
     slack = prof[np.arange(len(w)), idx]
     t_at = tgrid[idx]
     need = slack <= EPS_ALG
-    if live is not None:
-        need &= live
     if need.any():
         sub_prof = prof[need]
         sub_w = w[need]
@@ -322,23 +312,52 @@ def _search_chunk(centers, tgrid, w, live=None):
         ranked = np.where(is_max, interior, -np.inf)
         order = np.argsort(ranked, axis=1)[:, ::-1][:, :SEARCH_BRACKETS] + 1
         t_lo, t_hi = tgrid[order - 1], tgrid[order + 1]
-        n_b = order.shape[1]
-        if live is None:  # anchor_search: its per-query cost as before (ROADMAP item 1)
-            passes = [_refine_bulk(centers, sub_w, t_lo[:, b], t_hi[:, b]) for b in range(n_b)]
-        else:
-            tb, fb = _refine_bulk(
-                centers, np.repeat(sub_w, n_b), t_lo.ravel(), t_hi.ravel(), _anchor_slack_few
-            )
-            passes = zip(tb.reshape(-1, n_b).T, fb.reshape(-1, n_b).T)
         sub_best = slack[need].copy()
         sub_t = t_at[need].copy()
-        for tb, fb in passes:
+        for b in range(order.shape[1]):
+            tb, fb = _refine_bulk(centers, sub_w, t_lo[:, b], t_hi[:, b])
             better = fb > sub_best
             sub_best = np.where(better, fb, sub_best)
             sub_t = np.where(better, tb, sub_t)
         slack[need] = sub_best
         t_at[need] = sub_t
-    return slack, t_at
+    return slack, w / (1.0 + 1j * t_at)
+
+
+def _circle_max(centers, w):
+    """Best (slack, anchor) over the anchor circle of each w, in closed form.
+
+    The circle has center m = w/2 and radius R = |w|/2.  On it a family's
+    f(a) = min_k |a - c_k| is the minimum of four smooth functions, so f is
+    largest where one term is active at its own maximum, the far point
+    m + R (m - c)/|m - c| from a center c, or where two terms tie, at the
+    <= 2 points where the circle meets the perpendicular bisector of two
+    centers of the family.  The slack, the best family's f - 2, is thus
+    largest at one of these <= 16 points per family.  A center at m has no
+    far point and equal centers (c2 = c4 for the family (p, 2)) have no
+    bisector.  Needs |w| > 0.
+    """
+    m = w[:, None] / 2.0
+    rad = np.abs(m)
+    off = m - centers.ravel()
+    dist = np.abs(off)
+    far = m + rad * (off / np.where(dist > 0.0, dist, 1.0))  # dropped where dist = 0
+    # the bisector of two distinct centers: normal to unit, foot radii from m
+    j, k = np.triu_indices(centers.shape[1], 1)
+    d = (centers[:, k] - centers[:, j]).ravel()
+    pair = d != 0.0
+    unit = d[pair] / np.abs(d[pair])
+    foot = (unit.conj() * ((centers[:, j] + centers[:, k]).ravel()[pair] / 2.0 - m)).real / rad
+    meets = np.abs(foot) <= 1.0
+    base = m + unit * rad * foot
+    half = unit * 1j * rad * np.sqrt(np.where(meets, (1.0 - foot) * (1.0 + foot), 0.0))
+    cand = np.concatenate([far, base + half, base - half], axis=1)
+    slack = np.where(
+        np.concatenate([dist > 0.0, meets, meets], axis=1), _anchor_slack_at(centers, cand), -np.inf
+    )
+    best = slack.argmax(axis=1)
+    rows = np.arange(len(w))
+    return slack[rows, best], cand[rows, best]
 
 
 def _anchor_centers(p, q) -> np.ndarray:
@@ -350,77 +369,25 @@ def _anchor_centers(p, q) -> np.ndarray:
     return centers
 
 
-def _circle_covered(centers: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Whether every family's disks cover the anchor circle of each w.
-
-    centers holds one row of 4 disk centers per family; the disks have
-    radius r = 2 + EPS_ALG/2.  The anchor circle has diameter [0, w]
-    (center w/2, radius R = |w|/2) and holds every anchor w / (1 + i t).
-    A disk at distance D from the circle's
-    center holds the whole circle (D + R <= r), misses it, or covers one
-    arc of half-angle acos((R^2 + D^2 - r^2) / (2 R D)) about the direction
-    of its center.  The arc endpoints of a family cut the circle into gaps
-    that are each covered or uncovered as a whole, so the family covers the
-    circle iff one disk holds it or every gap midpoint lies in some arc.
-    An anchor with slack > EPS_ALG lies more than EPS_ALG/2 outside every
-    disk of its family, so a covered circle holds none.
-    """
-    r = 2.0 + EPS_ALG / 2.0
-    covered = np.zeros(w.shape, dtype=bool)
-    # The disks lie within |z| <= max |c| + r, and the circle passes through w.
-    idx = np.flatnonzero(np.abs(w) <= np.abs(centers).max() + r)
-    mid = w[idx, None, None] / 2.0
-    rad = np.abs(mid)
-    dist = np.abs(centers - mid)  # (points, families, 4)
-    held = (dist + rad <= r).any(axis=-1)  # by one disk of the family
-    covered[idx] = held.all(axis=-1)
-    # the arcs, only where some family holds the circle in no single disk
-    part = ~covered[idx]
-    idx, mid, rad, dist, held = idx[part], mid[part], rad[part], dist[part], held[part]
-    arc = (dist < rad + r) & (dist + r > rad)
-    # R = 0 gives 0/0 and a tiny R a quotient past the float maximum, both
-    # where there is no arc
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        cos_half = (rad * rad + dist * dist - r * r) / (2.0 * rad * dist)
-        half = np.where(arc, np.arccos(np.clip(cos_half, -1.0, 1.0)), -1.0)  # -1: no arc
-    phi = np.angle(centers - mid)
-    # A disk without an arc adds two arbitrary endpoints: they only split gaps.
-    ends = np.sort(np.concatenate([phi - half, phi + half], axis=-1) % (2.0 * np.pi), axis=-1)
-    gap_mid = (ends + np.concatenate([ends[..., 1:], ends[..., :1] + 2.0 * np.pi], axis=-1)) / 2.0
-    off = (gap_mid[..., :, None] - phi[..., None, :] + np.pi) % (2.0 * np.pi) - np.pi
-    in_arc = (np.abs(off) <= half[..., None, :]).any(axis=-1)
-    covered[idx] = (held | in_arc.all(axis=-1)).all(axis=-1)
-    return covered
-
-
-def _search_anchors(p, q, rho: np.ndarray, screen: bool):
-    """The anchor search of anchor_search_bulk (screen=True: a w whose
-    anchor circle _circle_covered is not refined) and of anchor_search
-    (screen=False: every w is)."""
+def _search_anchors(p, q, rho: np.ndarray, circle_max):
+    """(slack, anchor, symmetry_image) arrays: the best anchor that
+    circle_max(centers, w) finds on the anchor circles of w = rho and
+    w = sigma - rho, rho's on a tie; a w with |w| <= EPS_ALG is skipped."""
     centers = _anchor_centers(p, q)
-    half = np.geomspace(SEARCH_T_MIN, SEARCH_T_MAX, SEARCH_T_POINTS // 2)
-    tgrid = np.concatenate([-half[::-1], half])
     rho = np.asarray(rho, dtype=complex)
     flat = rho.ravel()
     sigma = 4.0 * sin_sin(p, q)
     best_slack = np.full(flat.shape, -np.inf)
-    best_t = np.zeros(flat.shape)
+    best_anchor = np.zeros(flat.shape, dtype=complex)
     best_w = flat.copy()
     for w_all in (flat, sigma - flat):
-        ok = np.abs(w_all) > EPS_ALG
-        idx_ok = np.nonzero(ok)[0]
-        for lo in range(0, len(idx_ok), SEARCH_CHUNK):
-            sel = idx_ok[lo : lo + SEARCH_CHUNK]
-            live = ~_circle_covered(centers, w_all[sel]) if screen else None
-            slack, t_at = _search_chunk(centers, tgrid, w_all[sel], live)
-            better = slack > best_slack[sel]
-            upd = sel[better]
-            best_slack[upd] = slack[better]
-            best_t[upd] = t_at[better]
-            best_w[upd] = w_all[upd]
-    best_anchor = np.where(
-        np.abs(best_w) > EPS_ALG, best_w / (1.0 + 1j * best_t), 0.0
-    )
+        sel = np.flatnonzero(np.abs(w_all) > EPS_ALG)
+        slack, anchor = circle_max(centers, w_all[sel])
+        better = slack > best_slack[sel]
+        upd = sel[better]
+        best_slack[upd] = slack[better]
+        best_anchor[upd] = anchor[better]
+        best_w[upd] = w_all[upd]
     return (
         best_slack.reshape(rho.shape),
         best_anchor.reshape(rho.shape),
@@ -429,25 +396,18 @@ def _search_anchors(p, q, rho: np.ndarray, screen: bool):
 
 
 def anchor_search_bulk(p, q, rho: np.ndarray):
-    """Search certified line anchors for many rho values at once.
+    """The best line anchor for many rho values at once, in closed form.
 
-    For each rho the search scans anchors a = w / (1 + i t) on the circle
-    through 0 and w, for w = rho and its symmetry image sigma - rho, over a
-    log-spaced t grid (|t| in [1e-3, 1e3]); coarse local maxima are refined
-    by golden-section when no strictly positive slack appears on the grid.
-    A w whose whole anchor circle the disks cover (_circle_covered) is not
-    refined: no anchor on it can certify, so it keeps its grid slack.  The
-    screen decides no code, it only skips work, so the codes are those of
-    the full search; where neither circle of a rho is covered, slack,
-    anchor and image are too.  The grid still runs on every w: it is one
-    pass proportional to the points, while the refinement is SEARCH_ITERS
-    steps whose cost is nearly fixed, so skipping the grid too would leave
-    a scan's time to whether a few near misses happen to fall in it.
-    Returns (slack, anchor, symmetry_image) arrays; entries with slack >
-    EPS_ALG carry a certified line through rho or its symmetry image.
-    Raises PreconditionError when no anchor family is valid (p = q = 2).
+    For each rho the anchors a = w / (1 + i t), for w = rho and its
+    symmetry image sigma - rho, fill the circle with diameter [0, w] (less
+    the point 0, which lies in the closed disk at c2 and never certifies).
+    _circle_max finds the largest anchor slack on each circle exactly, at
+    a cost proportional to the points.  Returns (slack, anchor,
+    symmetry_image) arrays; entries with slack > EPS_ALG carry a certified
+    line through rho or its symmetry image.  Raises PreconditionError when
+    no anchor family is valid (p = q = 2).
     """
-    return _search_anchors(p, q, rho, screen=True)
+    return _search_anchors(p, q, rho, _circle_max)
 
 
 def cert_lambda(spec: GroupSpec) -> Certificate:
@@ -459,11 +419,12 @@ def cert_lambda(spec: GroupSpec) -> Certificate:
 def anchor_search(spec: GroupSpec) -> Certificate:
     """The LineFamily row for a single spec, with the anchor it found.
 
-    Unlike anchor_search_bulk it refines every w, covered circles
-    included, so the slack of a point it does not certify (which certify
-    reports) is the search's best anchor slack.
+    It searches each anchor circle on a t grid with golden-section
+    refinement (_grid_max), not in closed form like anchor_search_bulk: the
+    slack it reports is the best anchor slack found, at most the circle's
+    maximum.
     """
-    slack, anchor, w = _search_anchors(spec.p, spec.q, np.array([spec.rho]), screen=False)
+    slack, anchor, w = _search_anchors(spec.p, spec.q, np.array([spec.rho]), _grid_max)
     s = float(slack[0])
     detail = {
         "anchor": complex(anchor[0]),

@@ -26,6 +26,7 @@ from .mobius import (
     PreconditionError,
     UnsupportedError,
     gamma_of,
+    sin_sin,
     symmetry_image,
 )
 from .render import (
@@ -138,7 +139,7 @@ def cmd_certify(args) -> int:
             cert = cert_combined(spec, search=not args.no_search)
             finite = args.p != math.inf and args.q != math.inf
             branches = None
-            if finite and not (args.p == 2 and args.q == 2):
+            if finite and sin_sin(args.p, args.q) > 0.0:  # S underflows to 0 where p q passes ~2e324
                 branches = [_pair(b) for b in lambda_from_rho(spec)]
             doc = {
                 "input": {"p": str(args.p) if args.p == math.inf else args.p,

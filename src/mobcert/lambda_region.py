@@ -144,12 +144,15 @@ def lambda_slack_rho(p, q, rho):
     complex array rho; >= 0 means both inequalities hold.  A rho-plane
     length, and the same float for (q, p).  rho is halved first, so abs()
     of a finite complex cannot overflow; an E past the float maximum gives
-    +inf (an array warns unless overflow is ignored)."""
+    +inf (an array warns unless overflow is ignored).  E = 0 only where
+    h = 0 and S has underflowed to 0 (p q past ~2e324); the quotient's
+    numerator is 0 there too, so it is taken as 0 and the slack is -2."""
     _check_lambda_orders(p, q)
     s = sin_sin(p, q)
     h = rho / 2.0
     e = abs(h) + abs(h - 2.0 * s)
-    return e - 2.0 - 4.0 * (math.cos(pi_over(p)) * math.cos(pi_over(q))) * (abs(h.real - s) / e)
+    ratio = abs(h.real - s) / (e + (e == 0.0) if s == 0.0 else e)
+    return e - 2.0 - 4.0 * (math.cos(pi_over(p)) * math.cos(pi_over(q))) * ratio
 
 
 def rho_from_lambda(params: LambdaParams) -> tuple[complex, complex]:

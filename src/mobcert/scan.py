@@ -43,13 +43,14 @@ MODES = ("omega", "disks", "lambda", "combined", "burau")
 #: Fill value for rows that never completed (only seen via PartialScanError).
 CODE_UNSCANNED = 255
 
-#: Pixels per band, the unit of scan work (the anchor search's chunk size).
+#: Pixels per band, the unit of scan work and of parallelism.
 BAND_PIXELS = 4096
 
 
 @dataclass(frozen=True)
 class Window:
-    """A closed axis-aligned rectangle in the complex plane."""
+    """A closed axis-aligned rectangle in the complex plane, of finite
+    positive width and height (so finite bounds)."""
 
     re_min: float
     re_max: float
@@ -57,7 +58,8 @@ class Window:
     im_max: float
 
     def __post_init__(self):
-        if not (self.re_min < self.re_max and self.im_min < self.im_max):
+        width, height = self.re_max - self.re_min, self.im_max - self.im_min
+        if not (0.0 < width < np.inf and 0.0 < height < np.inf):
             raise InvalidInputError(f"degenerate window {self!r}")
 
 

@@ -17,11 +17,11 @@ from mobcert.certificates import (
     CODE_IM_BOUND,
     CODE_LAMBDA,
     CODE_LINE_FAMILY,
-    VERDICT_NONE,
     WITNESS_OF_CODE,
     _anchor_centers,
     _anchor_slack_at,
-    _circle_covered,
+    _circle_max,
+    _grid_max,
     _search_anchors,
     anchor_search,
     anchor_search_bulk,
@@ -290,19 +290,15 @@ class TestAnchorSearch:
             assert (slack <= EPS_ALG).all()
 
     def test_bulk_matches_scalar(self):
-        # The bulk search does not refine the covered anchor circles of the
-        # last two points, so their slack is the grid's; anchor_search
-        # refines them, which raises the slack but certifies neither.
+        # anchor_search, the grid search, certifies the points the closed
+        # form certifies, with at most its slack; the bulk anchor is a witness.
         rho = np.array([9.0 + 0.1j, 3.9 + 0.05j, 1.5 + 0.4j])
         slack, anchor, w = anchor_search_bulk(3, 3, rho)
-        centers = _anchor_centers(3, 3)
         for k, z in enumerate(rho):
             cert = anchor_search(GroupSpec(3, 3, complex(z)))
-            if k == 0:
-                assert not covered(centers, z) and abs(cert.slack - slack[k]) < 1e-9
-            else:
-                assert covered(centers, z) and covered(centers, sigma_pq(3, 3) - z)
-                assert cert.verdict == VERDICT_NONE and slack[k] < cert.slack <= EPS_ALG
+            assert cert.certified == (slack[k] > EPS_ALG) == (k == 0)
+            assert cert.slack <= slack[k] + 1e-12
+        assert cert_line_family(GroupSpec(3, 3, complex(w[0])), complex(anchor[0])).certified
 
     def test_order_two_families_excluded(self):
         # A disk family only anchors lines when its A-order is >= 3; with
@@ -324,129 +320,164 @@ SCREEN_ORDERS = st.sampled_from([2, 3, 4, 5, 9, 10**6, math.inf])
 FAR = [50.0, 50.0j, -50.0]  # three disks that miss every circle below
 
 
-def covered(centers, w) -> bool:
-    return bool(_circle_covered(np.asarray(centers), np.array([w], dtype=complex))[0])
+def circle_max(centers, w) -> tuple[float, complex]:
+    slack, anchor = _circle_max(np.asarray(centers, dtype=complex), np.array([w], dtype=complex))
+    return float(slack[0]), complex(anchor[0])
 
 
-class TestCircleScreen:
-    """_circle_covered, the screen that lets anchor_search_bulk skip the
-    refinement of a w: where it holds, no anchor on the circle with
-    diameter [0, w] certifies."""
+def sampled_max(centers, w, n=4000) -> float:
+    """The best anchor slack over n evenly spaced points of w's anchor circle."""
+    on_circle = w / 2.0 + abs(w) / 2.0 * np.exp(2j * np.pi * np.arange(n) / n)
+    return float(_anchor_slack_at(np.asarray(centers, dtype=complex), on_circle).max())
+
+
+def assert_witness(p, q, anchor, w):
+    """(anchor, w) is a line-family certificate under the family that anchors it."""
+    if anchor_slack(p, q, anchor)[1] == "swapped":
+        p, q = q, p
+    assert cert_line_family(GroupSpec(p, q, complex(w)), anchor).certified
+
+
+class TestCircleMax:
+    """_circle_max, the closed-form best anchor of anchor_search_bulk."""
 
     @given(
         p=SCREEN_ORDERS,
         q=SCREEN_ORDERS,
         modulus=st.one_of(
-            st.floats(min_value=0.0, max_value=1e-6),  # tiny, |w| <= EPS_ALG included
+            st.floats(min_value=EPS_ALG, max_value=1e-6, exclude_min=True),  # tiny
             st.floats(min_value=1e-6, max_value=12.0),  # standard
-            st.floats(min_value=12.0, max_value=1e6),  # huge
+            st.floats(min_value=12.0, max_value=1e300),  # huge
         ),
         theta=st.floats(min_value=0.0, max_value=2.0 * math.pi),
     )
     @settings(max_examples=80, deadline=None)
     @example(p=3, q=3, modulus=3.0, theta=0.0)  # rho = sigma
     @example(p=5, q=9, modulus=1.0, theta=0.3)
-    @example(p=3, q=4, modulus=2.2250738585072014e-308, theta=0.0)  # quotient overflow
-    def test_covered_circle_has_no_certified_anchor(self, p, q, modulus, theta):
+    @example(p=2, q=5, modulus=3.0, theta=0.1)  # c2 = c4: a pair without a bisector
+    def test_max_bounds_every_anchor(self, p, q, modulus, theta):
         assume(not (p == 2 and q == 2))
         centers = _anchor_centers(p, q)
         w = modulus * cmath.exp(1j * theta)
-        if covered(centers, w):
-            on_circle = w / 2.0 + abs(w) / 2.0 * np.exp(2j * np.pi * np.arange(4000) / 4000)
-            assert _anchor_slack_at(centers, on_circle).max() <= EPS_ALG
-        # the unscreened search at rho = w searches w and sigma - w; a
-        # certified anchor's circle is never covered
-        slack, anchor, best_w = _search_anchors(p, q, np.array([w]), screen=False)
-        if slack[0] > EPS_ALG:
-            assert not covered(centers, best_w[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            slack, anchor = circle_max(centers, w)
+            assert slack >= sampled_max(centers, w) - 1e-12 * (1.0 + abs(w))
+        assert abs(abs(anchor - w / 2.0) - abs(w) / 2.0) <= 1e-13 * abs(w)  # on the circle
+        assert _anchor_slack_at(centers, np.array([anchor]))[0] == slack
+
+    def test_center_on_the_circle_center(self):
+        # a disk centered at m = w/2 is at distance R from the whole circle:
+        # it has no far point, and the maximum lies where another disk ties
+        # with it or at another disk's far point
+        for centers in ([[1.0, *FAR]], [[1.0, 2.5 + 1.0j, *FAR[:2]]], [[1.0, 1.0 - 0.8j, *FAR[:2]]]):
+            slack, anchor = circle_max(centers, 2.0)
+            assert abs(abs(anchor - 1.0) - 1.0) < 1e-15
+            assert slack >= sampled_max(centers, 2.0) - 1e-12
+        assert circle_max([[1.0, *FAR]], 2.0)[0] == -1.0
+
+    def test_equal_centers(self):
+        # two equal centers have no bisector; the family is decided by the
+        # other candidates, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for w in (5.0, 2.0 + 3.0j, 0.5j):
+                centers = [[1.5, 1.5, *FAR[:2]]]
+                slack, _ = circle_max(centers, w)
+                assert slack >= sampled_max(centers, w) - 1e-12
+                assert slack == circle_max([[1.5, *FAR]], w)[0]
+
+
+class TestCircleScreen:
+    """Pinned cases of the anchor circle (they once tested the arc-cover
+    screen that anchor_search_bulk used before its closed form), checked
+    against _circle_max, anchor_search_bulk and the grid search."""
 
     def test_one_disk_holds_the_circle(self):
-        assert covered([[1.0, *FAR]], 2.0)  # concentric
-        assert covered([[0.5 + 0.5j, *FAR]], 1.0j)
+        # the circle inside one disk: every anchor is uncertified
+        for centers, w in (([[1.0, *FAR]], 2.0), ([[0.5 + 0.5j, *FAR]], 1.0j)):  # concentric, inside
+            slack, _ = circle_max(centers, w)
+            assert slack <= EPS_ALG and slack >= sampled_max(centers, w) - 1e-12
         # w = 5 lies 1.5 outside the same disk, and so does part of its circle
-        assert not covered([[1.5, *FAR]], 5.0)
+        assert circle_max([[1.5, *FAR]], 5.0) == (1.5, 5.0)
 
     def test_tangent_circles(self):
         # inside the radius-2 disk, touching its boundary at w:
         # |c - w/2| + |w|/2 = 2
-        assert covered([[1.5, *FAR]], 3.5)
-        # reaching 4 EPS_ALG past it: w itself is an anchor with slack > EPS_ALG
+        assert circle_max([[1.5, *FAR]], 3.5) == (0.0, 3.5)
+        # reaching 4 EPS_ALG past it: w itself is the best anchor
         w = 3.5 + 4 * EPS_ALG
-        assert _anchor_slack_at(np.array([[1.5, *FAR]]), np.array([w]))[0] > EPS_ALG
-        assert not covered([[1.5, *FAR]], w)
-        # outside the disk, touching it: the disk covers no arc
-        assert not covered([[-2.0, *FAR]], 1.0)
-        # two disks whose boundaries cross the circle at 0 and at w: their
-        # arcs, the two half circles, meet and leave two gaps of length 0
+        slack, anchor = circle_max([[1.5, *FAR]], w)
+        assert slack > EPS_ALG and anchor == w
+        # outside the disk, touching it at 0: the far point, w, is 1 outside
+        assert circle_max([[-2.0, *FAR]], 1.0) == (1.0, 1.0)
+        # two disks whose boundaries cross the circle at 0 and at w: every
+        # anchor lies in one of them, the tie points 0 and w on both
         s3 = math.sqrt(3.0)
-        assert covered([[1.0 + s3 * 1j, 1.0 - s3 * 1j, 50.0, 50.0j]], 2.0)
+        centers = [[1.0 + s3 * 1j, 1.0 - s3 * 1j, 50.0, 50.0j]]
+        slack, anchor = circle_max(centers, 2.0)
+        assert abs(slack) < 1e-15 and min(abs(anchor), abs(anchor - 2.0)) < 1e-15
 
     @pytest.mark.parametrize("p,q", [(3, 3), (3, 5), (4, 7), (5, 9), (math.inf, math.inf)])
     def test_rho_zero_and_sigma(self, p, q):
-        # w = sigma is covered and w = 0 is too small to search, so the bulk
-        # search refines neither point; the full search certifies neither.
+        # w = 0 is skipped and the circle of w = sigma lies in the disks:
+        # neither point certifies, and the closed form is the circle's
+        # maximum, at least the grid's best anchor
         sigma = sigma_pq(p, q)
-        assert covered(_anchor_centers(p, q), sigma)
         rho = np.array([0.0, sigma], dtype=complex)
-        bulk = anchor_search_bulk(p, q, rho)[0]
-        full = _search_anchors(p, q, rho, screen=False)[0]
-        assert (bulk <= full).all() and (full <= EPS_ALG).all()
+        bulk = anchor_search_bulk(p, q, rho)
+        grid = _search_anchors(p, q, rho, _grid_max)
+        assert (grid[0] <= bulk[0]).all() and (bulk[0] <= EPS_ALG).all()
+        assert (bulk[2] == sigma).all()  # each point's searched circle: w = sigma
+        if sigma:  # sigma = 0 for (inf, inf): no circle to search
+            assert bulk[0][0] == bulk[0][1] == circle_max(_anchor_centers(p, q), sigma)[0]
 
     @pytest.mark.parametrize("p,q", [(2, 5), (5, 2), (2, math.inf)])
     def test_single_order_two_family(self, p, q):
+        # one family, whose c2 and c4 agree up to rounding
         centers = _anchor_centers(p, q)
-        assert centers.shape == (1, 4)
-        assert covered(centers, 0.5 + 0.2j)
-        assert not covered(centers, 9.0 + 0.1j)
-        assert anchor_search_bulk(p, q, np.array([9.0 + 0.1j]))[0][0] > EPS_ALG
+        assert centers.shape == (1, 4) and abs(centers[0, 1] - centers[0, 3]) < 1e-15
+        for w in (0.5 + 0.2j, 9.0 + 0.1j):
+            slack, anchor = circle_max(centers, w)
+            assert slack >= sampled_max(centers, w) - 1e-12
+            assert (slack > EPS_ALG) == (w == 9.0 + 0.1j)
+        slack, anchor, w = anchor_search_bulk(p, q, np.array([9.0 + 0.1j]))
+        assert slack[0] > EPS_ALG
+        assert_witness(p, q, complex(anchor[0]), w[0])
 
     def test_tiny_w(self):
-        # a circle of diameter <= EPS_ALG is about the point 0: covered iff 0
-        # lies in a disk of every family, and decided without a warning
+        # anchor_search_bulk skips a w with |w| <= EPS_ALG, about the point
+        # 0; a circle just larger is decided like any other; no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for w in (0.0, EPS_ALG, 1e-13j, 2.2250738585072014e-308, 5e-324):
-                assert covered(_anchor_centers(3, 3), w)
-                assert not covered([[3.0, *FAR]], w)
+            tiny = np.array([0.0, EPS_ALG, 1e-13j, 2.2250738585072014e-308, 5e-324])
+            slack, anchor, w = anchor_search_bulk(3, 3, tiny)
+            assert (slack <= EPS_ALG).all() and (w == sigma_pq(3, 3) - tiny).all()
+            for w in (2 * EPS_ALG, 1e-11j):
+                assert circle_max(_anchor_centers(3, 3), w)[0] < 0.0  # 0 lies in the disk at c2
+                assert circle_max([[3.0, *FAR]], w)[0] > 0.99
 
     @pytest.mark.parametrize(
         "p,q", [(3, 3), (3, 4), (5, 9), (2, 5), (3, math.inf), (math.inf, math.inf), (10**6, 7)]
     )
     @pytest.mark.parametrize("window", [(-3.0, 6.0, -4.5, 4.5), (0.2, 1.2, -0.5, 0.5)])
     def test_screen_keeps_every_certified_point(self, p, q, window):
-        # every residual pixel of a 48 x 48 scan: the screened and the full
-        # search certify the same points (the second window lies inside Omega)
+        # every residual pixel of a 48 x 48 scan: the closed form and the
+        # grid search certify the same points, the closed form's slack is
+        # never below the grid's, and each certified anchor is a witness
+        # (the second window lies inside Omega)
         xs = np.linspace(window[0], window[1], 48)
         ys = np.linspace(window[2], window[3], 48)
         grid = (xs[None, :] + 1j * ys[:, None]).ravel()
         residual = grid[combined_codes_array(p, q, grid, search=False) == 0]
         assert residual.size
-        screened = anchor_search_bulk(p, q, residual)
-        full = _search_anchors(p, q, residual, screen=False)
-        assert np.array_equal(screened[0] > EPS_ALG, full[0] > EPS_ALG)
-        assert (screened[0] <= full[0]).all()
-        # where neither circle is covered the two searches are the same
-        centers = _anchor_centers(p, q)
-        sigma = sigma_pq(p, q)
-        both_open = ~_circle_covered(centers, residual) & ~_circle_covered(centers, sigma - residual)
-        for got, want in zip(screened, full):
-            assert np.array_equal(got[both_open], want[both_open])
-
-    @pytest.mark.parametrize("p,q", [(3, 3), (5, 9), (2, 5), (math.inf, math.inf)])
-    def test_one_refinement_pass_matches_one_per_bracket(self, p, q, monkeypatch):
-        # With nothing covered, anchor_search_bulk refines every near miss,
-        # all brackets in one pass, and anchor_search one pass per bracket:
-        # slack, anchor and image agree bit for bit.
-        monkeypatch.setattr(certificates, "_circle_covered", lambda centers, w: np.zeros(w.shape, bool))
-        xs = np.linspace(-3.0, 6.0, 24)
-        ys = np.linspace(-4.5, 4.5, 24)
-        grid = (xs[None, :] + 1j * ys[:, None]).ravel()
-        residual = grid[combined_codes_array(p, q, grid, search=False) == 0]
         bulk = anchor_search_bulk(p, q, residual)
-        full = _search_anchors(p, q, residual, screen=False)
-        assert (full[0] <= EPS_ALG).sum() > 10  # refined points
-        for got, want in zip(bulk, full):
-            assert np.array_equal(got, want)
+        oracle = _search_anchors(p, q, residual, _grid_max)
+        assert np.array_equal(bulk[0] > EPS_ALG, oracle[0] > EPS_ALG)
+        assert (bulk[0] >= oracle[0] - 1e-12).all()
+        certified = bulk[0] > EPS_ALG
+        for anchor, w in zip(bulk[1][certified], bulk[2][certified]):
+            assert_witness(p, q, complex(anchor), w)
 
 
 def canonical_anchors(p, q) -> list[complex]:

@@ -111,6 +111,21 @@ class TestCertify:
         assert report["certified_faithful"] and mask[0]
         assert None not in cert["lambda_branches"]
 
+    def test_underflowed_s_has_no_lambda_branches(self, capsys):
+        # at p = q = 10**200, S = sin(pi/p) sin(pi/q) underflows to 0 and the
+        # lambda coordinate does not exist in floats: null branches, exit 0
+        order = str(10**200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(
+                capsys, "certify", "--p", order, "--q", order, "--rho", "1", "--rho", "0", "--no-search",
+            )
+        assert rc == 0 and err == ""
+        docs = [json.loads(line, parse_constant=reject) for line in out.splitlines()]
+        assert [doc["lambda_branches"] for doc in docs] == [None, None]
+        assert [doc["verdict"] for doc in docs] == ["NoCertificate", "NoCertificate"]
+        assert docs[1]["slack"] == -2.0  # the lambda row at rho = 0
+
     def test_no_search_still_runs(self, capsys):
         rc, out, _ = run(
             capsys, "certify", "--p", "3", "--q", "3", "--no-search", "--rho", "9",
@@ -227,6 +242,17 @@ class TestScan:
                   "--res", "4", "--out", "x"])
         assert ei.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("window", ["0,inf,0,1", "-1.7e308,1.7e308,0,1", "nan,1,0,1"])
+    def test_non_finite_window_exits_2(self, capsys, tmp_path, window):
+        # an infinite bound or an overflowing width, like a nan bound, is a
+        # degenerate window: no CSV full of inf, no JSON Infinity
+        with pytest.raises(SystemExit) as ei:
+            main(["scan", "--p", "3", "--q", "4", f"--window={window}",
+                  "--res", "4", "--out", str(tmp_path / "x")])
+        assert ei.value.code == 2
+        assert "degenerate window" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_backend_choice(self, capsys):
         # numpy is the only backend; --backend is no longer an option.

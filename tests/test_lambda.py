@@ -305,6 +305,22 @@ class TestRhoPlaneSlack:
                 scale = s * (r + 1.0 / r) + 2.0
                 assert math.isclose(slack, s * quad / r, rel_tol=1e-12, abs_tol=1e-12 * scale)
 
+    def test_underflowed_s(self):
+        # p q past ~2e324: S is 0, so E = 0 at rho = 0; the slack there is
+        # -2 for a scalar and an array, without an error or a warning, and
+        # is E - 2 - 4 cos cos |Re h - S| / E everywhere else
+        p = q = 10**200
+        assert sin_sin(p, q) == 0.0
+        rho = np.array([0.0, 5e-324, 1.0, -2.0 + 0.5j, 1e-300j, 3.0 + 4.0j])  # 5e-324 / 2 is 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lambda_slack_rho(p, q, 0j) == -2.0
+            slack = lambda_slack_rho(p, q, rho)
+        assert (slack[:2] == -2.0).all()
+        h = rho[2:] / 2.0
+        e = 2.0 * np.abs(h)
+        assert np.array_equal(slack[2:], e - 2.0 - 4.0 * (np.abs(h.real) / e))
+
 
 class TestBoundary:
     @given(

@@ -1,6 +1,7 @@
 """Scan jobs: windowing, mode semantics, determinism, bands, partial failure."""
 
 import hashlib
+import math
 import sys
 import threading
 import warnings
@@ -29,6 +30,22 @@ class TestValidation:
             Window(1.0, 1.0, 0.0, 2.0)
         with pytest.raises(InvalidInputError):
             Window(0.0, 1.0, 2.0, -2.0)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            (0.0, math.inf, 0.0, 1.0),
+            (-math.inf, 0.0, 0.0, 1.0),
+            (0.0, 1.0, -math.inf, math.inf),
+            (math.nan, 1.0, 0.0, 1.0),
+            (-1.7e308, 1.7e308, 0.0, 1.0),  # the width overflows
+            (0.0, 1.0, -1e308, 1e308),  # the height overflows
+        ],
+    )
+    def test_window_must_be_finite(self, bounds):
+        with pytest.raises(InvalidInputError, match="degenerate window"):
+            Window(*bounds)
+        Window(-8.9e307, 8.9e307, -1.0, 1.0)  # a finite width near the float maximum
 
     def test_job_rejects_bad_mode_and_resolution(self):
         win = Window(0.0, 1.0, 0.0, 1.0)
