@@ -7,16 +7,17 @@ The reduced Burau representation at t = mu sends the braid generators to
     B = (1/sqrt(-mu)) [[1, 0], [mu, -mu]],
 
 a conjugate pair with the braid relation A B A = B A B.  Writing
-z = sqrt(mu) - 1/sqrt(mu), the pair carries the lambda branches
-sqrt(3) lambda = z +- sqrt(z^2 + 3) (branch product -1) of a (3, 2)
-marked pair, and the parameter rho = sqrt(3) + i z.  The representation
-is certified faithful when the larger branch satisfies the closed (3, 2)
-lambda inequality |lambda| >= sqrt(3) -- equivalently |z +- sqrt(z^2+3)|
-reaches 3 -- except at the single boundary point mu = -1, the known
-unfaithful specialization.
+z = sqrt(mu) - 1/sqrt(mu), the pair is the (3, 2) marked pair with
+parameter rho = sqrt(3) + i z, whose lambda branches are
+sqrt(3) lambda = z +- sqrt(z^2 + 3) (lam - 1/lam = 2z/sqrt(3), branch
+product -1).  The representation is certified faithful when rho passes
+the LambdaRegion row of the cascade at (3, 2) -- the closed inequality
+|lambda| >= sqrt(3) -- except at the single boundary point mu = -1, the
+known unfaithful specialization.  The scalar certificate, the burau scan
+mode and the cascade thus share one slack, lambda_slack_rho, and one rule.
 
-Where z^2 overflows (|mu| below ~1e-308) the large branch is taken
-without squaring z, so a tiny mu gets a finite branch and slack.
+rho is finite for every finite mu != 0 (|z| <= 4.5e161), so a tiny mu gets
+a finite slack and, where z^2 overflows, finite branches.
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ import numpy as np
 from .certificates import (
     CODE_LAMBDA,
     CODE_NONE,
+    LAMBDA_REGION,
     Certificate,
     VERDICT_FAITHFUL,
     VERDICT_NONE,
 )
-from .lambda_region import lambda_slack
+from .lambda_region import lambda_branches
 from .mobius import EPS_ALG, InvalidInputError, mat2c
 
 SQRT3 = math.sqrt(3.0)
@@ -82,46 +84,33 @@ class BurauPoint:
     rho: complex  # sqrt(3) + i z = i sqrt(mu) + sqrt(3) - i/sqrt(mu)
 
 
-def _big_root(z, sqrt):
-    """The larger root z +- sqrt(z^2 + 3) as z (1 + sqrt(1 + 3/z^2)), with z unsquared."""
-    v = SQRT3 / z
-    return z * (1.0 + sqrt(1.0 + v * v))
-
-
 def mu_coordinates(mu: complex) -> BurauPoint:
-    """z, both lambda branches (sqrt(3) lam = z +- sqrt(z^2+3)) and rho."""
+    """z, rho and both lambda branches (lam - 1/lam = 2z/sqrt(3))."""
     mu = _check_mu(mu)
     r = cmath.sqrt(mu)
     z = r - 1.0 / r
-    zz = z * z
-    if cmath.isfinite(zz):
-        root = cmath.sqrt(zz + 3.0)
-        b1 = (z + root) / SQRT3
-        b2 = (z - root) / SQRT3
-        if abs(b1) < abs(b2):
-            b1, b2 = b2, b1
-    else:
-        b1 = _big_root(z, cmath.sqrt) / SQRT3
-        b2 = -1.0 / b1
-    return BurauPoint(mu=mu, z=z, lam=b1, lam_other=b2, rho=SQRT3 + 1j * z)
+    lam, lam_other = lambda_branches(2.0 * z / SQRT3)
+    return BurauPoint(mu=mu, z=z, lam=lam, lam_other=lam_other, rho=SQRT3 + 1j * z)
 
 
 def faithful_certificate(mu: complex) -> Certificate:
     """Faithfulness certificate for the Burau specialization at mu.
 
-    Faithful iff the larger branch reaches |z + sqrt(z^2+3)| >= 3 -- the
-    closed (3, 2) lambda inequality |lambda| >= sqrt(3) -- and mu != -1;
-    boundary equality is accepted everywhere except that single point.
-    The detail carries z, rho and the lambda branches (larger first).
+    Faithful iff rho passes the closed LambdaRegion row at (3, 2) -- the
+    larger branch has |lambda| >= sqrt(3) -- and mu != -1; boundary
+    equality is accepted everywhere except that single point.  The slack
+    is the row's rho-plane slack, about (|lambda| - sqrt(3))/sqrt(3) near
+    the boundary.  The detail carries z, rho and the lambda branches
+    (larger first).
     """
     pt = mu_coordinates(mu)
-    slack = lambda_slack(3, 2, pt.lam)
+    slack = LAMBDA_REGION.slack(3, 2, pt.rho)
     detail = {"z": pt.z, "lambda_branches": (pt.lam, pt.lam_other), "rho": pt.rho}
     if abs(pt.mu + 1.0) <= EPS_ALG:
         detail["exception"] = "mu = -1"
         return Certificate(VERDICT_NONE, None, slack, CODE_NONE, detail)
-    if slack >= -EPS_ALG:
-        return Certificate(VERDICT_FAITHFUL, "LambdaRegion", slack, CODE_LAMBDA, detail)
+    if LAMBDA_REGION.passes(slack):
+        return Certificate(VERDICT_FAITHFUL, LAMBDA_REGION.witness, slack, CODE_LAMBDA, detail)
     return Certificate(VERDICT_NONE, None, slack, CODE_NONE, detail)
 
 
@@ -159,22 +148,13 @@ def annulus_report(mu: complex) -> AnnulusReport:
 
 
 def burau_slack_array(mu: np.ndarray) -> np.ndarray:
-    """Vectorized faithfulness slack max|z +- sqrt(z^2+3)| - 3.
-
-    Equals sqrt(3) times the (3, 2) lambda slack of the larger branch;
-    nonnegative (and mu != -1) certifies faithfulness.
-    """
+    """The LambdaRegion row's slack at (3, 2) on rho(mu) = sqrt(3) + i z,
+    over an array of mu; where it passes (and mu != -1) faithfulness is
+    certified.  mu = 0 gives NaN, without a warning."""
     mu = np.asarray(mu, dtype=complex)
-    r = np.sqrt(mu)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        z = r - 1.0 / r
-        zz = z * z
-        root = np.sqrt(zz + 3.0)
-        big = np.maximum(np.abs(z + root), np.abs(z - root))
-        far = ~np.isfinite(zz)
-        if far.any():
-            big[far] = np.abs(_big_root(z[far], np.sqrt))
-    return big - 3.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.sqrt(mu)
+        return LAMBDA_REGION.slack(3, 2, SQRT3 + 1j * (r - 1.0 / r))
 
 
 def faithful_mask(mu: np.ndarray) -> np.ndarray:
@@ -182,5 +162,5 @@ def faithful_mask(mu: np.ndarray) -> np.ndarray:
     where the representation is undefined)."""
     mu = np.asarray(mu, dtype=complex)
     with np.errstate(invalid="ignore"):
-        ok = burau_slack_array(mu) >= -EPS_ALG * SQRT3
+        ok = LAMBDA_REGION.passes(burau_slack_array(mu))
     return ok & (np.abs(mu + 1.0) > EPS_ALG) & (mu != 0)

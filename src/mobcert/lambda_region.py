@@ -24,14 +24,18 @@ u = (rho - sigma/2)/S = +-(lam + 1/lam), and its focal sum over +-2 gives
 E = S(|lam| + 1/|lam|) and |Re rho - sigma/2| = E |Re lam| / |lam|; with
 S csc_p csc_q = 1 and S cot_p cot_q = cos_p cos_q, slack = S Q(lam) / |lam|.
 
-The lambda-space slacks serve the Burau (3, 2) test and the tests; there a
-lambda past the float maximum (the branch inf+nanj of a huge rho) has slack +inf.
+The cascade's LambdaRegion row, which also decides Burau faithfulness, is
+lambda_slack_rho.  The lambda-space slacks are the references the tests
+check it against; there a lambda past the float maximum (the branch inf+nanj
+of a huge rho) has slack +inf.  lambda_branches solves lam - 1/lam = w for
+every reported branch pair, of a rho and of a Burau mu.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,28 +172,49 @@ def rho_from_lambda(params: LambdaParams) -> tuple[complex, complex]:
     return rm, rp
 
 
+def lambda_branches(w: complex) -> tuple[complex, complex]:
+    """The two roots of lam - 1/lam = w, largest modulus first.
+
+    The large root is (w +- sqrt(w^2 + 4))/2 with the sign that does not
+    cancel, or w (1/2 + sqrt(1 + (2/w)^2)/2) where w^2 overflows.  The small
+    root is -1/large, which keeps its digits where |w| is large.
+    """
+    ww = w * w
+    if cmath.isfinite(ww):
+        root = cmath.sqrt(ww + 4.0)
+        big = max((w + root) / 2.0, (w - root) / 2.0, key=abs)
+    else:
+        v = 2.0 / w
+        big = w * (0.5 + 0.5 * cmath.sqrt(1.0 + v * v))
+    return big, -1.0 / big
+
+
 def lambda_from_rho(spec: GroupSpec) -> tuple[complex, complex]:
     """The two lambda branches of a rho value, largest modulus first.
 
-    Solves S^2 (lam - 1/lam)^2 = gamma = rho (rho - sigma); the branch
-    product is -1, so the branches are lam and -1/lam.  rho = 0 and
-    rho = sigma give the degenerate branches lam = +-1 (still returned).
-    Where gamma overflows (|rho| of order 1e154 S and beyond) the large
-    branch comes from _big_branch_rescaled, possibly negated.
+    lambda_branches(w), w = sqrt(gamma) / S, gamma = rho (rho - sigma).
+    rho = 0 and rho = sigma give the degenerate branches lam = +-1.  Where
+    w^2 overflows (|rho| from about 1e154 S), gamma is formed with rho
+    scaled by m = max(|Re rho|, |Im rho|), which may negate lam (the slack
+    is invariant under lam -> -lam); past the float maximum the branches
+    are non-finite.  Raises InvalidInputError where S underflows to 0.
     """
     _check_lambda_orders(spec.p, spec.q)
     s = sin_sin(spec.p, spec.q)
+    if s == 0.0:
+        raise InvalidInputError("sin(pi/p) sin(pi/q) underflows to 0 at these orders: no lambda coordinate")
     rho = spec.rho
     gamma = rho * (rho - 4.0 * s)
-    w = cmath.sqrt(gamma / (s * s))
-    r1 = (w + cmath.sqrt(w * w + 4.0)) / 2.0
-    r2 = (w - cmath.sqrt(w * w + 4.0)) / 2.0
-    if not (cmath.isfinite(r1) and cmath.isfinite(r2)):
-        big = complex(_big_branch_rescaled(s, np.array([rho]))[0])
-        return big, -1.0 / big
-    if abs(r1) >= abs(r2):
-        return r1, r2
-    return r2, r1
+    if s * s >= sys.float_info.min:
+        w = cmath.sqrt(gamma / (s * s))
+    else:  # S^2 is subnormal or 0 (p q past ~1e154): do not divide by it
+        w = cmath.sqrt(gamma) / s
+    if not cmath.isfinite(w * w):  # rescale rho, in numpy: certify's output bytes carry its rounding
+        m = max(abs(rho.real), abs(rho.imag))
+        u = np.array([rho]) / m
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = complex((np.sqrt(u * (u - 4.0 * s / m)) / s * m)[0])
+    return lambda_branches(w)
 
 
 def lambda_boundary(p, q, theta: float, sign: int) -> complex:
@@ -241,22 +266,3 @@ def lambda_slack_array(p, q, lam: np.ndarray) -> np.ndarray:
     s_plus = rhs - np.abs(lam * cot_q + cot_p) - csc_p
     s_minus = rhs - np.abs(lam * cot_q - cot_p) - csc_p
     return np.minimum(s_plus, s_minus)
-
-
-def _big_branch_rescaled(s: float, rho: np.ndarray) -> np.ndarray:
-    """The large lambda branch of rho without squaring anything huge.
-
-    Forms gamma with rho scaled by m = max(|Re rho|, |Im rho|), so
-    w = sqrt(gamma) / S stays finite wherever the large branch is, and takes
-    lam = w (1 + sqrt(1 + (2/w)^2)) / 2, the root of lam - 1/lam = w whose
-    modulus is largest.  The sign of w, hence of lam, may differ from the
-    direct formula; the lambda slack is invariant under lam -> -lam.  Past
-    the float maximum the result is non-finite, without a warning.
-    """
-    m = np.maximum(np.abs(rho.real), np.abs(rho.imag))
-    u = rho / m
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = np.sqrt(u * (u - 4.0 * s / m)) / s * m
-        v = 2.0 / w
-        return w * (0.5 + 0.5 * np.sqrt(1.0 + v * v))
-

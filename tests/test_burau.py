@@ -1,6 +1,7 @@
 """Specialized Burau representation of B_3: faithfulness certificate."""
 
 import cmath
+import hashlib
 import math
 import warnings
 
@@ -19,10 +20,21 @@ from mobcert.burau import (
     faithful_mask,
     mu_coordinates,
 )
+from mobcert.certificates import LAMBDA_REGION
+from mobcert.lambda_region import lambda_slack, lambda_slack_rho
 from mobcert.mobius import EPS_ALG, InvalidInputError, det2, inv2, sigma_pq, tr2
+from mobcert.render import scan_csv, scan_pgm
+from mobcert.scan import ScanJob, Window, run_scan
 
 SQRT3 = math.sqrt(3.0)
 MU_SHARP = (3.0 + math.sqrt(5.0)) / 2.0
+
+
+def row_slack_of_modulus(r):
+    """The (3, 2) rho-plane lambda slack S Q(lam) / |lam| at |lam| = r >= 1:
+    S = sqrt(3)/2, Q = r^2 + 1 - 4 r / sqrt(3) (cot(pi/2) = 0)."""
+    return SQRT3 / 2.0 * (r - 4.0 / SQRT3 + 1.0 / r)
+
 
 mu_values = st.complex_numbers(
     min_magnitude=0.01, max_magnitude=30.0, allow_nan=False, allow_infinity=False
@@ -105,24 +117,39 @@ class TestCoordinates:
         assert abs(pt.lam * pt.lam_other + 1.0) < 1e-12
         assert cert.verdict == "Faithful" and ok
         assert math.isfinite(cert.slack) and math.isfinite(slack)
-        assert math.isclose(slack, SQRT3 * abs(pt.lam) - 3.0, rel_tol=1e-12)
+        # the rho-plane slack of the (3, 2) lambda row, about |rho| here
+        assert math.isclose(slack, cert.slack, rel_tol=1e-12)
+        assert math.isclose(slack, row_slack_of_modulus(abs(pt.lam)), rel_tol=1e-12)
 
     def test_finite_square_keeps_the_direct_formula(self):
-        # where z^2 is finite the branches and the slack keep their bits
+        # where w^2 = (2z/sqrt(3))^2 is finite the large branch is the direct
+        # root (w +- sqrt(w^2 + 4))/2, bit for bit, and the slack is the
+        # LambdaRegion row's on the array rho(mu), bit for bit
         mu = np.array([1e-300, 1e300, 2.0 + 1.0j, -0.5 + 0.2j])
         r = np.sqrt(mu)
-        z = r - 1.0 / r
-        root = np.sqrt(z * z + 3.0)
-        want = np.maximum(np.abs(z + root), np.abs(z - root)) - 3.0
-        assert (burau_slack_array(mu) == want).all()
+        rho = SQRT3 + 1j * (r - 1.0 / r)
+        assert (burau_slack_array(mu) == lambda_slack_rho(3, 2, rho)).all()
         for m in mu:
             m = complex(m)
             rs = cmath.sqrt(m)
-            zs = rs - 1.0 / rs
-            root_s = cmath.sqrt(zs * zs + 3.0)
-            branches = {(zs + root_s) / SQRT3, (zs - root_s) / SQRT3}
+            w = 2.0 * (rs - 1.0 / rs) / SQRT3
+            root = cmath.sqrt(w * w + 4.0)
             pt = mu_coordinates(m)
-            assert {pt.lam, pt.lam_other} == branches
+            assert pt.lam == max((w + root) / 2.0, (w - root) / 2.0, key=abs)
+            assert pt.lam_other == -1.0 / pt.lam
+
+    @pytest.mark.parametrize("mu", [1e16j, 1e308])
+    def test_small_branch_keeps_its_digits(self, mu):
+        # the small branch is -1/lam: a difference of two terms of size |z|
+        # would read lam lam' + 1 = -0.40 at 1e16j and a small branch of
+        # exactly 0 at 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pt = mu_coordinates(mu)
+        assert abs(pt.lam * pt.lam_other + 1.0) < 1e-15
+        w = 2.0 * pt.z / SQRT3
+        assert abs(pt.lam + pt.lam_other - w) < 1e-15 * abs(w)
+        assert pt.lam_other != 0
 
 
 class TestFaithfulness:
@@ -153,10 +180,29 @@ class TestFaithfulness:
     def test_reference_values(self):
         assert faithful_certificate(9.0 + 0.0j).certified
         assert faithful_certificate(3.0 + 0.0j).certified
-        # branches +-sqrt(3): the modulus 3 is not reached
-        assert not faithful_certificate(1.0 + 0.0j).certified
+        # branches +-1: |lambda| = sqrt(3) is not reached; slack sqrt(3) - 2
+        c1 = faithful_certificate(1.0 + 0.0j)
+        assert not c1.certified
+        assert math.isclose(c1.slack, SQRT3 - 2.0, rel_tol=1e-15)
+        # z = 8/3, |lambda| = (8 + sqrt(91)) / (3 sqrt(3))
         c9 = faithful_certificate(9.0 + 0.0j)
-        assert c9.slack > 1.6
+        assert math.isclose(c9.slack, row_slack_of_modulus((8.0 + math.sqrt(91.0)) / (3.0 * SQRT3)), rel_tol=1e-15)
+        assert c9.slack > 1.1
+
+    def test_slack_band_is_in_rho_plane_units(self):
+        # the closed rule slack >= -EPS_ALG is applied to the rho-plane slack,
+        # about (|lambda| - sqrt(3)) / sqrt(3) near the boundary, so it admits
+        # |lambda| >= sqrt(3) - 1.7e-12.  Here |lambda| = sqrt(3) - 1.3e-12:
+        # Faithful, where the lambda-space rule |lambda| - sqrt(3) >= -EPS_ALG
+        # gave NoCertificate
+        mu = -0.9848190887401111 + 0.014954296729401247j
+        pt = mu_coordinates(mu)
+        assert -2e-12 < lambda_slack(3, 2, pt.lam) < -EPS_ALG
+        cert = faithful_certificate(mu)
+        assert cert.verdict == "Faithful"
+        assert -EPS_ALG <= cert.slack < 0.0
+        assert math.isclose(cert.slack, lambda_slack(3, 2, pt.lam) / SQRT3, rel_tol=1e-2)
+        assert faithful_mask(np.array([mu]))[0]
 
     @given(mu=mu_values)
     @settings(max_examples=60, deadline=None)
@@ -214,10 +260,40 @@ class TestAnnuli:
             assert bool(ok) == faithful_certificate(complex(m)).certified
 
     def test_slack_array_matches_scalar(self):
+        # both are the LambdaRegion row's slack at rho(mu), S Q(lam) / |lam|
+        # of the larger branch
         rng = np.random.default_rng(2)
         mu = rng.normal(0, 2, 30) + 1j * rng.normal(0, 2, 30)
         mu = mu[np.abs(mu) > 0.05]
         arr = burau_slack_array(mu)
         for v, m in zip(arr, mu):
             pt = mu_coordinates(complex(m))
-            assert abs(v - (SQRT3 * abs(pt.lam) - 3.0)) < 1e-9
+            assert abs(v - faithful_certificate(complex(m)).slack) < 1e-14
+            assert abs(v - LAMBDA_REGION.slack(3, 2, pt.rho)) < 1e-14
+            assert abs(v - row_slack_of_modulus(abs(pt.lam))) < 1e-9
+
+    @pytest.mark.parametrize(
+        "window, res, csv_sha, pgm_sha",
+        [
+            (  # the standard mu window
+                (-4.0, 4.0, -4.0, 4.0), 64,
+                "9be437aa772bbca3cc667caf03ce08b2fd1e0082d0a16f5356bdc96245710aa3",
+                "abba2560041c6afa57d3ec7a7042fd88d59f7e3f6a74eea0b4d22ecf64a4e0f4",
+            ),
+            (  # tiny mu: z^2 overflows on every pixel
+                (-1e-300, 1e-300, -1e-300, 1e-300), 64,
+                "ccae8a9a95d139b3a793a4433dcd154c6339210ba98b8e499e4a868901152ca2",
+                "e1fb2d3f6d649a3427ca48c47b381c45723b81d80d88bf6157f3d0e2647d3b3c",
+            ),
+            (  # around mu = -1, a pixel centre on it
+                (-1.02, -0.98, -0.02, 0.02), 63,
+                "66cb7a8c9e8d2252bc31cb6db271ab1503b5d3e6f7a4aa5c687efc486c7957ac",
+                "2cc578dea3fab8f90083d13ecfd2d01c9d0d4750f3bebd4506bf626f5dbb3a32",
+            ),
+        ],
+    )
+    def test_burau_scan_digests_pinned(self, window, res, csv_sha, pgm_sha):
+        # recorded when the burau scan thresholded sqrt(3)|lambda| - 3
+        result = run_scan(ScanJob(3, 3, Window(*window), res, "burau"))
+        assert hashlib.sha256(scan_csv(result)).hexdigest() == csv_sha
+        assert hashlib.sha256(scan_pgm(result)).hexdigest() == pgm_sha

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from mobcert.certificates import LAMBDA_REGION, cert_lambda
 from mobcert.lambda_region import (
     LambdaParams,
     lambda_boundary,
+    lambda_branches,
     lambda_from_rho,
     lambda_slack,
     lambda_slack_array,
@@ -106,6 +108,60 @@ class TestBranches:
                 abs(small + params.lam),
             )
             assert match < 1e-6 * max(1.0, abs(params.lam))
+
+    @given(
+        log_w=st.floats(min_value=-300.0, max_value=300.0),
+        theta=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(log_w=math.log10(2.0), theta=math.pi / 2.0)  # near the double root lam = i
+    @example(log_w=0.0, theta=math.pi / 2.0)  # both roots on the unit circle
+    @example(log_w=154.13, theta=0.0)  # w^2 overflows
+    @example(log_w=300.0, theta=2.0)
+    def test_roots_of_lam_minus_inverse(self, log_w, theta):
+        # lam - 1/lam = w: the sum is w and the product -1, each to 1e-15 of
+        # the size of the terms (|lam| >= 1); the large root comes first.
+        # Where w lies in i [-2, 2] both roots have modulus 1, and rounding
+        # may put either a unit in the last place to either side of it.
+        w = 10.0**log_w * cmath.exp(1j * theta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big, small = lambda_branches(w)
+        assert abs(big * small + 1.0) < 1e-15
+        assert abs(big + small - w) < 1e-15 * abs(big)
+        assert abs(big) >= 1.0 - 1e-15 and abs(small) <= 1.0 + 1e-15
+
+    def test_small_branch_keeps_its_digits(self):
+        # at (3, 4), rho = 1e8 the small branch is about -S/rho = -6.1237e-9;
+        # a difference of two terms of size |rho|/S would read exactly 0
+        big, small = lambda_from_rho(GroupSpec(3, 4, 1e8))
+        assert math.isclose(small.real, -sin_sin(3, 4) / 1e8, rel_tol=1e-7)
+        assert abs(big * small + 1.0) < 1e-15
+
+    def test_underflowed_s_raises(self):
+        # p q past ~2e324: S is 0 and lambda has no float value
+        with pytest.raises(InvalidInputError):
+            lambda_from_rho(GroupSpec(10**200, 10**200, 1))
+
+    @pytest.mark.parametrize("exponent, rho", [(90, 0.0), (90, 1.0), (90, 2.0 + 1.0j), (90, 1e300), (80, 1e-150)])
+    def test_underflowed_s_squared(self, exponent, rho):
+        # S^2 is 0 at p = q = 10**90 (S ~ 1e-179) and subnormal at 10**80:
+        # w is sqrt(gamma) / S there, not sqrt(gamma / S^2), which divided by
+        # zero or by a float of ~17 bits (off by 5e-7 at 10**80, rho = 1e-150)
+        order = 10**exponent
+        s = sin_sin(order, order)
+        assert s > 0.0 and s * s < sys.float_info.min
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big, small = lambda_from_rho(GroupSpec(order, order, rho))
+        if rho == 1e300:  # |lam| ~ 1e479
+            assert not cmath.isfinite(big)
+            return
+        assert cmath.isfinite(big) and cmath.isfinite(small)
+        assert abs(big * small + 1.0) < 1e-15
+        # |lam - 1/lam| = |w| = sqrt(|rho| |rho - sigma|) / S
+        w_abs = math.sqrt(abs(rho)) * math.sqrt(abs(rho - 4.0 * s)) / s
+        assert math.isclose(abs(big + small), w_abs, rel_tol=1e-14, abs_tol=1e-15)
 
     def test_array_branch_slack_matches_scalar(self):
         # lambda_slack_rho on an array (the lambda scan mode) and on each
