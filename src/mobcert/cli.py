@@ -117,6 +117,8 @@ def _json_line(doc) -> str:
 def cmd_certify(args) -> int:
     lines = []
     if args.burau:
+        if args.p is not None or args.q is not None or args.rho:
+            raise InvalidInputError("certify --burau takes --mu only, not --p, --q or --rho")
         if not args.mu:
             raise InvalidInputError("certify --burau needs at least one --mu")
         for mu in args.mu:
@@ -132,6 +134,8 @@ def cmd_certify(args) -> int:
             }
             lines.append(_json_line(doc))
     else:
+        if args.mu:
+            raise InvalidInputError("certify takes --mu only with --burau")
         if args.p is None or args.q is None or not args.rho:
             raise InvalidInputError("certify needs --p, --q and at least one --rho")
         for rho in args.rho:

@@ -25,10 +25,10 @@ E = S(|lam| + 1/|lam|) and |Re rho - sigma/2| = E |Re lam| / |lam|; with
 S csc_p csc_q = 1 and S cot_p cot_q = cos_p cos_q, slack = S Q(lam) / |lam|.
 
 The cascade's LambdaRegion row, which also decides Burau faithfulness, is
-lambda_slack_rho.  The lambda-space slacks are the references the tests
-check it against; there a lambda past the float maximum (the branch inf+nanj
-of a huge rho) has slack +inf.  lambda_branches solves lam - 1/lam = w for
-every reported branch pair, of a rho and of a Burau mu.
+lambda_slack_rho.  The lambda-space slacks are the paper's direct formula,
+the independent reference the tests check it against.  lambda_branches
+solves lam - 1/lam = w for every reported branch pair, of a rho and of a
+Burau mu.
 """
 
 from __future__ import annotations
@@ -41,13 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mobius import GroupSpec, InvalidInputError, pi_over, sin_sin
-
-_SIGNS = (+1, -1)
-
-# Largest |lam| csc(pi/q) for the direct slack formula, whose rounding error
-# (a few ulps of that product) stays below EPS_ALG up to here.  Beyond it
-# (large orders, huge lambda, overflow) _slack_without_cancellation is used.
-_DIRECT_MAX = 1024.0
 
 
 def _check_lambda_orders(p, q) -> None:
@@ -80,7 +73,7 @@ class LambdaParams:
         lam = complex(self.lam)
         if lam == 0:
             raise InvalidInputError("lambda must be nonzero")
-        if _modulus(lam) < 1.0:
+        if abs(lam / 2.0) < 0.5:  # halved, so abs() of a finite complex cannot overflow
             lam = 1.0 / lam
         object.__setattr__(self, "lam", lam)
 
@@ -92,55 +85,27 @@ def _trig(p, q) -> tuple[float, float, float, float]:
     return math.cos(pi_over(p)) / sp, math.cos(pi_over(q)) / sq, 1.0 / sp, 1.0 / sq
 
 
-def _modulus(z: complex) -> float:
-    """abs(z), or inf (as np.abs gives) where abs raises OverflowError."""
-    try:
-        return abs(z)
-    except OverflowError:
-        return math.inf
+def lambda_slack_signed(p, q, lam, sign: int):
+    """Margin of one of the two feasibility inequalities at a complex or a
+    complex array lam: |lam| csc(pi/q) - |lam cot(pi/q) + sign cot(pi/p)|
+    - csc(pi/p), the paper's direct formula; the inequality of that sign
+    holds iff the margin is >= 0.
 
-
-def lambda_slack_signed(p, q, lam: complex, sign: int) -> float:
-    """Margin of one of the two feasibility inequalities.
-
-    Returns |lam| csc(pi/q) - |lam cot(pi/q) + sign * cot(pi/p)| - csc(pi/p);
-    the inequality of that sign holds iff the margin is >= 0.
+    A reference for the tests, not a decision: its rounding error is a few
+    ulps of |lam| csc(pi/q), so only a margin larger than that has a sign.
     """
-    trig = cot_p, cot_q, csc_p, csc_q = _trig(p, q)
+    cot_p, cot_q, csc_p, csc_q = _trig(p, q)
     sign = _check_sign(sign)
-    lam = complex(lam)
-    if _modulus(lam) <= _DIRECT_MAX / csc_q:
-        return abs(lam) * csc_q - abs(lam * cot_q + sign * cot_p) - csc_p
-    if _modulus(lam) == math.inf and _certified_past_float_max(csc_p, csc_q):
-        return math.inf
-    return _slack_without_cancellation(trig, lam, sign, _modulus)
+    return abs(lam) * csc_q - abs(lam * cot_q + sign * cot_p) - csc_p
 
 
-def _certified_past_float_max(csc_p, csc_q) -> bool:
-    """Each signed slack is >= |lam| tan(pi/2q) - cot(pi/2p), positive for
-    |lam| > cot(pi/2p) cot(pi/2q), which is <= 4 csc_p csc_q: so every lam
-    past the float maximum certifies while that bound is a float."""
-    return math.isfinite(4.0 * csc_p * csc_q)
+def lambda_slack(p, q, lam):
+    """Worst-case margin over both inequalities, at a complex or a complex
+    array lam; >= 0 means both hold (within lambda_slack_signed's rounding)."""
+    return np.minimum(lambda_slack_signed(p, q, lam, +1), lambda_slack_signed(p, q, lam, -1))
 
 
-def _slack_without_cancellation(trig, lam, sign, abs_):
-    """The signed lambda slack, with |lam| csc_q - |lam cot_q + sign cot_p| as
-
-        (|lam| - 2 sign cot_p cot_q Re(lam) / |lam| - cot_p^2 / |lam|)
-        / (csc_q + |cot_q + sign cot_p / lam|)
-
-    by a^2 - b^2 = (a - b)(a + b) and csc^2 - cot^2 = 1, divided through by
-    |lam| so nothing is squared.  abs_ is _modulus for a scalar, np.abs for arrays.
-    """
-    cot_p, cot_q, csc_p, csc_q = trig
-    r = abs_(lam)
-    num = r - 2.0 * sign * cot_p * cot_q * (lam.real / r) - cot_p * (cot_p / r)
-    return num / (csc_q + abs_(cot_q + sign * cot_p / lam)) - csc_p
-
-
-def lambda_slack(p, q, lam: complex) -> float:
-    """Worst-case margin over both inequalities; >= 0 means certified."""
-    return min(lambda_slack_signed(p, q, lam, s) for s in _SIGNS)
+lambda_slack_array = lambda_slack  # the array name that test_acceptance.py and perfbench look up
 
 
 def lambda_slack_rho(p, q, rho):
@@ -243,26 +208,3 @@ def rho_boundary(p, q, theta: float) -> tuple[complex, complex]:
     """
     lam = lambda_boundary(p, q, theta, +1)
     return rho_from_lambda(LambdaParams(p, q, lam))
-
-
-def lambda_slack_array(p, q, lam: np.ndarray) -> np.ndarray:
-    """Vectorized lambda_slack over an array of lambda values."""
-    trig = cot_p, cot_q, csc_p, csc_q = _trig(p, q)
-    lam = np.asarray(lam, dtype=complex)
-    r = np.abs(lam)
-    limit = _DIRECT_MAX / csc_q
-    if np.fmax.reduce(r, axis=None, initial=0.0) > limit:  # fmax skips NaN
-        far = r > limit
-        slack = np.empty(lam.shape)
-        slack[~far] = lambda_slack_array(p, q, lam[~far])  # all below the cutoff
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite lam
-            slack[far] = np.minimum(
-                *(_slack_without_cancellation(trig, lam[far], s, np.abs) for s in _SIGNS)
-            )
-        if _certified_past_float_max(csc_p, csc_q):
-            slack[r == np.inf] = np.inf
-        return slack
-    rhs = r * csc_q
-    s_plus = rhs - np.abs(lam * cot_q + cot_p) - csc_p
-    s_minus = rhs - np.abs(lam * cot_q - cot_p) - csc_p
-    return np.minimum(s_plus, s_minus)

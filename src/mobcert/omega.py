@@ -36,7 +36,7 @@ def _require_orders(p, q) -> None:
     for name, n in (("p", p), ("q", q)):
         if n == math.inf or not (isinstance(n, (int, np.integer)) and n >= 3):
             raise UnsupportedError(
-                f"region needs finite orders 3 <= p, q; got {name} = {n!r}"
+                f"Omega_{{p,q}} needs finite orders 3 <= p, q; got {name} = {n!r}"
             )
 
 

@@ -616,7 +616,7 @@ class TestCombined:
         "p, q, rho, pq_slack, qp_slack",
         [
             (5, 2, 3.171623961439875 + 0.10159719476956752j, -3.077e-12, -9.992e-13),
-            (10**6, 2, 2.0000062831833074 + 0j, -6.366e-7, -9.999e-13),
+            (10**6, 2, 2.0000062831833074 + 0j, None, None),
         ],
     )
     def test_swapped_lambda_row_fires_near_the_boundary(self, p, q, rho, pq_slack, qp_slack):
@@ -625,14 +625,17 @@ class TestCombined:
         # scales, so the closed rule's -EPS_ALG split them at these points,
         # within rounding of the boundary, and a (q, p) row gave code 4.  The
         # rho-plane slack is one float for both markings, so the cascade has
-        # one lambda row, and these points fail it (code 0).
+        # one lambda row, and these points fail it (code 0).  At (10**6, 2)
+        # |lam| csc(pi/q) is ~2e11 for the swapped marking (2, 10**6), so the
+        # lambda-space slacks are rounding noise there and are not pinned.
         z = np.array([rho])
-        big_pq, _ = lambda_from_rho(GroupSpec(p, q, rho))
-        big_qp, _ = lambda_from_rho(GroupSpec(q, p, rho))
-        slack_pq = lambda_slack_array(p, q, np.array([big_pq]))[0]
-        slack_qp = lambda_slack_array(q, p, np.array([big_qp]))[0]
-        assert math.isclose(slack_pq, pq_slack, rel_tol=1e-3) and slack_pq < -EPS_ALG
-        assert math.isclose(slack_qp, qp_slack, rel_tol=1e-3) and slack_qp >= -EPS_ALG
+        if pq_slack is not None:
+            big_pq, _ = lambda_from_rho(GroupSpec(p, q, rho))
+            big_qp, _ = lambda_from_rho(GroupSpec(q, p, rho))
+            slack_pq = lambda_slack_array(p, q, np.array([big_pq]))[0]
+            slack_qp = lambda_slack_array(q, p, np.array([big_qp]))[0]
+            assert math.isclose(slack_pq, pq_slack, rel_tol=1e-3) and slack_pq < -EPS_ALG
+            assert math.isclose(slack_qp, qp_slack, rel_tol=1e-3) and slack_qp >= -EPS_ALG
         slack = certificates.LAMBDA_REGION.slack(p, q, z)[0]
         assert slack == certificates.LAMBDA_REGION.slack(q, p, z)[0]
         assert lambda_slack_rho(p, q, rho) == lambda_slack_rho(q, p, rho)

@@ -143,6 +143,16 @@ class TestCertify:
         assert rc == 3
         assert "error:" in err
 
+    def test_mu_without_burau_exits_3(self, capsys):
+        rc, out, err = run(capsys, "certify", "--p", "3", "--q", "4", "--rho", "1", "--mu", "2")
+        assert rc == 3 and out == ""
+        assert err == "error: certify takes --mu only with --burau\n"
+
+    def test_rho_with_burau_exits_3(self, capsys):
+        rc, out, err = run(capsys, "certify", "--burau", "--mu", "2", "--rho", "1")
+        assert rc == 3 and out == ""
+        assert err == "error: certify --burau takes --mu only, not --p, --q or --rho\n"
+
     def test_burau_mu_zero(self, capsys):
         rc, _, err = run(capsys, "certify", "--burau", "--mu", "0")
         assert rc == 3
@@ -294,6 +304,12 @@ class TestOtherCommands:
             assert entry["word"]
             assert len(entry["roots"]) == len(entry["residues"])
             assert all(r < 1e-9 for r in entry["residues"])
+
+    def test_cusps_unsupported_order(self, capsys):
+        # cusps and region share the Omega_{p,q} order check
+        rc, out, err = run(capsys, "cusps", "--p", "2", "--q", "5")
+        assert rc == 3 and out == ""
+        assert err == "error: Omega_{p,q} needs finite orders 3 <= p, q; got p = 2\n"
 
     def test_compare_lambda_csv(self, capsys):
         rc, out, _ = run(

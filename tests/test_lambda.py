@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mobcert.certificates import LAMBDA_REGION, cert_lambda
+from mobcert.certificates import LAMBDA_REGION, cert_combined, cert_lambda
 from mobcert.lambda_region import (
     LambdaParams,
     lambda_boundary,
@@ -24,6 +24,7 @@ from mobcert.lambda_region import (
     rho_from_lambda,
 )
 from mobcert.mobius import EPS_ALG, GroupSpec, InvalidInputError, sigma_pq, sin_sin
+from mobcert.omega import im_bound
 
 finite_orders = st.integers(min_value=2, max_value=30)
 lam_values = st.complex_numbers(
@@ -54,6 +55,18 @@ class TestParams:
             LambdaParams(2, 2, 2.0)
         with pytest.raises(InvalidInputError):
             LambdaParams(3, math.inf, 2.0)
+
+    def test_normalization_at_the_ends_of_the_float_range(self):
+        # the modulus is compared halved, so abs() of a finite complex past
+        # the float maximum does not overflow: such a lam is kept
+        lam = 1.5e308 + 1.5e308j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert LambdaParams(3, 4, lam).lam == lam
+        assert LambdaParams(3, 4, 1e-300j).lam == 1.0 / 1e-300j
+        below = math.nextafter(1.0, 0.0)
+        assert LambdaParams(3, 4, below).lam == 1.0 / below
+        assert LambdaParams(3, 4, 1.0).lam == 1.0
 
 
 class TestSlack:
@@ -202,37 +215,10 @@ class TestHugeRho:
 
 
 class TestSlackRange:
-    # finite lambda branches whose |lam| csc(pi/q) passes the float maximum
-    CASES = [(3, 4, 1e308), (3, 4, -1e308j), (5, 9, 2e307), (5, 9, -2e307j)]
-
-    @pytest.mark.parametrize("p, q, rho", CASES)
-    def test_slack_finite_quiet_and_scalar_matches_array(self, p, q, rho):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            big, _ = lambda_from_rho(GroupSpec(p, q, rho))
-            slack = lambda_slack_array(p, q, np.array([big]))
-            scalar = lambda_slack(p, q, big)
-        assert cmath.isfinite(big)
-        assert math.isfinite(slack[0]) and math.isfinite(scalar)
-        assert math.isclose(scalar, slack[0], rel_tol=1e-12)
-        assert slack[0] > 0.0
-
-    def test_scalar_slack_past_the_float_maximum(self):
-        # finite parts but |lam| above the float maximum: abs() raises
-        # OverflowError where np.abs gives inf, and the scalar slack must be
-        # the array's
-        lam = 1.5e308 + 1.5e308j
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert lambda_slack_array(3, 4, np.array([lam]))[0] == math.inf
-            assert lambda_slack(3, 4, lam) == math.inf
-            for sign in (+1, -1):
-                assert lambda_slack_signed(3, 4, lam, sign) == math.inf
-            assert LambdaParams(3, 4, lam).lam == lam
-
-    # branches whose modulus itself passes the float maximum: inf+nanj.
-    # For the last |rho| itself does, abs() of it raises OverflowError, and
-    # the branch is nan+nanj.
+    # the ends of the float range, and large orders.  PAST_MAX: branches
+    # whose modulus itself passes the float maximum, inf+nanj; for the last
+    # |rho| itself does, abs() of it raises OverflowError, and the branch is
+    # nan+nanj.
     PAST_MAX = [(5, 9, 1e308), (5, 9, -1e308j), (3, 4, 1.7e308), (3, 4, 1.7e308 + 1.7e308j)]
 
     @pytest.mark.parametrize("p, q, rho", PAST_MAX)
@@ -240,22 +226,18 @@ class TestSlackRange:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             big, _ = lambda_from_rho(GroupSpec(p, q, rho))
-            slack = lambda_slack_array(p, q, np.array([big]))
-            scalar = lambda_slack(p, q, big)
             # the rho-plane slack needs no branch: E = (|rho| + |rho - sigma|)/2
             # is finite but for the last, whose slack is +inf
             cert = cert_lambda(GroupSpec(p, q, rho))
             row = LAMBDA_REGION.slack(p, q, np.array([rho]))[0]
         assert not cmath.isfinite(big)
-        if cmath.isinf(big):
-            assert slack[0] == math.inf and scalar == math.inf
         assert cert.certified and cert.slack > 1e307
         assert math.isclose(cert.slack, row, rel_tol=1e-15)
         assert (cert.slack == math.inf) == (rho == self.PAST_MAX[-1][2])
 
     def test_past_the_float_maximum_needs_a_float_bound(self):
-        # the +inf rule rests on |lam| > 4 csc_p csc_q, which is no float
-        # for these orders: such a branch is not certified
+        # the reference at a non-finite branch is NaN, never a certificate;
+        # the rho-plane row decides such rho without a branch
         p = q = 10**160
         lam = complex(math.inf, math.nan)
         with warnings.catch_warnings():
@@ -265,8 +247,9 @@ class TestSlackRange:
         assert not slack >= -EPS_ALG and not scalar >= -EPS_ALG
 
     def test_direct_formula_up_to_the_cutoff(self):
-        # up to |lam| csc(pi/q) = 1024 the slack keeps the bits of the
-        # direct formula, in both the array and the scalar path
+        # the reference is the direct formula, bit for bit, on an array and
+        # on each Python complex; up to |lam| csc(pi/q) = 1024 its rounding
+        # error, a few ulps of that product, stays below EPS_ALG
         cot_p, cot_q = 1.0 / math.tan(math.pi / 5), 1.0 / math.tan(math.pi / 9)
         csc_p, csc_q = 1.0 / math.sin(math.pi / 5), 1.0 / math.sin(math.pi / 9)
         rng = np.random.default_rng(8)
@@ -285,17 +268,17 @@ class TestSlackRange:
 
     @pytest.mark.parametrize("p, q", [(2, 10**9), (3, 10**6), (10**6, 7), (10**9, 10**9), (3, 4)])
     def test_no_cancellation_at_large_orders(self, p, q):
-        # lam = i s, s = csc_p csc_q + sqrt((csc_p csc_q)^2 - 1), lies on the
-        # boundary of both inequalities.  With |lam| csc_q up to 1e26 the
-        # direct formula would be off by ~|lam| csc_q * 1e-16.
-        csc_p, csc_q = 1.0 / math.sin(math.pi / p), 1.0 / math.sin(math.pi / q)
-        lam = 1j * (csc_p * csc_q + math.sqrt((csc_p * csc_q) ** 2 - 1.0))
-        # a NaN entry alongside neither hides the far one nor gets a value
-        nan_slack, slack = lambda_slack_array(p, q, np.array([complex("nan"), lam]))
-        assert math.isnan(nan_slack)
-        for sign in (+1, -1):
-            assert abs(lambda_slack_signed(p, q, lam, sign)) < 1e-12 * max(1.0, csc_p)
-        assert math.isclose(lambda_slack(p, q, lam), slack, rel_tol=1e-9, abs_tol=1e-12 * csc_p)
+        # The 1/2 cusps 2S +- i im_bound(p, q) lie on the closed lambda
+        # boundary (lam = +-i s, s = csc_p csc_q + sqrt((csc_p csc_q)^2 - 1)).
+        # In lambda space |lam| csc_q reaches 1e26 here, and the direct
+        # formula's rounding with it; the rho-plane slack is a difference of
+        # rho-plane lengths of size 2, and a closed row certifies each cusp.
+        s = sin_sin(p, q)
+        for cusp in (complex(2.0 * s, im_bound(p, q)), complex(2.0 * s, -im_bound(p, q))):
+            assert abs(lambda_slack_rho(p, q, cusp)) <= EPS_ALG
+            cert = cert_combined(GroupSpec(p, q, cusp), search=False)
+            assert cert.certified
+            assert cert.witness == ("LambdaRegion" if p == 2 else "ImBound")
 
 
 class TestSwappedMarking:
