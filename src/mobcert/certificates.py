@@ -11,18 +11,37 @@ open conditions are strict (slack > EPS_ALG), closed ones accept slack >=
 
 1. DisksElliptic -- rho avoids the four exclusion disks of radius 2 (strict).
 2. DisksGeneral  -- the same for the swapped marking (q, p), which describes
-   the same group, so its certificates apply (strict).
+   the same group, so its certificates apply (strict).  It runs only where
+   dominant_marking picks (q, p): p > q >= 3, or p = 2 < q.  Elsewhere it
+   certifies nothing that DisksElliptic does not (see below).
 3. ImBound       -- |Im rho| >= 2 sqrt(1 - S^2), finite p, q >= 3 (closed).
 4. LambdaRegion  -- rho meets the lambda inequalities, decided in the
    rho-plane by lambda_slack_rho; finite orders (closed).  The slack is the
    same float for (p, q) and (q, p), so one row serves both markings.
 5. LineFamily    -- rho lies on a line {a (1 + i t)} through an anchor a
-   that the disk tests certify (strict).  The anchors for rho lie on the
-   circles with diameters [0, rho] and [0, sigma - rho].
+   that the disks of dominant_marking(p, q) certify (strict).  The anchors
+   for rho lie on the circles with diameters [0, rho] and [0, sigma - rho].
    anchor_search_bulk, the row's array slack, finds the best anchor on
    each circle in closed form (_circle_max), over the whole array at once.
    anchor_search, the row at one point for cert_combined and certify,
    searches a t grid with golden-section refinement instead.
+
+One disk family decides.  Let 3 <= p <= q <= inf, centre the plane at
+sigma/2 and let a = pi/p >= b = pi/q.  The (p, q) centres are (+-k, 0) and
+(0, +-h), the (q, p) centres (+-k, 0) and (0, +-h'), with k = 2 cos a cos b,
+h = 2 cos a sin b and h' = 2 sin a cos b = h + 2 sin(a - b) >= h.  Take a
+point (x, y) of D((0, h), 2).  If y >= (h + h')/2 it is nearer (0, h')
+than (0, h), so it lies in D((0, h')); if y <= (h - h')/2 it lies in
+D((0, -h')) the same way.  In the strip between, (|x| - k)^2 + y^2 is
+convex in |x|, and at the edge |x| = sqrt(4 - (y - h)^2) of the disk it is
+convex in y, so it is at most 4 once it is at |x| = 0 (where it is
+k^2 + y^2 <= k^2 + sin^2(a + b) <= 4) and at the two ends of the strip,
+where it reads cos(a -+ b) <= sqrt(4 - sin^2(a -+ b)).  So the point lies in
+D((+-k, 0)), and with conjugation U(p, q) is inside U(q, p), the unions of
+the four closed disks.  Outside a union the disk slack is the distance to
+it, so wherever the (q, p) slack is positive it is at most the (p, q)
+slack: the (q, p) disks certify no point and no anchor that the (p, q)
+disks do not.  Where one order is 2 only the other marking has a family.
 
 combined_codes_array runs the rows over an array, the disks and lambda scan
 modes run single rows, and cert_combined is the size-1 case, so certify and
@@ -90,6 +109,15 @@ class Certificate:
 def _family_ok(p) -> bool:
     """Whether the disk family with A-order p exists (p >= 3 or inf)."""
     return p == math.inf or p >= 3
+
+
+def dominant_marking(p, q) -> tuple:
+    """The marking whose disks certify whatever either marking's disks
+    certify: (min(p, q), max(p, q)), or, where one order is 2, the marking
+    whose A-order is the other one (see the module docstring)."""
+    if not (_family_ok(p) or _family_ok(q)):
+        raise PreconditionError("a disk family needs an order >= 3 (or inf)")
+    return (q, p) if not _family_ok(p) or (_family_ok(q) and q < p) else (p, q)
 
 
 def disk_centers_elliptic(p, q) -> tuple[complex, complex, complex, complex]:
@@ -170,8 +198,8 @@ LINE_FAMILY = Stage(
 )
 CASCADE = (
     DISKS_ELLIPTIC,
-    Stage(  # the same disks under the swapped marking (q, p), which describes the same group
-        CODE_DISKS_GENERAL, "DisksGeneral", lambda p, q: _family_ok(q),
+    Stage(  # the disks of the swapped marking (q, p), where they are the dominant family
+        CODE_DISKS_GENERAL, "DisksGeneral", lambda p, q: dominant_marking(p, q) != (p, q),
         lambda p, q, rho: disk_slack_array(q, p, rho), strict=True, detail={"family": "swapped"},
     ),
     IM_BOUND,
@@ -212,24 +240,6 @@ def cert_im_bound(spec: GroupSpec) -> Certificate:
     return IM_BOUND.certificate(abs(spec.rho.imag) - im_bound(spec.p, spec.q))
 
 
-def anchor_slack(p, q, a: complex) -> tuple[float, str]:
-    """Best disk slack of an anchor under either valid marking order.
-
-    The swapped marking (q, p) describes the same group, so a line can be
-    anchored on whichever disk family certifies a; a family only takes part
-    when its A-order is >= 3 (or inf).  Returns (slack, family) with family
-    in {"elliptic", "swapped"}.
-    """
-    candidates = []
-    if _family_ok(p):
-        candidates.append((disk_slack(p, q, a), "elliptic"))
-    if _family_ok(q):
-        candidates.append((disk_slack(q, p, a), "swapped"))
-    if not candidates:
-        raise PreconditionError("anchor test needs an order >= 3 (or inf)")
-    return max(candidates, key=lambda pair: pair[0])
-
-
 def line_distance(rho: complex, anchor: complex) -> float:
     """Transverse distance from rho to the line {anchor (1 + i t)}.
 
@@ -259,15 +269,12 @@ def cert_line_family(spec: GroupSpec, anchor: complex) -> Certificate:
 
 
 def _anchor_slack_at(centers: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Best family slack at anchor array a: max over the rows of centers of
-    (distance to the row's nearest disk center) - 2, elementwise."""
-    best = np.full(a.shape, -np.inf)
-    for row in centers:
-        fam = np.full(a.shape, np.inf)
-        for c in row:
-            np.minimum(fam, np.abs(a - c), out=fam)
-        np.maximum(best, fam, out=best)
-    return best - 2.0
+    """Disk slack at anchor array a: (distance to the nearest of centers)
+    - 2, elementwise."""
+    near = np.full(a.shape, np.inf)
+    for c in centers:
+        np.minimum(near, np.abs(a - c), out=near)
+    return near - 2.0
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -327,27 +334,26 @@ def _grid_max(centers, w):
 def _circle_max(centers, w):
     """Best (slack, anchor) over the anchor circle of each w, in closed form.
 
-    The circle has center m = w/2 and radius R = |w|/2.  On it a family's
+    The circle has center m = w/2 and radius R = |w|/2.  On it
     f(a) = min_k |a - c_k| is the minimum of four smooth functions, so f is
     largest where one term is active at its own maximum, the far point
     m + R (m - c)/|m - c| from a center c, or where two terms tie, at the
     <= 2 points where the circle meets the perpendicular bisector of two
-    centers of the family.  The slack, the best family's f - 2, is thus
-    largest at one of these <= 16 points per family.  A center at m has no
-    far point and equal centers (c2 = c4 for the family (p, 2)) have no
-    bisector.  Needs |w| > 0.
+    centers.  The slack f - 2 is thus largest at one of these <= 16
+    points.  A center at m has no far point and equal centers (c2 = c4 for
+    the family (p, 2)) have no bisector.  Needs |w| > 0.
     """
     m = w[:, None] / 2.0
     rad = np.abs(m)
-    off = m - centers.ravel()
+    off = m - centers
     dist = np.abs(off)
     far = m + rad * (off / np.where(dist > 0.0, dist, 1.0))  # dropped where dist = 0
     # the bisector of two distinct centers: normal to unit, foot radii from m
-    j, k = np.triu_indices(centers.shape[1], 1)
-    d = (centers[:, k] - centers[:, j]).ravel()
+    j, k = np.triu_indices(len(centers), 1)
+    d = centers[k] - centers[j]
     pair = d != 0.0
     unit = d[pair] / np.abs(d[pair])
-    foot = (unit.conj() * ((centers[:, j] + centers[:, k]).ravel()[pair] / 2.0 - m)).real / rad
+    foot = (unit.conj() * ((centers[j] + centers[k])[pair] / 2.0 - m)).real / rad
     meets = np.abs(foot) <= 1.0
     base = m + unit * rad * foot
     half = unit * 1j * rad * np.sqrt(np.where(meets, (1.0 - foot) * (1.0 + foot), 0.0))
@@ -361,12 +367,8 @@ def _circle_max(centers, w):
 
 
 def _anchor_centers(p, q) -> np.ndarray:
-    """One row of 4 disk centers per family that may anchor a line: the
-    elliptic family needs p >= 3 (or inf), the swapped family q >= 3."""
-    centers = np.array([_centers_array(a, b) for a, b in ((p, q), (q, p)) if _family_ok(a)])
-    if not len(centers):
-        raise PreconditionError("anchor test needs an order >= 3 (or inf)")
-    return centers
+    """The 4 disk centers that anchor lines: those of dominant_marking(p, q)."""
+    return _centers_array(*dominant_marking(p, q))
 
 
 def _search_anchors(p, q, rho: np.ndarray, circle_max):
@@ -422,14 +424,17 @@ def anchor_search(spec: GroupSpec) -> Certificate:
     It searches each anchor circle on a t grid with golden-section
     refinement (_grid_max), not in closed form like anchor_search_bulk: the
     slack it reports is the best anchor slack found, at most the circle's
-    maximum.
+    maximum.  The detail's "family" names the disk family of a certified
+    anchor, "swapped" where dominant_marking swaps the orders.
     """
-    slack, anchor, w = _search_anchors(spec.p, spec.q, np.array([spec.rho]), _grid_max)
+    p, q = spec.p, spec.q
+    slack, anchor, w = _search_anchors(p, q, np.array([spec.rho]), _grid_max)
     s = float(slack[0])
+    family = "elliptic" if dominant_marking(p, q) == (p, q) else "swapped"
     detail = {
         "anchor": complex(anchor[0]),
         "symmetry_image": complex(w[0]),
-        "family": anchor_slack(spec.p, spec.q, complex(anchor[0]))[1] if LINE_FAMILY.passes(s) else None,
+        "family": family if LINE_FAMILY.passes(s) else None,
     }
     return LINE_FAMILY.certificate(s, detail)
 

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .certificates import disk_centers_elliptic
+from .certificates import disk_centers_elliptic, dominant_marking
 from .lambda_region import lambda_slack_rho, rho_boundary
 from .mobius import EPS_ALG, InvalidInputError, sigma_pq
 from .omega import OmegaRegion, boundary_cusps, build_omega, rho_star, x_pq
@@ -350,14 +350,16 @@ def compare_lambda_data(p, q, n: int = 360) -> list[dict]:
     From the symmetry center sigma/2, each ray at angle theta exits the
     disk-uncertified set at t_disks and the lambda-uncertified set at
     t_lambda; the smaller exit wins (its certificate reaches closer in).
+    The disk-uncertified set is the union of the disks of
+    dominant_marking(p, q), which the other marking's disks contain.
     """
     if n < 1:
         raise InvalidInputError("need at least one angle")
     center = complex(sigma_pq(p, q) / 2.0, 0.0)
-    centers = disk_centers_elliptic(p, q) + disk_centers_elliptic(q, p)
     t_hi = 8.0 + abs(sigma_pq(p, q))
     thetas = [2.0 * math.pi * k / n for k in range(n)]
     t_lambda = _ray_lambda_exits(p, q, center, thetas, t_hi).tolist()
+    centers = disk_centers_elliptic(*dominant_marking(p, q))
     rows = []
     for theta, t_l in zip(thetas, t_lambda):
         t_d = _ray_disk_exit(center, theta, centers)
@@ -379,8 +381,9 @@ def compare_lambda_csv(rows: list[dict]) -> bytes:
 
 
 def compare_lambda_svg(p, q, rows: list[dict]) -> str:
-    """The rho_boundary curves and each row's nearer exit over the exclusion disks."""
-    disks = disk_centers_elliptic(p, q)
+    """The rho_boundary curves and each row's nearer exit over the exclusion
+    disks of dominant_marking(p, q)."""
+    disks = disk_centers_elliptic(*dominant_marking(p, q))
     curve_n = 720
     minus_pts = []
     plus_pts = []

@@ -25,7 +25,6 @@ from mobcert.certificates import (
     _search_anchors,
     anchor_search,
     anchor_search_bulk,
-    anchor_slack,
     cert_combined,
     cert_disks_elliptic,
     cert_im_bound,
@@ -35,6 +34,7 @@ from mobcert.certificates import (
     disk_centers_elliptic,
     disk_slack,
     disk_slack_array,
+    dominant_marking,
     line_distance,
 )
 from mobcert.lambda_region import (
@@ -305,15 +305,15 @@ class TestAnchorSearch:
         # p = q = 2 there is no family at all, and with a single order 2
         # only the other marking's family may certify.
         with pytest.raises(PreconditionError):
-            anchor_slack(2, 2, 5.0)
+            dominant_marking(2, 2)
         with pytest.raises(PreconditionError):
             anchor_search_bulk(2, 2, np.array([9.0 + 0.0j]))
-        s25, fam25 = anchor_slack(2, 5, 5.0)
-        s52, fam52 = anchor_slack(5, 2, 5.0)
-        assert fam25 == "swapped" and fam52 == "elliptic"
+        assert dominant_marking(2, 5) == dominant_marking(5, 2) == (5, 2)
+        s25, s52 = (anchor_search_bulk(p, q, np.array([5.0 + 0.0j]))[0][0] for p, q in ((2, 5), (5, 2)))
         assert abs(s25 - s52) < 1e-12
-        cert = anchor_search(GroupSpec(2, 5, 9.0 + 0.1j))
-        assert cert.certified and cert.detail["family"] == "swapped"
+        for p, q, family in ((2, 5, "swapped"), (5, 2, "elliptic")):
+            cert = anchor_search(GroupSpec(p, q, 9.0 + 0.1j))
+            assert cert.certified and cert.detail["family"] == family
 
 
 SCREEN_ORDERS = st.sampled_from([2, 3, 4, 5, 9, 10**6, math.inf])
@@ -333,9 +333,7 @@ def sampled_max(centers, w, n=4000) -> float:
 
 def assert_witness(p, q, anchor, w):
     """(anchor, w) is a line-family certificate under the family that anchors it."""
-    if anchor_slack(p, q, anchor)[1] == "swapped":
-        p, q = q, p
-    assert cert_line_family(GroupSpec(p, q, complex(w)), anchor).certified
+    assert cert_line_family(GroupSpec(*dominant_marking(p, q), complex(w)), anchor).certified
 
 
 class TestCircleMax:
@@ -370,11 +368,11 @@ class TestCircleMax:
         # a disk centered at m = w/2 is at distance R from the whole circle:
         # it has no far point, and the maximum lies where another disk ties
         # with it or at another disk's far point
-        for centers in ([[1.0, *FAR]], [[1.0, 2.5 + 1.0j, *FAR[:2]]], [[1.0, 1.0 - 0.8j, *FAR[:2]]]):
+        for centers in ([1.0, *FAR], [1.0, 2.5 + 1.0j, *FAR[:2]], [1.0, 1.0 - 0.8j, *FAR[:2]]):
             slack, anchor = circle_max(centers, 2.0)
             assert abs(abs(anchor - 1.0) - 1.0) < 1e-15
             assert slack >= sampled_max(centers, 2.0) - 1e-12
-        assert circle_max([[1.0, *FAR]], 2.0)[0] == -1.0
+        assert circle_max([1.0, *FAR], 2.0)[0] == -1.0
 
     def test_equal_centers(self):
         # two equal centers have no bisector; the family is decided by the
@@ -382,10 +380,10 @@ class TestCircleMax:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for w in (5.0, 2.0 + 3.0j, 0.5j):
-                centers = [[1.5, 1.5, *FAR[:2]]]
+                centers = [1.5, 1.5, *FAR[:2]]
                 slack, _ = circle_max(centers, w)
                 assert slack >= sampled_max(centers, w) - 1e-12
-                assert slack == circle_max([[1.5, *FAR]], w)[0]
+                assert slack == circle_max([1.5, *FAR], w)[0]
 
 
 class TestCircleScreen:
@@ -395,26 +393,26 @@ class TestCircleScreen:
 
     def test_one_disk_holds_the_circle(self):
         # the circle inside one disk: every anchor is uncertified
-        for centers, w in (([[1.0, *FAR]], 2.0), ([[0.5 + 0.5j, *FAR]], 1.0j)):  # concentric, inside
+        for centers, w in (([1.0, *FAR], 2.0), ([0.5 + 0.5j, *FAR], 1.0j)):  # concentric, inside
             slack, _ = circle_max(centers, w)
             assert slack <= EPS_ALG and slack >= sampled_max(centers, w) - 1e-12
         # w = 5 lies 1.5 outside the same disk, and so does part of its circle
-        assert circle_max([[1.5, *FAR]], 5.0) == (1.5, 5.0)
+        assert circle_max([1.5, *FAR], 5.0) == (1.5, 5.0)
 
     def test_tangent_circles(self):
         # inside the radius-2 disk, touching its boundary at w:
         # |c - w/2| + |w|/2 = 2
-        assert circle_max([[1.5, *FAR]], 3.5) == (0.0, 3.5)
+        assert circle_max([1.5, *FAR], 3.5) == (0.0, 3.5)
         # reaching 4 EPS_ALG past it: w itself is the best anchor
         w = 3.5 + 4 * EPS_ALG
-        slack, anchor = circle_max([[1.5, *FAR]], w)
+        slack, anchor = circle_max([1.5, *FAR], w)
         assert slack > EPS_ALG and anchor == w
         # outside the disk, touching it at 0: the far point, w, is 1 outside
-        assert circle_max([[-2.0, *FAR]], 1.0) == (1.0, 1.0)
+        assert circle_max([-2.0, *FAR], 1.0) == (1.0, 1.0)
         # two disks whose boundaries cross the circle at 0 and at w: every
         # anchor lies in one of them, the tie points 0 and w on both
         s3 = math.sqrt(3.0)
-        centers = [[1.0 + s3 * 1j, 1.0 - s3 * 1j, 50.0, 50.0j]]
+        centers = [1.0 + s3 * 1j, 1.0 - s3 * 1j, 50.0, 50.0j]
         slack, anchor = circle_max(centers, 2.0)
         assert abs(slack) < 1e-15 and min(abs(anchor), abs(anchor - 2.0)) < 1e-15
 
@@ -427,7 +425,7 @@ class TestCircleScreen:
         rho = np.array([0.0, sigma], dtype=complex)
         bulk = anchor_search_bulk(p, q, rho)
         grid = _search_anchors(p, q, rho, _grid_max)
-        assert (grid[0] <= bulk[0]).all() and (bulk[0] <= EPS_ALG).all()
+        assert (grid[0] <= bulk[0] + 1e-12).all() and (bulk[0] <= EPS_ALG).all()
         assert (bulk[2] == sigma).all()  # each point's searched circle: w = sigma
         if sigma:  # sigma = 0 for (inf, inf): no circle to search
             assert bulk[0][0] == bulk[0][1] == circle_max(_anchor_centers(p, q), sigma)[0]
@@ -436,7 +434,7 @@ class TestCircleScreen:
     def test_single_order_two_family(self, p, q):
         # one family, whose c2 and c4 agree up to rounding
         centers = _anchor_centers(p, q)
-        assert centers.shape == (1, 4) and abs(centers[0, 1] - centers[0, 3]) < 1e-15
+        assert centers.shape == (4,) and abs(centers[1] - centers[3]) < 1e-15
         for w in (0.5 + 0.2j, 9.0 + 0.1j):
             slack, anchor = circle_max(centers, w)
             assert slack >= sampled_max(centers, w) - 1e-12
@@ -455,7 +453,7 @@ class TestCircleScreen:
             assert (slack <= EPS_ALG).all() and (w == sigma_pq(3, 3) - tiny).all()
             for w in (2 * EPS_ALG, 1e-11j):
                 assert circle_max(_anchor_centers(3, 3), w)[0] < 0.0  # 0 lies in the disk at c2
-                assert circle_max([[3.0, *FAR]], w)[0] > 0.99
+                assert circle_max([3.0, *FAR], w)[0] > 0.99
 
     @pytest.mark.parametrize(
         "p,q", [(3, 3), (3, 4), (5, 9), (2, 5), (3, math.inf), (math.inf, math.inf), (10**6, 7)]
@@ -515,7 +513,7 @@ class TestCanonicalAnchors:
         for p in orders:
             for q in orders:
                 for a in canonical_anchors(p, q):
-                    worst = max(worst, anchor_slack(p, q, a)[0])
+                    worst = max(worst, disk_slack(p, q, a), disk_slack(q, p, a))
         assert worst <= EPS_ALG
         for p, q in [(2, 5), (5, 2), (2, 40), (math.inf, 4), (3, math.inf), (math.inf, math.inf)]:
             with pytest.raises(ValueError):
@@ -670,7 +668,9 @@ angles = st.floats(min_value=0.0, max_value=2.0 * math.pi)
 
 
 def reference_closed_code(p, q, rho) -> int:
-    """The closed-form cascade from the per-stage scalar certificates."""
+    """The closed-form cascade from the per-stage scalar certificates.  It
+    tries the swapped disks at every marking, also where the cascade skips
+    them because the (p, q) disks certify everything they do."""
     spec = GroupSpec(p, q, rho)
     steps = [
         (CODE_DISKS_ELLIPTIC, cert_disks_elliptic, spec),
@@ -724,3 +724,66 @@ class TestScalarArrayProperties:
         # rho on the boundary circle of one exclusion disk of either family
         center = disk_centers_elliptic(*((q, p) if swapped else (p, q)))[k]
         assert_closed_codes_agree(p, q, center + 2.0 * cmath.exp(1j * theta))
+
+
+disk_orders = st.one_of(
+    st.integers(min_value=3, max_value=12),
+    st.integers(min_value=13, max_value=10**9),
+    st.just(math.inf),
+)
+ULPS = 8 * np.finfo(float).eps  # a few ulps of a slack of size ~2
+
+
+class TestDominantFamily:
+    """For 3 <= p <= q <= inf the four (p, q) disks lie inside the union of
+    the four (q, p) disks, so the (p, q) family decides (module docstring)."""
+
+    @given(p=disk_orders, q=disk_orders, k=st.integers(0, 3), r=st.floats(0.0, 2.0), theta=angles)
+    @settings(max_examples=200, deadline=None)
+    @example(p=3, q=4, k=0, r=2.0, theta=0.0)
+    @example(p=3, q=math.inf, k=1, r=2.0, theta=1.0)
+    @example(p=10**9, q=math.inf, k=0, r=2.0, theta=3.0)
+    def test_swapped_disks_cover_the_dominant_disks(self, p, q, k, r, theta):
+        p, q = sorted((p, q))
+        z = disk_centers_elliptic(p, q)[k] + r * cmath.exp(1j * theta)
+        assert disk_slack(q, p, z) <= ULPS
+
+    @given(
+        p=disk_orders,
+        q=disk_orders,
+        k=st.integers(0, 3),
+        r=st.floats(2.0, 3.0),
+        theta=angles,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_swapped_row_certifies_only_where_the_dominant_row_does(self, p, q, k, r, theta):
+        # points just outside a (q, p) disk, where that family may certify
+        p, q = sorted((p, q))
+        z = disk_centers_elliptic(q, p)[k] + r * cmath.exp(1j * theta)
+        swapped = disk_slack(q, p, z)
+        if swapped > EPS_ALG:
+            assert disk_slack(p, q, z) > EPS_ALG
+        if swapped > 0.0:
+            assert swapped <= disk_slack(p, q, z) + ULPS
+
+    @pytest.mark.parametrize(
+        "p, q, dominant_p, dominant_q",
+        [
+            (3, 4, 3, 4),
+            (4, 3, 3, 4),
+            (3, 3, 3, 3),
+            (2, 5, 5, 2),
+            (5, 2, 5, 2),
+            (3, math.inf, 3, math.inf),
+            (math.inf, 4, 4, math.inf),
+            (math.inf, math.inf, math.inf, math.inf),
+        ],
+    )
+    def test_rows_read_the_dominant_marking(self, p, q, dominant_p, dominant_q):
+        # DisksGeneral runs where the dominant marking is (q, p); the line
+        # family anchors on that marking's four disks
+        dominant = (dominant_p, dominant_q)
+        assert dominant_marking(p, q) == dominant
+        general = next(s for s in certificates.CASCADE if s.code == CODE_DISKS_GENERAL)
+        assert general.applies(p, q) == (dominant != (p, q))
+        assert np.array_equal(_anchor_centers(p, q), disk_centers_elliptic(*dominant))

@@ -1,5 +1,6 @@
 """Deterministic emission: SVG/JSON/CSV/PGM formats and their invariants."""
 
+import cmath
 import hashlib
 import json
 import math
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mobcert.render as render
+from mobcert.certificates import cert_disks_elliptic
 from mobcert.cli import main
-from mobcert.mobius import InvalidInputError, sigma_pq
+from mobcert.mobius import GroupSpec, InvalidInputError, sigma_pq
 from mobcert.omega import build_omega, omega_margin
 from mobcert.render import (
     PALETTE,
@@ -308,17 +310,31 @@ class TestCompareLambda:
         with pytest.raises(InvalidInputError):
             compare_lambda_data(3, 3, n=0)
 
+    @pytest.mark.parametrize("p, q", [(3, 4), (4, 3), (5, 9), (9, 5), (4, 7), (7, 4), (2, 5), (5, 2)])
+    def test_disk_exit_leaves_every_disk_row_uncertified_point(self, p, q):
+        # A point is disk-uncertified when it lies in a disk of each family;
+        # t_disks is where each ray leaves that set for good.
+        def disk_row_certifies(z):
+            markings = [(a, b) for a, b in ((p, q), (q, p)) if a >= 3]
+            return any(cert_disks_elliptic(GroupSpec(a, b, z)).certified for a, b in markings)
+
+        center = sigma_pq(p, q) / 2.0
+        for row in compare_lambda_data(p, q, 48):
+            ray = cmath.exp(1j * row["theta"])
+            assert disk_row_certifies(center + (row["t_disks"] + 1e-9) * ray), row
+            assert not disk_row_certifies(center + (row["t_disks"] - 1e-9) * ray), row
+
     # SHA-256 of compare_lambda_csv and of `compare-lambda --format json`,
-    # recorded since the lambda test is the rho-plane slack lambda_slack_rho.
+    # recorded since t_disks is the exit from the dominant family's disks.
     @pytest.mark.parametrize(
         "p, q, n, csv_digest, json_digest",
         [
             (3, 4, 48,
-             "0eb45aec2e1b433c9fd8ca1bd75c4875cb9d00b81f666b98c07095f1fbd543d2",
-             "7eac1a4a8a4ebb6c918491d91c30ca32510f60b4ea8b5db14d2bbafb08418a77"),
+             "ce01338611a294263cf246a91acbac398318c55f1eeeaa803508e53a37fd928e",
+             "e43e4a3ec6c9a21c07df8879e1da928b50cf4ed1f27eea44d1da5d62617c9338"),
             (5, 9, 360,
-             "ec1a4c811a3130209992f3a143034b51fa8c84beb6071d249298c766f56cd590",
-             "044c2130bb12073f5a9daa7e75670da96b2bb157cd764be1af59c70d8073429a"),
+             "6f2cd1693582d58cf9f8715e9d96db44c109c68caaa92af2a0963b2e0f607407",
+             "8bc50f4bb725470e12af0513bd0e2597a5de841d0e3d763e4d7dff60f28d4115"),
             (7, 7, 7,
              "5d6c67cf0432a71c4f8dd8185848ff46047c8d04750971295433b5d7704f715a",
              "4bf5cc3a34d16dd41bceea78cb8a8592f3db46f8c47e9ee8ab095b2f9e91a37e"),
