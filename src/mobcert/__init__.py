@@ -74,7 +74,7 @@ from .certificates import (
     disk_slack_array,
     line_distance,
 )
-from .farey import FAREY_WORDS, SLOPES, cusp_residue, farey_poly, farey_word_matrix, solve_cusp
+from .farey import FAREY_WORDS, SLOPES, cusp_residue, farey_poly, solve_cusp
 from .burau import (
     ANNULUS_CONJECTURED,
     ANNULUS_PROVED,

@@ -253,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     cert.set_defaults(func=cmd_certify)
 
     region = sub.add_parser("region", help="emit the Omega figure for (p, q)")
-    region.add_argument("--p", type=int, required=True)
-    region.add_argument("--q", type=int, required=True)
+    region.add_argument("--p", type=_order_arg, required=True)
+    region.add_argument("--q", type=_order_arg, required=True)
     region.add_argument("--format", choices=("svg", "json"), default="svg")
     region.add_argument("--out")
     region.set_defaults(func=cmd_region)
@@ -271,16 +271,16 @@ def build_parser() -> argparse.ArgumentParser:
     scan.set_defaults(func=cmd_scan)
 
     cmp_ = sub.add_parser("compare-lambda", help="disk vs lambda certificate comparison")
-    cmp_.add_argument("--p", type=int, required=True)
-    cmp_.add_argument("--q", type=int, required=True)
+    cmp_.add_argument("--p", type=_order_arg, required=True)
+    cmp_.add_argument("--q", type=_order_arg, required=True)
     cmp_.add_argument("--angles", type=int, default=360)
     cmp_.add_argument("--format", choices=("svg", "csv", "json"), default="svg")
     cmp_.add_argument("--out")
     cmp_.set_defaults(func=cmd_compare_lambda)
 
     cusps = sub.add_parser("cusps", help="Farey cusps on the Omega boundary")
-    cusps.add_argument("--p", type=int, required=True)
-    cusps.add_argument("--q", type=int, required=True)
+    cusps.add_argument("--p", type=_order_arg, required=True)
+    cusps.add_argument("--q", type=_order_arg, required=True)
     cusps.add_argument("--out")
     cusps.set_defaults(func=cmd_cusps)
 

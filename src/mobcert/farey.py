@@ -19,7 +19,7 @@ import cmath
 
 import numpy as np
 
-from .mobius import GroupSpec, InvalidInputError, inv2, make_generators, pi_over
+from .mobius import InvalidInputError, pi_over
 
 SLOPES = ((0, 1), (1, 1), (1, 2), (1, 3))
 
@@ -59,17 +59,6 @@ def farey_poly(slope, p, q) -> np.polynomial.Polynomial:
             1.0,
         ]
     return np.polynomial.Polynomial(coeffs)
-
-
-def farey_word_matrix(spec: GroupSpec, slope) -> np.ndarray:
-    """The Farey word of a slope evaluated in the marked generators."""
-    slope = _check_slope(slope)
-    A, B = make_generators(spec)
-    letters = {"A": A, "B": B, "a": inv2(A), "b": inv2(B)}
-    m = np.eye(2, dtype=complex)
-    for ch in FAREY_WORDS[slope]:
-        m = m @ letters[ch]
-    return m
 
 
 def solve_cusp(slope, p, q) -> tuple[complex, ...]:

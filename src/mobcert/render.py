@@ -313,35 +313,31 @@ def _ray_disk_exit(center: complex, phi: float, centers) -> float:
 
 
 def _ray_lambda_exits(p, q, center: complex, thetas, t_hi: float) -> np.ndarray:
-    """Per ray, the largest t with center + t e^{i theta} failing the lambda
-    inequalities (0.0 for a ray that never fails them).
+    """Per ray from center = sigma/2, the exit t* of center + t e^{i theta}
+    from the set that fails the closed lambda row; t_hi must exceed 4.
 
-    Each ray gets its own 1025-sample scan of [0, t_hi]; the rays that left
-    the feasible set then bisect their last infeasible bracket together.
+    Each ray fails the row on [0, t*) and nowhere else, so one 60-step
+    bisection of [0, t_hi], all rays per step, finds every exit.  With
+    x = Re rho - sigma/2, E = (|rho| + |rho - sigma|)/2 >= 2S,
+    c = cos(pi/p) cos(pi/q) in [0, 1) and eps = EPS_ALG:
+
+    - rho fails the row iff E^2 - (2 - eps) E - 2c|x| < 0;
+    - on the half-plane x >= 0 that set is {phi(max(E, 1 - eps/2)) - 2cx < 0},
+      phi(E) = E^2 - (2 - eps) E, and so convex (E is convex and phi is
+      convex and nondecreasing past 1 - eps/2); rho -> sigma - rho gives
+      the half x <= 0, and each ray stays in one half;
+    - it holds sigma/2, where the slack is 2S - 2 <= sqrt(3) - 2;
+    - on it E < 2 - eps + 2c < 4, since |x| <= t <= E: every exit lies
+      below 4.
     """
     es = np.array([cmath.exp(1j * phi) for phi in thetas])
-
-    def feasible(ts: np.ndarray, e) -> np.ndarray:
-        z = center + ts * e
-        return lambda_slack_rho(p, q, z) >= -EPS_ALG
-
-    ts = np.linspace(0.0, t_hi, 1025)
-    live, lo, hi = [], [], []
-    for k, e in enumerate(es):
-        bad = np.nonzero(~feasible(ts, e))[0]
-        if bad.size:
-            live.append(k)
-            lo.append(ts[bad[-1]])
-            hi.append(t_hi if bad[-1] + 1 >= ts.size else ts[bad[-1] + 1])
-    lo, hi, e_live = np.array(lo), np.array(hi), es[live]
+    lo, hi = np.zeros(len(es)), np.full(len(es), t_hi)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        ok = feasible(mid, e_live)
+        ok = lambda_slack_rho(p, q, center + mid * es) >= -EPS_ALG
         hi = np.where(ok, mid, hi)
         lo = np.where(ok, lo, mid)
-    t_exit = np.zeros(len(es))
-    t_exit[live] = 0.5 * (lo + hi)
-    return t_exit
+    return 0.5 * (lo + hi)
 
 
 def compare_lambda_data(p, q, n: int = 360) -> list[dict]:

@@ -311,6 +311,21 @@ class TestOtherCommands:
         assert rc == 3 and out == ""
         assert err == "error: Omega_{p,q} needs finite orders 3 <= p, q; got p = 2\n"
 
+    # every subcommand parses its orders alike, so "inf" reaches the library
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("region", "error: Omega_{p,q} needs finite orders 3 <= p, q; got p = inf\n"),
+            ("cusps", "error: Omega_{p,q} needs finite orders 3 <= p, q; got p = inf\n"),
+            ("compare-lambda", "error: lambda coordinates need finite orders\n"),
+        ],
+        ids=["region", "cusps", "compare-lambda"],
+    )
+    def test_infinite_order_exits_3(self, capsys, command, message):
+        rc, out, err = run(capsys, command, "--p", "inf", "--q", "4")
+        assert rc == 3 and out == ""
+        assert err == message
+
     def test_compare_lambda_csv(self, capsys):
         rc, out, _ = run(
             capsys, "compare-lambda", "--p", "3", "--q", "3",

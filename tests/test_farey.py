@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mobcert.farey import FAREY_WORDS, SLOPES, cusp_residue, farey_poly, farey_word_matrix, solve_cusp
+from mobcert.farey import FAREY_WORDS, SLOPES, cusp_residue, farey_poly, solve_cusp
 from mobcert.mobius import GroupSpec, InvalidInputError, make_generators, sigma_pq, tr2, inv2
 from mobcert.omega import boundary_cusps
 
@@ -50,9 +50,7 @@ class TestPolynomialOracle:
             for slope in SLOPES:
                 poly = farey_poly(slope, p, q)
                 direct = word_trace_direct(spec, FAREY_WORDS[slope])
-                matrix = tr2(farey_word_matrix(spec, slope))
                 assert abs(poly(rho) - direct) < 1e-9 * max(1.0, abs(direct))
-                assert abs(matrix - direct) < 1e-9 * max(1.0, abs(direct))
 
     def test_degrees_and_leading_coefficients(self):
         for p, q in [(3, 3), (3, 7), (5, 4)]:
