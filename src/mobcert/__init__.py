@@ -31,7 +31,6 @@ from .mobius import (
     tr2,
 )
 from .lambda_region import (
-    LambdaParams,
     lambda_boundary,
     lambda_from_rho,
     lambda_slack,
@@ -61,7 +60,6 @@ from .certificates import (
     VERDICT_FAITHFUL,
     VERDICT_FREE,
     VERDICT_NONE,
-    WITNESS_OF_CODE,
     anchor_search,
     cert_combined,
     cert_disks_elliptic,

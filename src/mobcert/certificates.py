@@ -153,21 +153,24 @@ def disk_slack_array(p, q, rho: np.ndarray) -> np.ndarray:
 class Stage:
     """One row of the cascade table: slack(p, q, rho array) is the row's
     slack where applies(p, q); a strict row certifies where slack >
-    EPS_ALG, a closed one where slack >= -EPS_ALG.  detail is the default
-    detail of the row's certificates."""
+    EPS_ALG, a closed one where slack >= -EPS_ALG."""
 
     code: int
     witness: str
     applies: Callable
     slack: Callable
     strict: bool
-    detail: dict = field(default_factory=dict)
 
     def passes(self, slack):
         return slack > EPS_ALG if self.strict else slack >= -EPS_ALG
 
+    def require(self, p, q) -> None:
+        """Raise PreconditionError unless the row applies to (p, q)."""
+        if not self.applies(p, q):
+            raise PreconditionError(f"{self.witness} test does not apply to orders ({p}, {q})")
+
     def certificate(self, slack: float, detail: dict | None = None) -> Certificate:
-        detail = dict(self.detail if detail is None else detail)
+        detail = {} if detail is None else detail
         if self.passes(slack):
             return Certificate(VERDICT_FREE, self.witness, slack, self.code, detail)
         return Certificate(VERDICT_NONE, None, slack, CODE_NONE, detail)
@@ -200,14 +203,12 @@ CASCADE = (
     DISKS_ELLIPTIC,
     Stage(  # the disks of the swapped marking (q, p), where they are the dominant family
         CODE_DISKS_GENERAL, "DisksGeneral", lambda p, q: dominant_marking(p, q) != (p, q),
-        lambda p, q, rho: disk_slack_array(q, p, rho), strict=True, detail={"family": "swapped"},
+        lambda p, q, rho: disk_slack_array(q, p, rho), strict=True,
     ),
     IM_BOUND,
     LAMBDA_REGION,
     LINE_FAMILY,
 )
-
-WITNESS_OF_CODE = {CODE_NONE: None, **{stage.code: stage.witness for stage in CASCADE}}
 
 
 @lru_cache(maxsize=128)
@@ -221,22 +222,17 @@ def _stages(p, q, search: bool) -> tuple[Stage, ...]:
     return tuple(stage for stage in rows if stage.applies(p, q))
 
 
-def _require(stage: Stage, spec: GroupSpec) -> None:
-    if not stage.applies(spec.p, spec.q):
-        raise PreconditionError(f"{stage.witness} test does not apply to orders ({spec.p}, {spec.q})")
-
-
 def cert_disks_elliptic(spec: GroupSpec) -> Certificate:
     """rho outside all four exclusion disks (strict): the DisksElliptic row
     at one point, its slack from the scalar disk_slack."""
-    _require(DISKS_ELLIPTIC, spec)
+    DISKS_ELLIPTIC.require(spec.p, spec.q)
     return DISKS_ELLIPTIC.certificate(disk_slack(spec.p, spec.q, spec.rho))
 
 
 def cert_im_bound(spec: GroupSpec) -> Certificate:
     """|Im rho| >= 2 sqrt(1 - S^2) (closed): the ImBound row at one point,
     its slack in scalar arithmetic."""
-    _require(IM_BOUND, spec)
+    IM_BOUND.require(spec.p, spec.q)
     return IM_BOUND.certificate(abs(spec.rho.imag) - im_bound(spec.p, spec.q))
 
 
@@ -259,7 +255,7 @@ def cert_line_family(spec: GroupSpec, anchor: complex) -> Certificate:
     anchor = complex(anchor)
     if anchor == 0:
         raise InvalidInputError("line family needs a nonzero anchor")
-    _require(DISKS_ELLIPTIC, spec)
+    DISKS_ELLIPTIC.require(spec.p, spec.q)
     slack = disk_slack(spec.p, spec.q, anchor)
     if not DISKS_ELLIPTIC.passes(slack):
         raise PreconditionError("anchor must pass the elliptic disk test strictly")
@@ -424,19 +420,12 @@ def anchor_search(spec: GroupSpec) -> Certificate:
     It searches each anchor circle on a t grid with golden-section
     refinement (_grid_max), not in closed form like anchor_search_bulk: the
     slack it reports is the best anchor slack found, at most the circle's
-    maximum.  The detail's "family" names the disk family of a certified
-    anchor, "swapped" where dominant_marking swaps the orders.
+    maximum.  A certified anchor passes the disk test of
+    dominant_marking(p, q).
     """
-    p, q = spec.p, spec.q
-    slack, anchor, w = _search_anchors(p, q, np.array([spec.rho]), _grid_max)
-    s = float(slack[0])
-    family = "elliptic" if dominant_marking(p, q) == (p, q) else "swapped"
-    detail = {
-        "anchor": complex(anchor[0]),
-        "symmetry_image": complex(w[0]),
-        "family": family if LINE_FAMILY.passes(s) else None,
-    }
-    return LINE_FAMILY.certificate(s, detail)
+    slack, anchor, w = _search_anchors(spec.p, spec.q, np.array([spec.rho]), _grid_max)
+    detail = {"anchor": complex(anchor[0]), "symmetry_image": complex(w[0])}
+    return LINE_FAMILY.certificate(float(slack[0]), detail)
 
 
 def cert_combined(spec: GroupSpec, search: bool = True) -> Certificate:

@@ -93,6 +93,11 @@ def _window_arg(text: str) -> Window:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _order(n):
+    """An order as a JSON value: the int, or "inf"."""
+    return "inf" if n == math.inf else n
+
+
 def _pair(z: complex):
     """[re, im] of z; None (JSON null) for a non-finite value."""
     z = complex(z)
@@ -146,9 +151,7 @@ def cmd_certify(args) -> int:
             if finite and sin_sin(args.p, args.q) > 0.0:  # S underflows to 0 where p q passes ~2e324
                 branches = [_pair(b) for b in lambda_from_rho(spec)]
             doc = {
-                "input": {"p": str(args.p) if args.p == math.inf else args.p,
-                          "q": str(args.q) if args.q == math.inf else args.q,
-                          "rho": _pair(rho)},
+                "input": {"p": _order(args.p), "q": _order(args.q), "rho": _pair(rho)},
                 "verdict": cert.verdict,
                 "witness": cert.witness,
                 "slack": cert.slack,
@@ -181,7 +184,8 @@ def cmd_scan(args) -> int:
     raster = scan_svg(result).encode("utf-8") if args.format == "svg" else scan_pgm(result)
     with open(raster_path, "wb") as fh:
         fh.write(raster)
-    print(_json_line({"csv": csv_path, "raster": raster_path, "metadata": result.metadata}), end="")
+    metadata = {**result.metadata, "p": _order(job.p), "q": _order(job.q)}
+    print(_json_line({"csv": csv_path, "raster": raster_path, "metadata": metadata}), end="")
     return 0
 
 

@@ -11,9 +11,9 @@ inequalities
 
     |lambda cot(pi/q) +- cot(pi/p)| + csc(pi/p) <= |lambda| csc(pi/q)
 
-hold.  The inequalities are invariant under lambda -> -lambda but not under
-lambda -> 1/lambda, so lambda is normalized to |lambda| >= 1 (both moduli
-describe the same conjugacy class, and rho_minus/rho_plus are unchanged).
+hold.  lambda and 1/lambda describe the same conjugacy class (rho_minus and
+rho_plus are unchanged), but the inequalities are invariant only under
+lambda -> -lambda, and they are read at the branch with |lambda| >= 1.
 There both hold iff Q(lam) = |lam|^2 + 1 - 2|lam| csc_p csc_q - 2 cot_p cot_q |Re lam|
 >= 0, which is symmetric in p and q.  The cascade decides this in the
 rho-plane (lambda_slack_rho), with E = (|rho| + |rho - sigma|) / 2:
@@ -36,7 +36,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,24 +57,6 @@ def _check_sign(sign) -> int:
     if sign in (+1, -1):
         return int(sign)
     raise InvalidInputError(f"sign must be +1 or -1, got {sign!r}")
-
-
-@dataclass(frozen=True)
-class LambdaParams:
-    """Orders (p, q) and a lambda value normalized to |lambda| >= 1."""
-
-    p: int
-    q: int
-    lam: complex
-
-    def __post_init__(self):
-        _check_lambda_orders(self.p, self.q)
-        lam = complex(self.lam)
-        if lam == 0:
-            raise InvalidInputError("lambda must be nonzero")
-        if abs(lam / 2.0) < 0.5:  # halved, so abs() of a finite complex cannot overflow
-            lam = 1.0 / lam
-        object.__setattr__(self, "lam", lam)
 
 
 def _trig(p, q) -> tuple[float, float, float, float]:
@@ -105,9 +86,6 @@ def lambda_slack(p, q, lam):
     return np.minimum(lambda_slack_signed(p, q, lam, +1), lambda_slack_signed(p, q, lam, -1))
 
 
-lambda_slack_array = lambda_slack  # the array name that test_acceptance.py and perfbench look up
-
-
 def lambda_slack_rho(p, q, rho):
     """The rho-plane lambda slack (module docstring) at a complex or a
     complex array rho; >= 0 means both inequalities hold.  A rho-plane
@@ -124,14 +102,18 @@ def lambda_slack_rho(p, q, rho):
     return e - 2.0 - 4.0 * (math.cos(pi_over(p)) * math.cos(pi_over(q))) * ratio
 
 
-def rho_from_lambda(params: LambdaParams) -> tuple[complex, complex]:
-    """(rho_minus, rho_plus) of a lambda value; the two sum to sigma.
+def rho_from_lambda(p, q, lam) -> tuple[complex, complex]:
+    """(rho_minus, rho_plus) of a nonzero lambda value; the two sum to sigma.
 
     Each root satisfies rho (rho - sigma) = (lam - 1/lam)^2 S^2, so the
-    roots are symmetry partners of one another.
+    roots are symmetry partners of one another, and lam and 1/lam give the
+    same pair.
     """
-    s = sin_sin(params.p, params.q)
-    lam = params.lam
+    _check_lambda_orders(p, q)
+    lam = complex(lam)
+    if lam == 0:
+        raise InvalidInputError("lambda must be nonzero")
+    s = sin_sin(p, q)
     rm = -s * (lam - 1.0) ** 2 / lam
     rp = s * (lam + 1.0) ** 2 / lam
     return rm, rp
@@ -207,4 +189,4 @@ def rho_boundary(p, q, theta: float) -> tuple[complex, complex]:
     common exterior of the two closed curves is lambda-certified.
     """
     lam = lambda_boundary(p, q, theta, +1)
-    return rho_from_lambda(LambdaParams(p, q, lam))
+    return rho_from_lambda(p, q, lam)

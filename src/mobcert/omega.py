@@ -120,11 +120,8 @@ def _line_through(a: complex, b: complex, inner: complex) -> OrientedLine:
 
 @dataclass(frozen=True)
 class OmegaRegion:
-    """Omega_{p,q} as an intersection of open half-planes.  Orders are
-    normalized to p <= q."""
+    """Omega_{p,q} as an intersection of open half-planes."""
 
-    p: int
-    q: int
     lines: tuple
 
 
@@ -160,7 +157,7 @@ def build_omega(p, q) -> OmegaRegion:
             (sigma - rs.conjugate(), sigma - x0),
         ):
             lines.append(_line_through(z0, x1, inner))
-    return OmegaRegion(p=int(p), q=int(q), lines=tuple(lines))
+    return OmegaRegion(tuple(lines))
 
 
 def omega_margin(region: OmegaRegion, z):

@@ -19,9 +19,9 @@ import math
 
 import numpy as np
 
-from .certificates import disk_centers_elliptic, dominant_marking
-from .lambda_region import lambda_slack_rho, rho_boundary
-from .mobius import EPS_ALG, InvalidInputError, sigma_pq
+from .certificates import LAMBDA_REGION, disk_centers_elliptic, dominant_marking
+from .lambda_region import rho_boundary
+from .mobius import InvalidInputError, sigma_pq
 from .omega import OmegaRegion, boundary_cusps, build_omega, rho_star, x_pq
 from .scan import ScanResult
 
@@ -334,7 +334,7 @@ def _ray_lambda_exits(p, q, center: complex, thetas, t_hi: float) -> np.ndarray:
     lo, hi = np.zeros(len(es)), np.full(len(es), t_hi)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        ok = lambda_slack_rho(p, q, center + mid * es) >= -EPS_ALG
+        ok = LAMBDA_REGION.passes(LAMBDA_REGION.slack(p, q, center + mid * es))
         hi = np.where(ok, mid, hi)
         lo = np.where(ok, lo, mid)
     return 0.5 * (lo + hi)

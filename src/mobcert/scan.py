@@ -11,8 +11,10 @@ die part-way raise PartialScanError carrying the completed-rows count.
 Mode -> code semantics (0 always means "not certified"):
 
 * ``omega``    1 where the point lies strictly outside Omega_{p,q}.
-* ``disks``    1 where the four (p, q) exclusion disks certify (strict).
-* ``lambda``   4 where the (p, q) lambda inequalities certify (closed).
+* ``disks``    1 where the four (p, q) exclusion disks certify (strict);
+               p must be >= 3 or inf, as for the DisksElliptic row.
+* ``lambda``   4 where the (p, q) lambda inequalities certify (closed);
+               finite orders only.
 * ``combined`` the full cert_combined cascade, codes 1/2/5/4/3.
 * ``burau``    the window is read in the mu-plane; 4 where the specialized
                Burau representation is certified faithful.
@@ -124,7 +126,8 @@ def _mode_codes(job: ScanJob) -> Callable[[np.ndarray], np.ndarray]:
         region = build_omega(p, q)
         return lambda z: _code(omega_margin(region, z) < -EPS_ALG, CODE_DISKS_ELLIPTIC)
     stage = {"disks": DISKS_ELLIPTIC, "lambda": LAMBDA_REGION}.get(job.mode)
-    if stage is not None:  # one cascade row alone
+    if stage is not None:  # one cascade row alone, where its precondition holds
+        stage.require(p, q)
         return lambda z: _code(stage.passes(stage.slack(p, q, z)), stage.code)
     if job.mode == "burau":
         return lambda z: _code(faithful_mask(z), CODE_LAMBDA)

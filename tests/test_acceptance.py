@@ -28,9 +28,8 @@ from mobcert.certificates import (
 )
 from mobcert.farey import cusp_residue, solve_cusp
 from mobcert.lambda_region import (
-    LambdaParams,
     lambda_boundary,
-    lambda_slack_array,
+    lambda_slack,
     lambda_slack_signed,
     rho_from_lambda,
 )
@@ -239,7 +238,7 @@ def test_criterion_08_lambda_rho_bridge():
             r = np.exp(RNG.uniform(0.0, math.log(100.0), 4 * per_pair))
             ang = RNG.uniform(0.0, 2.0 * math.pi, 4 * per_pair)
             cand = r * np.exp(1j * ang)
-            feas = lambda_slack_array(p, q, cand) >= -EPS_ALG
+            feas = lambda_slack(p, q, cand) >= -EPS_ALG
             lams = np.concatenate([lams, cand[feas]])
         lams = lams[:per_pair]
         roots = np.concatenate([-s * (lams - 1) ** 2 / lams, s * (lams + 1) ** 2 / lams])
@@ -248,8 +247,7 @@ def test_criterion_08_lambda_rho_bridge():
         total += lams.size
         # spot-check the scalar certificate on a few samples per marking
         for lam in lams[:3]:
-            params = LambdaParams(p, q, complex(lam))
-            for rho in rho_from_lambda(params):
+            for rho in rho_from_lambda(p, q, complex(lam)):
                 assert cert_combined(GroupSpec(p, q, rho)).certified
                 checked_scalar += 1
 

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 from mobcert import certificates
 from mobcert.certificates import (
+    CASCADE,
     CODE_DISKS_ELLIPTIC,
     CODE_DISKS_GENERAL,
     CODE_IM_BOUND,
     CODE_LAMBDA,
     CODE_LINE_FAMILY,
-    WITNESS_OF_CODE,
     _anchor_centers,
     _anchor_slack_at,
     _circle_max,
@@ -38,9 +38,8 @@ from mobcert.certificates import (
     line_distance,
 )
 from mobcert.lambda_region import (
-    LambdaParams,
     lambda_from_rho,
-    lambda_slack_array,
+    lambda_slack,
     lambda_slack_rho,
     rho_from_lambda,
 )
@@ -59,6 +58,11 @@ from mobcert.mobius import (
 from mobcert.omega import build_omega, omega_margin, rho_star
 
 RNG = np.random.default_rng(20260814)
+
+
+def witness_of(code):
+    """The witness of the CASCADE row with this code; None for code 0."""
+    return next((stage.witness for stage in CASCADE if stage.code == code), None)
 
 
 class TestDiskFamily:
@@ -184,7 +188,7 @@ class TestDisksGeneral:
         assert cert_disks_elliptic(spec.swapped()).certified
         cert = cert_combined(spec)
         assert cert.certified and cert.code == CODE_DISKS_GENERAL
-        assert cert.witness == WITNESS_OF_CODE[CODE_DISKS_GENERAL]
+        assert cert.witness == witness_of(CODE_DISKS_GENERAL) == "DisksGeneral"
         assert abs(cert.slack - disk_slack(5, 2, spec.rho)) < 1e-15
         assert combined_codes_array(2, 5, np.array([spec.rho]))[0] == CODE_DISKS_GENERAL
 
@@ -256,10 +260,10 @@ class TestLambdaCert:
     def test_feasible_region_boundary(self):
         # lam = 3 lies on the (3, 3) boundary (its rho_plus is the cusp 4),
         # lam = 2.9 just inside the uncertified oval
-        _, rho = rho_from_lambda(LambdaParams(3, 3, 3.0))
+        _, rho = rho_from_lambda(3, 3, 3.0)
         cert = cert_lambda(GroupSpec(3, 3, rho))
         assert cert.certified and abs(cert.slack) < 1e-12
-        _, rho = rho_from_lambda(LambdaParams(3, 3, 2.9))
+        _, rho = rho_from_lambda(3, 3, 2.9)
         assert not cert_lambda(GroupSpec(3, 3, rho)).certified
 
     def test_cert_lambda_branches_detail(self):
@@ -311,9 +315,11 @@ class TestAnchorSearch:
         assert dominant_marking(2, 5) == dominant_marking(5, 2) == (5, 2)
         s25, s52 = (anchor_search_bulk(p, q, np.array([5.0 + 0.0j]))[0][0] for p, q in ((2, 5), (5, 2)))
         assert abs(s25 - s52) < 1e-12
-        for p, q, family in ((2, 5, "swapped"), (5, 2, "elliptic")):
+        for p, q in ((2, 5), (5, 2)):
             cert = anchor_search(GroupSpec(p, q, 9.0 + 0.1j))
-            assert cert.certified and cert.detail["family"] == family
+            assert cert.certified and set(cert.detail) == {"anchor", "symmetry_image"}
+            # the anchor passes the (5, 2) disk test, which reports its slack
+            assert abs(disk_slack(*dominant_marking(p, q), cert.detail["anchor"]) - cert.slack) < 1e-12
 
 
 SCREEN_ORDERS = st.sampled_from([2, 3, 4, 5, 9, 10**6, math.inf])
@@ -549,8 +555,8 @@ class TestCombined:
         assert disk_slack(p, q, z) <= EPS_ALG  # inside an elliptic disk
         assert disk_slack(q, p, z) > EPS_ALG  # outside all swapped disks
         cert = cert_combined(GroupSpec(p, q, z))
-        assert cert.code == CODE_DISKS_GENERAL
-        assert cert.detail.get("family") == "swapped"
+        assert cert.code == CODE_DISKS_GENERAL and cert.detail == {}
+        assert dominant_marking(p, q) == (q, p)
 
     def test_uncertified_interior(self):
         c = cert_combined(GroupSpec(3, 3, 1.5 + 0.2j))
@@ -584,7 +590,7 @@ class TestCombined:
         for code in (CODE_LINE_FAMILY, 0):
             for k in residual[full[residual] == code][:2]:
                 cert = cert_combined(GroupSpec(p, q, complex(grid[k])), search=True)
-                assert cert.code == code and cert.witness == WITNESS_OF_CODE[code], grid[k]
+                assert cert.code == code and cert.witness == witness_of(code), grid[k]
 
     def test_scalar_matches_array_codes(self):
         self.assert_codes_pinned(3, 4, np.linspace(-2.5, 5.5, 21), np.linspace(-2.0, 2.0, 11))
@@ -630,8 +636,8 @@ class TestCombined:
         if pq_slack is not None:
             big_pq, _ = lambda_from_rho(GroupSpec(p, q, rho))
             big_qp, _ = lambda_from_rho(GroupSpec(q, p, rho))
-            slack_pq = lambda_slack_array(p, q, np.array([big_pq]))[0]
-            slack_qp = lambda_slack_array(q, p, np.array([big_qp]))[0]
+            slack_pq = lambda_slack(p, q, np.array([big_pq]))[0]
+            slack_qp = lambda_slack(q, p, np.array([big_qp]))[0]
             assert math.isclose(slack_pq, pq_slack, rel_tol=1e-3) and slack_pq < -EPS_ALG
             assert math.isclose(slack_qp, qp_slack, rel_tol=1e-3) and slack_qp >= -EPS_ALG
         slack = certificates.LAMBDA_REGION.slack(p, q, z)[0]

@@ -283,6 +283,32 @@ class TestScan:
         assert err.startswith("error: workers must be at least 1")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "mode, p, q, witness",
+        [("disks", "2", "inf", "DisksElliptic"), ("disks", "2", "5", "DisksElliptic"),
+         ("disks", "2", "3", "DisksElliptic"), ("lambda", "3", "inf", "LambdaRegion")],
+    )
+    def test_single_row_mode_checks_its_precondition(self, capsys, tmp_path, mode, p, q, witness):
+        # p = 2 has no (p, q) disk family: the disks row does not apply, so
+        # the scan writes nothing rather than certify with a degenerate family
+        rc, out, err = run(
+            capsys, "scan", "--p", p, "--q", q, "--window=-3,6,-4.5,4.5",
+            "--res", "8", "--mode", mode, "--out", str(tmp_path / "x"),
+        )
+        assert rc == 3 and out == ""
+        assert err == f"error: {witness} test does not apply to orders ({p}, {q})\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_summary_line_is_standard_json(self, capsys, tmp_path):
+        # an infinite order is written "inf", as certify writes it
+        rc, out, _ = run(
+            capsys, "scan", "--p", "3", "--q", "inf", "--window=-3,6,-4.5,4.5",
+            "--res", "8", "--out", str(tmp_path / "x"),
+        )
+        assert rc == 0
+        meta = json.loads(out, parse_constant=reject)["metadata"]
+        assert (meta["p"], meta["q"]) == (3, "inf")
+
     def test_invalid_marking_exits_3(self, capsys, tmp_path):
         rc, _, err = run(
             capsys, "scan", "--p", "2", "--q", "2", "--window=-1,1,-1,1",

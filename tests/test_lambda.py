@@ -12,12 +12,10 @@ from hypothesis import strategies as st
 
 from mobcert.certificates import LAMBDA_REGION, cert_combined, cert_lambda
 from mobcert.lambda_region import (
-    LambdaParams,
     lambda_boundary,
     lambda_branches,
     lambda_from_rho,
     lambda_slack,
-    lambda_slack_array,
     lambda_slack_rho,
     lambda_slack_signed,
     rho_boundary,
@@ -32,41 +30,26 @@ lam_values = st.complex_numbers(
 )
 
 
-class TestParams:
+class TestRhoFromLambda:
     @given(p=finite_orders, q=finite_orders, lam=lam_values)
     @settings(max_examples=100, deadline=None)
-    def test_normalized_to_unit_disk_exterior(self, p, q, lam):
+    def test_inverse_gives_the_same_pair(self, p, q, lam):
         if p == 2 and q == 2:
             with pytest.raises(InvalidInputError):
-                LambdaParams(p, q, lam)
+                rho_from_lambda(p, q, lam)
             return
-        params = LambdaParams(p, q, lam)
-        assert abs(params.lam) >= 1.0 - 1e-15
-        # rho pair is invariant under the 1/lam normalization
-        rm1, rp1 = rho_from_lambda(params)
-        rm2, rp2 = rho_from_lambda(LambdaParams(p, q, 1.0 / lam))
+        rm1, rp1 = rho_from_lambda(p, q, lam)
+        rm2, rp2 = rho_from_lambda(p, q, 1.0 / lam)
         assert abs(rm1 - rm2) < 1e-9 * max(1.0, abs(rm1))
         assert abs(rp1 - rp2) < 1e-9 * max(1.0, abs(rp1))
 
     def test_rejects_degenerate(self):
         with pytest.raises(InvalidInputError):
-            LambdaParams(3, 3, 0.0)
+            rho_from_lambda(3, 3, 0.0)
         with pytest.raises(InvalidInputError):
-            LambdaParams(2, 2, 2.0)
+            rho_from_lambda(2, 2, 2.0)
         with pytest.raises(InvalidInputError):
-            LambdaParams(3, math.inf, 2.0)
-
-    def test_normalization_at_the_ends_of_the_float_range(self):
-        # the modulus is compared halved, so abs() of a finite complex past
-        # the float maximum does not overflow: such a lam is kept
-        lam = 1.5e308 + 1.5e308j
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert LambdaParams(3, 4, lam).lam == lam
-        assert LambdaParams(3, 4, 1e-300j).lam == 1.0 / 1e-300j
-        below = math.nextafter(1.0, 0.0)
-        assert LambdaParams(3, 4, below).lam == 1.0 / below
-        assert LambdaParams(3, 4, 1.0).lam == 1.0
+            rho_from_lambda(3, math.inf, 2.0)
 
 
 class TestSlack:
@@ -93,7 +76,7 @@ class TestSlack:
         rng = np.random.default_rng(5)
         lam = rng.normal(0, 2, 40) + 1j * rng.normal(0, 2, 40)
         lam = lam[np.abs(lam) > 0.1]
-        arr = lambda_slack_array(3, 7, lam)
+        arr = lambda_slack(3, 7, lam)
         for v, l in zip(arr, lam):
             assert abs(v - lambda_slack(3, 7, complex(l))) < 1e-12
 
@@ -104,8 +87,7 @@ class TestBranches:
     def test_round_trip(self, p, q, lam):
         if p == 2 and q == 2:
             return
-        params = LambdaParams(p, q, lam)
-        rm, rp = rho_from_lambda(params)
+        rm, rp = rho_from_lambda(p, q, lam)
         assert abs((rm + rp) - sigma_pq(p, q)) < 1e-9 * max(1.0, abs(rm) + abs(rp))
         for rho in (rm, rp):
             if abs(rho) > 1e6:
@@ -113,14 +95,14 @@ class TestBranches:
             big, small = lambda_from_rho(GroupSpec(p, q, rho))
             assert abs(big) >= abs(small)
             assert abs(big * small + 1.0) < 1e-6 * max(1.0, abs(big))
-            # the recovered branch set contains the normalized lambda
+            # the recovered branch set contains lambda, up to sign
             match = min(
-                abs(big - params.lam),
-                abs(big + params.lam),
-                abs(small - params.lam),
-                abs(small + params.lam),
+                abs(big - lam),
+                abs(big + lam),
+                abs(small - lam),
+                abs(small + lam),
             )
-            assert match < 1e-6 * max(1.0, abs(params.lam))
+            assert match < 1e-6 * max(1.0, abs(lam))
 
     @given(
         log_w=st.floats(min_value=-300.0, max_value=300.0),
@@ -242,7 +224,7 @@ class TestSlackRange:
         lam = complex(math.inf, math.nan)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            slack = lambda_slack_array(p, q, np.array([lam]))[0]
+            slack = lambda_slack(p, q, np.array([lam]))[0]
             scalar = lambda_slack(p, q, lam)
         assert not slack >= -EPS_ALG and not scalar >= -EPS_ALG
 
@@ -260,7 +242,7 @@ class TestSlackRange:
             rhs - np.abs(lam * cot_q + cot_p) - csc_p,
             rhs - np.abs(lam * cot_q - cot_p) - csc_p,
         )
-        assert (lambda_slack_array(5, 9, lam) == want).all()
+        assert (lambda_slack(5, 9, lam) == want).all()
         for l in lam:
             l = complex(l)
             direct = min(abs(l) * csc_q - abs(l * cot_q + s * cot_p) - csc_p for s in (+1, -1))
@@ -333,7 +315,7 @@ class TestRhoPlaneSlack:
         r = abs(lam)
         quad = r * r + 1.0 - 2.0 * r * csc_p * csc_q - 2.0 * cot_p * cot_q * abs(lam.real)
         s = sin_sin(p, q)
-        for rho in rho_from_lambda(LambdaParams(p, q, lam)):
+        for rho in rho_from_lambda(p, q, lam):
             slack = lambda_slack_rho(p, q, rho)
             assert slack == lambda_slack_rho(q, p, rho)
             if abs(quad) > 1e-9 * r * r:
@@ -402,7 +384,7 @@ class TestBoundary:
             lam = lambda_boundary(p, q, math.pi / 2.0, +1)
             assert abs(lam - 1j * s) < 1e-9
             S = math.sin(math.pi / p) * math.sin(math.pi / q)
-            _, rp = rho_from_lambda(LambdaParams(p, q, lam))
+            _, rp = rho_from_lambda(p, q, lam)
             expected = 2.0 * S + 2j * math.sqrt(1.0 - S * S)
             assert abs(rp - expected) < 1e-9
 
@@ -411,9 +393,9 @@ class TestBoundary:
         # trace at theta + pi (lam -> -lam leaves the rho pair unchanged).
         for theta in np.linspace(0.0, 2.0 * math.pi, 9):
             lam_minus = lambda_boundary(3, 5, theta, -1)
-            pair_minus = rho_from_lambda(LambdaParams(3, 5, lam_minus))
+            pair_minus = rho_from_lambda(3, 5, lam_minus)
             lam_plus = lambda_boundary(3, 5, theta + math.pi, +1)
-            pair_plus = rho_from_lambda(LambdaParams(3, 5, lam_plus))
+            pair_plus = rho_from_lambda(3, 5, lam_plus)
             for z in pair_minus:
                 assert min(abs(z - w) for w in pair_plus) < 1e-8
 

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import mobcert.certificates as certificates
 import mobcert.render as render
 from mobcert.certificates import LAMBDA_REGION, cert_disks_elliptic
 from mobcert.cli import main
@@ -384,15 +385,16 @@ class TestCompareLambda:
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == json_digest
 
     def test_bisection_is_batched_across_rays(self, monkeypatch):
-        # one call per bisection step, each on all rays together
-        real = render.lambda_slack_rho
+        # one call of the LambdaRegion row's slack per bisection step, each
+        # on all rays together
+        real = certificates.lambda_slack_rho
         calls = []
 
         def counting(p, q, rho):
             calls.append(np.size(rho))
             return real(p, q, rho)
 
-        monkeypatch.setattr(render, "lambda_slack_rho", counting)
+        monkeypatch.setattr(certificates, "lambda_slack_rho", counting)
         compare_lambda_data(3, 4, 48)
         assert 0 < len(calls) <= 61
         assert set(calls) == {48}
