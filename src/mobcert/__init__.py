@@ -76,10 +76,7 @@ from .farey import FAREY_WORDS, SLOPES, cusp_residue, farey_poly, solve_cusp
 from .burau import (
     ANNULUS_CONJECTURED,
     ANNULUS_PROVED,
-    AnnulusReport,
-    BurauGenerators,
     BurauPoint,
-    annulus_report,
     burau_generators,
     faithful_certificate,
     faithful_mask,

@@ -47,14 +47,6 @@ ANNULUS_PROVED = (3.0 - 2.0 * math.sqrt(2.0), 3.0 + 2.0 * math.sqrt(2.0))
 ANNULUS_CONJECTURED = ((3.0 - math.sqrt(5.0)) / 2.0, (3.0 + math.sqrt(5.0)) / 2.0)
 
 
-@dataclass(frozen=True)
-class BurauGenerators:
-    """Normalized (det 1) images of the two braid generators."""
-
-    A: np.ndarray
-    B: np.ndarray
-
-
 def _check_mu(mu: complex) -> complex:
     mu = complex(mu)
     if not cmath.isfinite(mu):
@@ -64,13 +56,14 @@ def _check_mu(mu: complex) -> complex:
     return mu
 
 
-def burau_generators(mu: complex) -> BurauGenerators:
-    """The generator pair at t = mu; A B A = B A B holds projectively."""
+def burau_generators(mu: complex) -> tuple[np.ndarray, np.ndarray]:
+    """The normalized (det 1) generator pair (A, B) at t = mu; A B A = B A B
+    holds projectively."""
     mu = _check_mu(mu)
     s = cmath.sqrt(-mu)
     A = mat2c(-mu / s, 1.0 / s, 0.0, 1.0 / s)
     B = mat2c(1.0 / s, 0.0, mu / s, -mu / s)
-    return BurauGenerators(A, B)
+    return A, B
 
 
 @dataclass(frozen=True)
@@ -106,45 +99,14 @@ def faithful_certificate(mu: complex) -> Certificate:
     pt = mu_coordinates(mu)
     slack = LAMBDA_REGION.slack(3, 2, pt.rho)
     detail = {"z": pt.z, "lambda_branches": (pt.lam, pt.lam_other), "rho": pt.rho}
-    if abs(pt.mu + 1.0) <= EPS_ALG:
+    # abs() of a complex raises OverflowError past the float maximum; the
+    # real-part test first keeps it to mu near -1
+    if abs(pt.mu.real + 1.0) <= EPS_ALG and abs(pt.mu + 1.0) <= EPS_ALG:
         detail["exception"] = "mu = -1"
         return Certificate(VERDICT_NONE, None, slack, CODE_NONE, detail)
     if LAMBDA_REGION.passes(slack):
         return Certificate(VERDICT_FAITHFUL, LAMBDA_REGION.witness, slack, CODE_LAMBDA, detail)
     return Certificate(VERDICT_NONE, None, slack, CODE_NONE, detail)
-
-
-@dataclass(frozen=True)
-class AnnulusReport:
-    """Where |mu| sits relative to the proved and conjectured annuli.
-
-    Outside an annulus means faithful according to that source; the
-    certificate region must cover the whole complement of the conjectured
-    annulus (the strengthened form of the conjecture).
-    """
-
-    mu: complex
-    abs_mu: float
-    in_proved_annulus: bool
-    in_conjectured_annulus: bool
-    certified_faithful: bool
-    slack: float
-    verdict: str
-
-
-def annulus_report(mu: complex) -> AnnulusReport:
-    mu = _check_mu(mu)
-    r = abs(mu)
-    cert = faithful_certificate(mu)
-    return AnnulusReport(
-        mu=mu,
-        abs_mu=r,
-        in_proved_annulus=ANNULUS_PROVED[0] <= r <= ANNULUS_PROVED[1],
-        in_conjectured_annulus=ANNULUS_CONJECTURED[0] <= r <= ANNULUS_CONJECTURED[1],
-        certified_faithful=cert.certified,
-        slack=cert.slack,
-        verdict=cert.verdict,
-    )
 
 
 def burau_slack_array(mu: np.ndarray) -> np.ndarray:

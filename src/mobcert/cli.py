@@ -16,7 +16,7 @@ import re
 import sys
 
 from . import __version__
-from .burau import annulus_report, faithful_certificate
+from .burau import ANNULUS_CONJECTURED, ANNULUS_PROVED, faithful_certificate
 from .certificates import cert_combined
 from .farey import FAREY_WORDS, SLOPES, cusp_residue, solve_cusp
 from .lambda_region import lambda_from_rho
@@ -29,6 +29,7 @@ from .mobius import (
     sin_sin,
     symmetry_image,
 )
+from .omega import boundary_cusps
 from .render import (
     compare_lambda_csv,
     compare_lambda_data,
@@ -98,6 +99,11 @@ def _order(n):
     return "inf" if n == math.inf else n
 
 
+def _real(x: float):
+    """x; None (JSON null) for a non-finite value."""
+    return x if math.isfinite(x) else None
+
+
 def _pair(z: complex):
     """[re, im] of z; None (JSON null) for a non-finite value."""
     z = complex(z)
@@ -132,7 +138,7 @@ def cmd_certify(args) -> int:
                 "input": {"mu": _pair(mu)},
                 "verdict": cert.verdict,
                 "witness": cert.witness,
-                "slack": cert.slack,
+                "slack": _real(cert.slack),
                 "z": _pair(cert.detail["z"]),
                 "rho": _pair(cert.detail["rho"]),
                 "lambda_branches": [_pair(b) for b in cert.detail["lambda_branches"]],
@@ -154,7 +160,7 @@ def cmd_certify(args) -> int:
                 "input": {"p": _order(args.p), "q": _order(args.q), "rho": _pair(rho)},
                 "verdict": cert.verdict,
                 "witness": cert.witness,
-                "slack": cert.slack,
+                "slack": _real(cert.slack),
                 "gamma": _pair(gamma_of(spec)),
                 "symmetry_image": _pair(symmetry_image(spec)) if finite else None,
                 "lambda_branches": branches,
@@ -179,11 +185,8 @@ def cmd_scan(args) -> int:
         return 1
     csv_path = args.out + ".csv"
     raster_path = args.out + "." + args.format
-    with open(csv_path, "wb") as fh:
-        fh.write(scan_csv(result))
-    raster = scan_svg(result).encode("utf-8") if args.format == "svg" else scan_pgm(result)
-    with open(raster_path, "wb") as fh:
-        fh.write(raster)
+    _emit(scan_csv(result), csv_path)
+    _emit(scan_svg(result) if args.format == "svg" else scan_pgm(result), raster_path)
     metadata = {**result.metadata, "p": _order(job.p), "q": _order(job.q)}
     print(_json_line({"csv": csv_path, "raster": raster_path, "metadata": metadata}), end="")
     return 0
@@ -201,8 +204,6 @@ def cmd_compare_lambda(args) -> int:
 
 
 def cmd_cusps(args) -> int:
-    from .omega import boundary_cusps
-
     doc = {
         "p": args.p,
         "q": args.q,
@@ -223,15 +224,19 @@ def cmd_cusps(args) -> int:
 def cmd_burau_annulus(args) -> int:
     lines = []
     for mu in args.mu:
-        rep = annulus_report(mu)
+        cert = faithful_certificate(mu)
+        try:
+            r = abs(mu)
+        except OverflowError:  # |mu| passes the float maximum
+            r = math.inf
         doc = {
             "input": {"mu": _pair(mu)},
-            "abs_mu": rep.abs_mu,
-            "in_proved_annulus": rep.in_proved_annulus,
-            "in_conjectured_annulus": rep.in_conjectured_annulus,
-            "certified_faithful": rep.certified_faithful,
-            "slack": rep.slack,
-            "verdict": rep.verdict,
+            "abs_mu": _real(r),
+            "in_proved_annulus": ANNULUS_PROVED[0] <= r <= ANNULUS_PROVED[1],
+            "in_conjectured_annulus": ANNULUS_CONJECTURED[0] <= r <= ANNULUS_CONJECTURED[1],
+            "certified_faithful": cert.certified,
+            "slack": _real(cert.slack),
+            "verdict": cert.verdict,
         }
         lines.append(_json_line(doc))
     _emit("".join(lines), args.out)

@@ -53,6 +53,16 @@ def _g12(v: float) -> str:
     return f"{float(v):.12g}"
 
 
+def _svg_open(width: float, height: float) -> str:
+    """The <svg> start tag and the white background rect of a figure."""
+    w, h = _fmt(width), _fmt(height)
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+        f'viewBox="0 0 {w} {h}">\n'
+        f'<rect x="0" y="0" width="{w}" height="{h}" fill="#ffffff"/>'
+    )
+
+
 class _Frame:
     """Maps complex plane coordinates to a y-flipped pixel frame."""
 
@@ -66,13 +76,6 @@ class _Frame:
 
     def to_px(self, z: complex) -> tuple[float, float]:
         return ((z.real - self.x_min) * SCALE, (self.y_max - z.imag) * SCALE)
-
-    def header(self) -> str:
-        w, h = _fmt(self.width), _fmt(self.height)
-        return (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-            f'viewBox="0 0 {w} {h}">'
-        )
 
 
 def _intersect(l1, l2) -> complex | None:
@@ -152,10 +155,7 @@ def region_svg(p, q) -> str:
     ys = [z.imag for z in poly] + [c.imag + s for c in disks for s in (-2, 2)]
     frame = _Frame(min(xs), max(xs), min(ys), max(ys))
 
-    out = [frame.header()]
-    out.append(
-        f'<rect x="0" y="0" width="{_fmt(frame.width)}" height="{_fmt(frame.height)}" fill="#ffffff"/>'
-    )
+    out = [_svg_open(frame.width, frame.height)]
     pts = " ".join("{},{}".format(*map(_fmt, frame.to_px(z))) for z in poly)
     out.append(f'<polygon points="{pts}" fill="{REGION_FILL}"/>')
     for c in disks:
@@ -256,11 +256,7 @@ def scan_svg(result: ScanResult) -> str:
     ph = (im_max - im_min) * SCALE / res
     width = pw * res
     height = ph * res
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" height="{_fmt(height)}" '
-        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
-        f'<rect x="0" y="0" width="{_fmt(width)}" height="{_fmt(height)}" fill="#ffffff"/>',
-    ]
+    out = [_svg_open(width, height)]
     # A run starts at column 0 and wherever the code changes along a row, so
     # in row-major order each run ends where the next one starts.
     starts = np.ones(codes.shape, dtype=bool)
@@ -397,10 +393,7 @@ def compare_lambda_svg(p, q, rows: list[dict]) -> str:
         coords = " ".join("{},{}".format(*map(_fmt, frame.to_px(z))) for z in pts)
         return f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
 
-    out = [frame.header()]
-    out.append(
-        f'<rect x="0" y="0" width="{_fmt(frame.width)}" height="{_fmt(frame.height)}" fill="#ffffff"/>'
-    )
+    out = [_svg_open(frame.width, frame.height)]
     for c in disks:
         out.append(_svg_circle(frame, c, 2.0, DISK_FILL, opacity=DISK_OPACITY))
     out.append(polyline(minus_pts, "#1f77b4"))

@@ -12,6 +12,10 @@ from mobcert.burau import faithful_mask
 from mobcert.cli import main
 
 
+MU_SHARP = (3.0 + math.sqrt(5.0)) / 2.0
+HUGE = "1.7e308+1.7e308i"  # finite, with a modulus past the float maximum
+
+
 def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
@@ -110,6 +114,39 @@ class TestCertify:
         assert cert["verdict"] == report["verdict"] == "Faithful"
         assert report["certified_faithful"] and mask[0]
         assert None not in cert["lambda_branches"]
+
+    @pytest.mark.parametrize("argv", [["certify", "--burau"], ["burau-annulus"]], ids=["certify", "burau-annulus"])
+    def test_huge_mu_gets_the_scan_verdict(self, capsys, argv):
+        # |mu| passes the float maximum, where abs() of a complex raises;
+        # the burau scan codes this mu 4, and abs_mu is null
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, out, err = run(capsys, *argv, f"--mu={HUGE}")
+            mask = faithful_mask(np.array([complex(HUGE.replace("i", "j"))]))
+        assert rc == 0 and err == ""
+        doc = json.loads(out, parse_constant=reject)
+        assert mask[0] and doc["verdict"] == "Faithful"
+        if argv == ["burau-annulus"]:
+            assert doc["abs_mu"] is None and doc["certified_faithful"]
+            assert not doc["in_proved_annulus"] and not doc["in_conjectured_annulus"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--p", "3", "--q", "4", f"--rho={HUGE}", "--no-search"],
+            ["certify", "--burau", f"--mu={HUGE}"],
+            ["burau-annulus", f"--mu={HUGE}"],
+        ],
+        ids=["certify", "certify-burau", "burau-annulus"],
+    )
+    def test_huge_input_lines_are_standard_json(self, capsys, argv):
+        # a non-finite slack or abs_mu is null, never Infinity
+        rc, out, err = run(capsys, *argv)
+        assert rc == 0 and err == ""
+        doc = json.loads(out, parse_constant=reject)
+        if argv[1] == "--p":
+            # the DisksElliptic slack overflows here
+            assert doc["witness"] == "DisksElliptic" and doc["slack"] is None
 
     def test_underflowed_s_has_no_lambda_branches(self, capsys):
         # at p = q = 10**200, S = sin(pi/p) sin(pi/q) underflows to 0 and the
@@ -371,15 +408,28 @@ class TestOtherCommands:
         assert doc["p"] == 3 and len(doc["rows"]) == 4
 
     def test_burau_annulus(self, capsys):
-        rc, out, _ = run(capsys, "burau-annulus", "--mu", "9", "--mu", "1")
+        rc, out, _ = run(
+            capsys, "burau-annulus", "--mu", "9", "--mu", "1",
+            "--mu", repr(MU_SHARP), "--mu", "100",
+        )
         assert rc == 0
         lines = out.strip().split("\n")
-        assert len(lines) == 2
-        far, near = (json.loads(ln) for ln in lines)
+        assert len(lines) == 4
+        far, near, sharp, very_far = (json.loads(ln) for ln in lines)
+        assert set(far) == {
+            "input", "abs_mu", "in_proved_annulus", "in_conjectured_annulus",
+            "certified_faithful", "slack", "verdict",
+        }
         assert far["certified_faithful"] and not far["in_proved_annulus"]
         assert far["verdict"] == "Faithful"
         assert not near["certified_faithful"]
         assert near["in_conjectured_annulus"] and near["in_proved_annulus"]
+        # mu = (3 + sqrt 5)/2 is certified and lies in both annuli
+        assert sharp["certified_faithful"]
+        assert sharp["in_proved_annulus"] and sharp["in_conjectured_annulus"]
+        assert very_far["certified_faithful"]
+        assert not very_far["in_proved_annulus"]
+        assert very_far["abs_mu"] == 100.0
 
     def test_burau_annulus_certifies_each_mu_once(self, capsys, monkeypatch):
         from mobcert import burau, cli
