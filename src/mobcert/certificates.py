@@ -214,8 +214,10 @@ CASCADE = (
 @lru_cache(maxsize=128)
 def _stages(p, q, search: bool) -> tuple[Stage, ...]:
     """The rows of CASCADE whose preconditions (p, q) meets, the line
-    family only with search.  The dihedral marking p = q = 2 is rejected
-    outright: no certificate family covers it."""
+    family only with search.  An order that is not an integer >= 2 or inf
+    is rejected here, before any row runs, and so is the dihedral marking
+    p = q = 2: no certificate family covers it."""
+    pi_over(p), pi_over(q)  # raise InvalidInputError on an invalid order
     if p == 2 and q == 2:
         raise InvalidInputError("p = q = 2 is a degenerate (dihedral) spec")
     rows = CASCADE if search else CASCADE[:-1]
@@ -455,8 +457,8 @@ def combined_codes_array(p, q, rho: np.ndarray, search: bool = True) -> np.ndarr
 
     Each row of CASCADE decides the points that no earlier row certified;
     with search=False the LineFamily row (the anchor search) is left out.
-    Like cert_combined it rejects the dihedral marking p = q = 2 outright,
-    for any rho array, the empty one included.
+    Like cert_combined it rejects an invalid order and the dihedral marking
+    p = q = 2 outright, for any rho array, the empty one included.
     """
     stages = _stages(p, q, search)
     rho = np.asarray(rho, dtype=complex)

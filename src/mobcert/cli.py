@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import re
@@ -243,7 +244,12 @@ def cmd_burau_annulus(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The mobcert argument parser, built once per process and shared by
+    every main call, so no caller may modify it.  Parsing leaves it
+    unchanged, and the append actions copy their empty default list
+    before they append to it."""
     parser = argparse.ArgumentParser(
         prog="mobcert",
         description="Certified discreteness for two-generator Mobius groups.",

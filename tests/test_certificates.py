@@ -3,6 +3,7 @@
 import cmath
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -526,6 +527,20 @@ class TestCanonicalAnchors:
                 canonical_anchors(p, q)
 
 
+# cyclically reduced words of at least two syllables, so of infinite order
+# in Z_p * Z_q for p, q >= 3; a lower-case letter is an inverse
+INFINITE_ORDER_WORDS = ("AB", "Ab", "AAB", "ABB", "AABB", "ABAb", "ABab")
+
+
+def word_trace(p, q, rho, word) -> complex:
+    A, B = make_generators(GroupSpec(p, q, rho))
+    mats = {"A": A, "B": B, "a": np.linalg.inv(A), "b": np.linalg.inv(B)}
+    w = np.eye(2, dtype=complex)
+    for letter in word:
+        w = w @ mats[letter]
+    return complex(np.trace(w))
+
+
 class TestCombined:
     def test_array_rejects_dihedral(self):
         # like cert_combined, whatever the input size
@@ -648,20 +663,47 @@ class TestCombined:
         assert combined_codes_array(p, q, z)[0] == 0
         assert cert_combined(GroupSpec(p, q, rho)).code == 0
 
+    @pytest.mark.parametrize(
+        "p, q, rho, witness",
+        [(3, 7, -2.14 + 0.2j, "DisksElliptic"), (3, 3, 3.25 + 1.25j, "LambdaRegion")],
+    )
+    def test_some_certified_points_lie_inside_omega(self, p, q, rho, witness):
+        # Omega is a polygon around the uncertified set, not its outline: its
+        # vertical line Re z = 4S - 2 - 2 cos(a - b) = -2 - 2 cos(a + b) meets
+        # the exclusion disk about -2 cos(a + b) only on the real axis, so the
+        # disks certify points between that disk and the line, inside Omega.
+        # The lambda row does the same near Omega's corners.
+        a, b = math.pi / p, math.pi / q
+        s = math.sin(a) * math.sin(b)
+        assert 4 * s - 2 - 2 * math.cos(a - b) == pytest.approx(-2 - 2 * math.cos(a + b))
+        cert = cert_combined(GroupSpec(p, q, rho), search=False)
+        assert cert.witness == witness and cert.slack > EPS_ALG
+        assert omega_margin(build_omega(p, q), rho) > 0
+
     @given(
-        re=st.floats(min_value=-6.0, max_value=9.0),
-        im=st.floats(min_value=-5.0, max_value=5.0),
+        word=st.sampled_from(INFINITE_ORDER_WORDS),
+        theta=st.floats(min_value=0.0, max_value=math.pi, exclude_min=True, exclude_max=True),
         pq=st.sampled_from([(3, 3), (3, 4), (4, 4), (3, 7)]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_certificates_only_outside_omega(self, re, im, pq):
-        # soundness spot check: any certified point must lie outside Omega
-        # (or on its boundary for the closed tests).
+    def test_no_certificate_where_a_word_is_elliptic(self, word, theta, pq):
+        # soundness spot check: where a word of infinite order in Z_p * Z_q
+        # has trace 2 cos(theta), real in (-2, 2), it is elliptic, so <A, B>
+        # is not discrete and free and no row may certify.  The trace is a
+        # polynomial in rho of degree the number of B syllables; its roots
+        # include Omega's whole real diameter (AB, Ab) and the rho where the
+        # commutator ABab is elliptic.  Near a parabolic word (theta near 0
+        # or pi) the float rho may lie on a closed row's boundary, which
+        # certifies within its tolerance, |slack| <= EPS_ALG.
         p, q = pq
-        region = build_omega(p, q)
-        cert = cert_combined(GroupSpec(p, q, complex(re, im)), search=False)
-        if cert.certified:
-            assert omega_margin(region, complex(re, im)) <= 1e-9
+        degree = len(re.findall("[Bb]+", word))
+        xs = np.arange(1.0, degree + 2.0)
+        coef = np.polyfit(xs, [word_trace(p, q, x, word) for x in xs], degree)
+        coef[-1] -= 2.0 * math.cos(theta)
+        for rho in np.roots(coef):
+            assert rho == 0 or abs(word_trace(p, q, rho, word) - 2.0 * math.cos(theta)) < 1e-9
+            cert = cert_combined(GroupSpec(p, q, complex(rho)))
+            assert not cert.certified or abs(cert.slack) <= EPS_ALG
 
 
 # orders from 2 to 10^9 and inf; magnitudes of rho from 1e-300 to 1e300

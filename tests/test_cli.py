@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, JSON records, file outputs."""
 
+import argparse
 import json
 import math
 import warnings
@@ -9,7 +10,7 @@ import pytest
 
 from mobcert import __version__
 from mobcert.burau import faithful_mask
-from mobcert.cli import main
+from mobcert.cli import build_parser, main
 
 
 MU_SHARP = (3.0 + math.sqrt(5.0)) / 2.0
@@ -354,6 +355,85 @@ class TestScan:
         )
         assert rc == 3
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("p, q, bad", [("1", "4", "1"), ("4", "1", "1"), ("0", "5", "0")])
+    def test_combined_order_below_two_exits_3(self, capsys, tmp_path, p, q, bad):
+        # rejected before any band runs, like the other modes, not as a failed scan (exit 1)
+        rc, out, err = run(
+            capsys, "scan", "--p", p, "--q", q, "--window=0,1,0,1",
+            "--res", "4", "--mode", "combined", "--out", str(tmp_path / "x"),
+        )
+        assert rc == 3 and out == ""
+        assert err == f"error: order must be an integer >= 2 or inf, got {bad}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestSharedParser:
+    """main reuses one parser per process; no call may see another's values."""
+
+    def test_burau_values_do_not_reach_a_rho_call(self, capsys):
+        rho_call = ("certify", "--p", "3", "--q", "4", "--rho", "9")
+        first = run(capsys, *rho_call)
+        rc, out, _ = run(capsys, "certify", "--burau", "--mu", "9")
+        assert rc == 0 and json.loads(out)["verdict"] == "Faithful"
+        assert run(capsys, *rho_call) == first
+        assert first[0] == 0 and json.loads(first[1])["input"]["p"] == 3
+
+    def test_rejected_parse_leaves_no_value(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["certify", "--p", "3", "--q", "4", "--rho", "spam"])
+        assert ei.value.code == 2
+        capsys.readouterr()
+        rc, out, err = run(capsys, "certify", "--p", "3", "--q", "4")
+        assert rc == 3 and out == ""
+        assert err == "error: certify needs --p, --q and at least one --rho\n"
+
+    def test_rho_lists_do_not_build_up(self, capsys):
+        argv = ("certify", "--p", "3", "--q", "4", "--rho", "9", "--rho", "-5")
+        for _ in range(3):
+            rc, out, _ = run(capsys, *argv)
+            assert rc == 0 and len(out.splitlines()) == 2
+        assert build_parser().parse_args(["certify"]).rho == []
+
+    def test_parser_is_built_once(self, capsys, monkeypatch, tmp_path):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        build_parser.cache_clear()
+        for argv in (
+            ("certify", "--burau", "--mu", "9"),
+            ("certify", "--p", "3", "--q", "4", "--rho", "9"),
+            ("region", "--p", "3", "--q", "4", "--out", str(tmp_path / "r.svg")),
+            ("cusps", "--p", "3", "--q", "4", "--out", str(tmp_path / "c.json")),
+            ("burau-annulus", "--mu", "9", "--out", str(tmp_path / "a.jsonl")),
+        ):
+            assert main(list(argv)) == 0
+        capsys.readouterr()
+        assert len(built) == 7  # the root parser and its six subcommands
+
+    @pytest.mark.parametrize(
+        "argv, suffixes",
+        [
+            (("region", "--p", "3", "--q", "4"), ("",)),
+            (("cusps", "--p", "3", "--q", "4"), ("",)),
+            (("compare-lambda", "--p", "3", "--q", "4", "--angles", "24"), ("",)),
+            (("scan", "--p", "3", "--q", "4", "--window=-3,6,-4.5,4.5", "--res", "16",
+              "--mode", "combined"), (".csv", ".svg")),
+        ],
+        ids=["region", "cusps", "compare-lambda", "scan"],
+    )
+    def test_repeated_jobs_write_identical_bytes(self, capsys, tmp_path, argv, suffixes):
+        outputs = []
+        for k in range(2):
+            assert main([*argv, "--out", str(tmp_path / f"run{k}")]) == 0
+            outputs.append([(tmp_path / f"run{k}{s}").read_bytes() for s in suffixes])
+        capsys.readouterr()
+        assert outputs[0] == outputs[1] and all(outputs[0])
 
 
 class TestOtherCommands:

@@ -374,6 +374,14 @@ class TestPartialFailure:
             run_scan(job)
         assert calls == []
 
+    @pytest.mark.parametrize("p, q, bad", [(1, 4, 1), (4, 1, 1), (0, 5, 0)])
+    def test_fail_fast_probe_order_below_two(self, p, q, bad):
+        # the combined cascade checks both orders on the empty probe, so an
+        # order below 2 is an input error, not a failure of the first band
+        job = ScanJob(p, q, Window(0.0, 1.0, 0.0, 1.0), 4, "combined")
+        with pytest.raises(InvalidInputError, match=f"order must be an integer >= 2 or inf, got {bad}$"):
+            run_scan(job)
+
     def test_probe_searches_no_anchor(self, monkeypatch):
         # The window lies inside Omega, so the first pixel is residual; the
         # fail-fast probe must not run an anchor search of its own.
