@@ -31,11 +31,9 @@ from .mobius import (
     tr2,
 )
 from .lambda_region import (
-    lambda_boundary,
     lambda_from_rho,
     lambda_slack,
     lambda_slack_signed,
-    rho_boundary,
     rho_from_lambda,
 )
 from .omega import (

@@ -163,30 +163,3 @@ def lambda_from_rho(spec: GroupSpec) -> tuple[complex, complex]:
             w = complex((np.sqrt(u * (u - 4.0 * s / m)) / s * m)[0])
     return lambda_branches(w)
 
-
-def lambda_boundary(p, q, theta: float, sign: int) -> complex:
-    """The boundary point lam = r_sign(theta) e^{i theta} of one inequality.
-
-    r_sign is the displayed closed form; the result satisfies the
-    inequality of the given sign with equality (and r_sign >= 1, since
-    r_sign solves r^2 - 2 B r + 1 = 0 for B = csc csc + sign cos cot cot).
-    """
-    cot_p, cot_q, csc_p, csc_q = _trig(p, q)
-    sign = _check_sign(sign)
-    c = math.cos(theta)
-    base = sign * c * cot_p * cot_q + csc_p * csc_q
-    rad = (c * csc_p * cot_q + sign * cot_p * csc_q) ** 2 + math.sin(theta) ** 2 * cot_q**2
-    return (base + math.sqrt(rad)) * cmath.exp(1j * theta)
-
-
-def rho_boundary(p, q, theta: float) -> tuple[complex, complex]:
-    """(rho_minus, rho_plus) traced by the lambda boundary at angle theta.
-
-    Both values come from the '+' curve lam = r_plus(theta) e^{i theta};
-    sweeping theta over a full turn with r_minus instead retraces the same
-    two curves (the r_minus point at theta is -1 times the r_plus point at
-    theta + pi, and the rho pair is invariant under lam -> -lam).  The
-    common exterior of the two closed curves is lambda-certified.
-    """
-    lam = lambda_boundary(p, q, theta, +1)
-    return rho_from_lambda(p, q, lam)

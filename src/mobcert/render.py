@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .certificates import LAMBDA_REGION, disk_centers_elliptic, dominant_marking
-from .lambda_region import rho_boundary
+from .lambda_region import lambda_slack_rho
 from .mobius import InvalidInputError, sigma_pq
 from .omega import OmegaRegion, boundary_cusps, build_omega, rho_star, x_pq
 from .scan import ScanResult
@@ -89,7 +89,13 @@ def _intersect(l1, l2) -> complex | None:
 
 
 def region_polygon(region: OmegaRegion) -> list[complex]:
-    """Vertices of the convex region Omega, in counterclockwise order."""
+    """Vertices of the convex region Omega, in counterclockwise order.
+
+    Near p = q at large orders neighbouring sides are nearly parallel, and
+    the 1e-9 tolerances merge or split their intersections, so the vertex
+    count is not meaningful there ((1000, 1001) gives 6 for 12 sides); each
+    vertex still lies on the boundary and the area is right to ~1e-8.
+    """
     lines = region.lines
     pts: list[complex] = []
     for i in range(len(lines)):
@@ -325,12 +331,16 @@ def _ray_lambda_exits(p, q, center: complex, thetas, t_hi: float) -> np.ndarray:
     - it holds sigma/2, where the slack is 2S - 2 <= sqrt(3) - 2;
     - on it E < 2 - eps + 2c < 4, since |x| <= t <= E: every exit lies
       below 4.
+
+    Every point evaluated lies within t_hi of center, so the row's slack
+    lambda_slack_rho cannot overflow here and is called without the
+    overflow guard of LAMBDA_REGION.slack.
     """
     es = np.array([cmath.exp(1j * phi) for phi in thetas])
     lo, hi = np.zeros(len(es)), np.full(len(es), t_hi)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        ok = LAMBDA_REGION.passes(LAMBDA_REGION.slack(p, q, center + mid * es))
+        ok = LAMBDA_REGION.passes(lambda_slack_rho(p, q, center + mid * es))
         hi = np.where(ok, mid, hi)
         lo = np.where(ok, lo, mid)
     return 0.5 * (lo + hi)
@@ -373,32 +383,27 @@ def compare_lambda_csv(rows: list[dict]) -> bytes:
 
 
 def compare_lambda_svg(p, q, rows: list[dict]) -> str:
-    """The rho_boundary curves and each row's nearer exit over the exclusion
-    disks of dominant_marking(p, q)."""
-    disks = disk_centers_elliptic(*dominant_marking(p, q))
-    curve_n = 720
-    minus_pts = []
-    plus_pts = []
-    for k in range(curve_n + 1):
-        theta = 2.0 * math.pi * k / curve_n
-        rm, rp = rho_boundary(p, q, theta)
-        minus_pts.append(rm)
-        plus_pts.append(rp)
-    all_pts = minus_pts + plus_pts + [c + 2 for c in disks] + [c - 2 for c in disks]
-    xs = [z.real for z in all_pts] + [c.real for c in disks]
-    ys = [z.imag for z in all_pts] + [c.imag + s for c in disks for s in (-2, 2)]
-    frame = _Frame(min(xs), max(xs), min(ys), max(ys))
+    """The outline of the lambda-uncertified set, the exclusion disks of
+    dominant_marking(p, q) and each row's nearer exit.
 
-    def polyline(pts, color):
-        coords = " ".join("{},{}".format(*map(_fmt, frame.to_px(z))) for z in pts)
-        return f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+    The outline is the closed polyline of the lambda exits of 721 rays from
+    sigma/2 (angles 0 to 2 pi), found by the bisection that gives the rows'
+    t_lambda, so it bounds exactly the set the LambdaRegion row certifies.
+    """
+    disks = disk_centers_elliptic(*dominant_marking(p, q))
+    center = complex(sigma_pq(p, q) / 2.0, 0.0)
+    thetas = [2.0 * math.pi * k / 720 for k in range(721)]
+    t_lambda = _ray_lambda_exits(p, q, center, thetas, 8.0 + abs(sigma_pq(p, q)))
+    outline = [center + t * cmath.exp(1j * phi) for phi, t in zip(thetas, t_lambda.tolist())]
+    xs = [z.real for z in outline] + [c.real + s for c in disks for s in (-2, 2)]
+    ys = [z.imag for z in outline] + [c.imag + s for c in disks for s in (-2, 2)]
+    frame = _Frame(min(xs), max(xs), min(ys), max(ys))
 
     out = [_svg_open(frame.width, frame.height)]
     for c in disks:
         out.append(_svg_circle(frame, c, 2.0, DISK_FILL, opacity=DISK_OPACITY))
-    out.append(polyline(minus_pts, "#1f77b4"))
-    out.append(polyline(plus_pts, "#2ca02c"))
-    center = complex(sigma_pq(p, q) / 2.0, 0.0)
+    coords = " ".join("{},{}".format(*map(_fmt, frame.to_px(z))) for z in outline)
+    out.append(f'<polyline points="{coords}" fill="none" stroke="#2ca02c" stroke-width="1.5"/>')
     win_color = {"lambda": "#2ca02c", "disks": "#d33", "tie": "#999999"}
     for r in rows:
         t = min(r["t_disks"], r["t_lambda"])

@@ -17,7 +17,8 @@ Mode -> code semantics (0 always means "not certified"):
                finite orders only.
 * ``combined`` the full cert_combined cascade, codes 1/2/5/4/3.
 * ``burau``    the window is read in the mu-plane; 4 where the specialized
-               Burau representation is certified faithful.
+               Burau representation is certified faithful.  p and q are
+               not read, but are checked as in combined mode.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .certificates import (
     CODE_LAMBDA,
     DISKS_ELLIPTIC,
     LAMBDA_REGION,
+    _stages,
     combined_codes_array,
 )
 from .mobius import EPS_ALG, InvalidInputError
@@ -130,6 +132,7 @@ def _mode_codes(job: ScanJob) -> Callable[[np.ndarray], np.ndarray]:
         stage.require(p, q)
         return lambda z: _code(stage.passes(stage.slack(p, q, z)), stage.code)
     if job.mode == "burau":
+        _stages(p, q, False)  # rejects the orders that combined mode rejects
         return lambda z: _code(faithful_mask(z), CODE_LAMBDA)
     return lambda z: combined_codes_array(p, q, z)
 

@@ -27,12 +27,7 @@ from mobcert.certificates import (
     disk_slack,
 )
 from mobcert.farey import cusp_residue, solve_cusp
-from mobcert.lambda_region import (
-    lambda_boundary,
-    lambda_slack,
-    lambda_slack_signed,
-    rho_from_lambda,
-)
+from mobcert.lambda_region import lambda_from_rho, lambda_slack, rho_from_lambda
 from mobcert.mobius import (
     EPS_ALG,
     GroupSpec,
@@ -46,7 +41,7 @@ from mobcert.mobius import (
     tr2,
 )
 from mobcert.omega import boundary_cusps, build_omega, im_bound, omega_margin, rho_star, x_pq
-from mobcert.render import region_svg, scan_csv, scan_svg
+from mobcert.render import _ray_lambda_exits, region_svg, scan_csv, scan_svg
 from mobcert.scan import ScanJob, Window, run_scan
 
 RNG = np.random.default_rng(20260814)
@@ -251,12 +246,17 @@ def test_criterion_08_lambda_rho_bridge():
                 assert cert_combined(GroupSpec(p, q, rho)).certified
                 checked_scalar += 1
 
+    # the outline that compare-lambda draws, where rays from sigma/2 leave
+    # the set the rho-plane row leaves uncertified, lies on the boundary of
+    # the lambda-space inequalities
     worst = 0.0
     for p, q in ((3, 3), (3, 7), (4, 9), (5, 12)):
-        for theta in np.linspace(0.0, 2.0 * math.pi, 64):
-            for sign in (+1, -1):
-                lam = lambda_boundary(p, q, theta, sign)
-                worst = max(worst, abs(lambda_slack_signed(p, q, lam, sign)))
+        center = sigma_pq(p, q) / 2.0
+        thetas = np.linspace(0.0, 2.0 * math.pi, 64)
+        t = _ray_lambda_exits(p, q, center, thetas, 8.0 + abs(sigma_pq(p, q)))
+        for rho in center + t * np.exp(1j * thetas):
+            lam = lambda_from_rho(GroupSpec(p, q, rho))[0]
+            worst = max(worst, abs(lambda_slack(p, q, lam)))
     assert worst < 1e-9
     _ok(8, f"{total} feasible lambda ({2 * total} rho roots incl. {checked_scalar} scalar "
            f"re-checks) all certified; boundary slack worst {worst:.3e} < 1e-9")

@@ -367,6 +367,18 @@ class TestScan:
         assert err == f"error: order must be an integer >= 2 or inf, got {bad}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("mode", ["omega", "disks", "lambda", "combined", "burau"])
+    @pytest.mark.parametrize("p, q", [("1", "4"), ("4", "1"), ("0", "5"), ("2", "2"), ("inf", "1")])
+    def test_invalid_orders_exit_3_in_every_mode(self, capsys, tmp_path, mode, p, q):
+        # the burau mode reads no order, but rejects the ones combined mode rejects
+        rc, out, err = run(
+            capsys, "scan", "--p", p, "--q", q, "--window=0,1,0,1",
+            "--res", "4", "--mode", mode, "--out", str(tmp_path / "x"),
+        )
+        assert rc == 3 and out == ""
+        assert err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSharedParser:
     """main reuses one parser per process; no call may see another's values."""

@@ -1,4 +1,4 @@
-"""Lambda coordinate: slacks, branches, boundary curves."""
+"""Lambda coordinate: slacks, branches, and the outline of the lambda row."""
 
 import cmath
 import math
@@ -12,17 +12,15 @@ from hypothesis import strategies as st
 
 from mobcert.certificates import LAMBDA_REGION, cert_combined, cert_lambda
 from mobcert.lambda_region import (
-    lambda_boundary,
     lambda_branches,
     lambda_from_rho,
     lambda_slack,
     lambda_slack_rho,
-    lambda_slack_signed,
-    rho_boundary,
     rho_from_lambda,
 )
 from mobcert.mobius import EPS_ALG, GroupSpec, InvalidInputError, sigma_pq, sin_sin
 from mobcert.omega import im_bound
+from mobcert.render import _ray_lambda_exits
 
 finite_orders = st.integers(min_value=2, max_value=30)
 lam_values = st.complex_numbers(
@@ -281,11 +279,13 @@ class TestSwappedMarking:
         # lam at e^scale times the outer boundary point at angle theta
         if p == 2 and q == 2:
             return
-        lam = max((lambda_boundary(p, q, theta, s) for s in (+1, -1)), key=abs) * math.exp(scale)
-        if abs(lam) < 1.0:
-            return
         cot_p, cot_q = 1.0 / math.tan(math.pi / p), 1.0 / math.tan(math.pi / q)
         csc_p, csc_q = 1.0 / math.sin(math.pi / p), 1.0 / math.sin(math.pi / q)
+        # the outer boundary radius solves r^2 - 2 B r + 1 = 0, r >= 1
+        b = csc_p * csc_q + abs(math.cos(theta)) * cot_p * cot_q
+        lam = (b + math.sqrt(b * b - 1.0)) * cmath.exp(1j * theta) * math.exp(scale)
+        if abs(lam) < 1.0:
+            return
         r = abs(lam)
         quad = r * r + 1.0 - 2.0 * r * csc_p * csc_q - 2.0 * cot_p * cot_q * abs(lam.real)
         if abs(quad) <= 1e-9 * r * r:
@@ -343,65 +343,28 @@ class TestRhoPlaneSlack:
         assert np.array_equal(slack[2:], e - 2.0 - 4.0 * (np.abs(h.real) / e))
 
 
+def _outline(p, q, thetas):
+    """The points where rays from sigma/2 leave the set the lambda row
+    leaves uncertified, as compare-lambda finds them."""
+    center = complex(sigma_pq(p, q) / 2.0, 0.0)
+    t = _ray_lambda_exits(p, q, center, thetas, 8.0 + abs(sigma_pq(p, q)))
+    return [center + tk * cmath.exp(1j * phi) for phi, tk in zip(thetas, t)]
+
+
 class TestBoundary:
-    @given(
-        p=st.integers(min_value=2, max_value=30),
-        q=st.integers(min_value=2, max_value=30),
-        theta=st.floats(min_value=0.0, max_value=2.0 * math.pi),
-        sign=st.sampled_from([+1, -1]),
-    )
-    @settings(max_examples=150, deadline=None)
-    @example(p=3, q=3, theta=0.0, sign=+1)
-    @example(p=4, q=4, theta=math.pi, sign=-1)
-    @example(p=7, q=7, theta=1.0, sign=+1)
-    @example(p=12, q=12, theta=4.0, sign=-1)
-    def test_solves_quadratic_oracle(self, p, q, theta, sign):
-        # Independent oracle: r = |lambda_boundary| solves r^2 - 2 B r + 1 = 0
-        # with B = csc csc + sign cos(theta) cot cot, hence r = B + sqrt(B^2-1)
-        # and r >= 1 always.
-        if p == 2 and q == 2:
-            return
-        lam = lambda_boundary(p, q, theta, sign)
-        r = abs(lam)
-        cot_p = 1.0 / math.tan(math.pi / p)
-        cot_q = 1.0 / math.tan(math.pi / q)
-        csc_p = 1.0 / math.sin(math.pi / p)
-        csc_q = 1.0 / math.sin(math.pi / q)
-        B = csc_p * csc_q + sign * math.cos(theta) * cot_p * cot_q
-        assert abs(r * r - 2.0 * B * r + 1.0) < 1e-7 * max(1.0, r * r)
-        assert r >= 1.0 - 1e-12
-        # the boundary satisfies its own inequality with equality
-        assert abs(lambda_slack_signed(p, q, lam, sign)) < 1e-9 * max(1.0, r)
-        # and the phase is theta
-        assert abs(cmath.phase(lam * cmath.exp(-1j * theta))) < 1e-9
-
     def test_imaginary_axis_point(self):
-        # lam = i s with s = csc csc + sqrt(csc^2 csc^2 - 1) lies on the '+'
-        # boundary at theta = pi/2 and maps to rho_plus = 2S + 2i sqrt(1-S^2).
+        # the ray up from sigma/2 = 2S leaves the uncertified set at the 1/2
+        # cusp rho = 2S + 2i sqrt(1 - S^2), the image of lam = i s with
+        # s = csc csc + sqrt(csc^2 csc^2 - 1)
         for p, q in [(3, 3), (3, 5), (4, 7)]:
-            csc2 = 1.0 / (math.sin(math.pi / p) * math.sin(math.pi / q))
-            s = csc2 + math.sqrt(csc2 * csc2 - 1.0)
-            lam = lambda_boundary(p, q, math.pi / 2.0, +1)
-            assert abs(lam - 1j * s) < 1e-9
             S = math.sin(math.pi / p) * math.sin(math.pi / q)
-            _, rp = rho_from_lambda(p, q, lam)
+            (rho,) = _outline(p, q, [math.pi / 2.0])
             expected = 2.0 * S + 2j * math.sqrt(1.0 - S * S)
-            assert abs(rp - expected) < 1e-9
-
-    def test_rho_pair_curve_identity(self):
-        # As unordered pairs, the r_minus trace at theta equals the r_plus
-        # trace at theta + pi (lam -> -lam leaves the rho pair unchanged).
-        for theta in np.linspace(0.0, 2.0 * math.pi, 9):
-            lam_minus = lambda_boundary(3, 5, theta, -1)
-            pair_minus = rho_from_lambda(3, 5, lam_minus)
-            lam_plus = lambda_boundary(3, 5, theta + math.pi, +1)
-            pair_plus = rho_from_lambda(3, 5, lam_plus)
-            for z in pair_minus:
-                assert min(abs(z - w) for w in pair_plus) < 1e-8
+            assert abs(rho - expected) < 1e-9
 
     def test_rho_boundary_endpoints(self):
-        # theta = 0 passes through rho = -1*(...): for (3,3) the '+' curve
-        # hits rho_minus = -1 and rho_plus = 4 (lam = 3).
-        rm, rp = rho_boundary(3, 3, 0.0)
-        assert abs(rm - (-1.0)) < 1e-12
-        assert abs(rp - 4.0) < 1e-12
+        # along the real axis the (3, 3) outline meets rho = 4 and rho = -1,
+        # the pair of lam = 3, up to the closed rule's EPS_ALG
+        right, left = _outline(3, 3, [0.0, math.pi])
+        assert abs(right - 4.0) < 1e-12
+        assert abs(left - (-1.0)) < 1e-12

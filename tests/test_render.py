@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import mobcert.certificates as certificates
 import mobcert.render as render
 from mobcert.certificates import LAMBDA_REGION, cert_disks_elliptic
 from mobcert.cli import main
@@ -136,6 +135,32 @@ class TestRegionPolygon:
     def test_hexagon_when_orders_match(self):
         assert len(region_polygon(build_omega(3, 3))) == 6
         assert len(region_polygon(build_omega(4, 4))) == 6
+
+    @pytest.mark.parametrize("p,q", [(3, 4), (1000, 1001), (100000, 100001)])
+    def test_matches_a_half_plane_clip(self, p, q):
+        # Near p = q at large orders, neighbouring sides are nearly parallel
+        # and the all-pairs intersection merges or splits vertices (6 for the
+        # 12 sides of (1000, 1001), 14 for (100000, 100001)), so only the
+        # vertex count is off: every vertex is on the boundary and the area
+        # is that of a box clipped by each side's half-plane.
+        region = build_omega(p, q)
+        poly = region_polygon(region)
+        assert max(abs(omega_margin(region, z)) for z in poly) <= 1e-9
+        clip = [-10 - 10j, 10 - 10j, 10 + 10j, -10 + 10j]
+        for ln in region.lines:
+            kept = []
+            for a, b in zip(clip[-1:] + clip[:-1], clip):
+                ma, mb = ln.margin(a), ln.margin(b)
+                if (ma >= 0) != (mb >= 0):
+                    kept.append(a + (b - a) * (ma / (ma - mb)))
+                if mb >= 0:
+                    kept.append(b)
+            clip = kept
+
+        def area(pts):
+            return 0.5 * sum((a.conjugate() * b).imag for a, b in zip(pts[-1:] + pts[:-1], pts))
+
+        assert abs(area(poly) - area(clip)) <= 1e-8
 
 
 class TestRegionSvg:
@@ -385,16 +410,16 @@ class TestCompareLambda:
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == json_digest
 
     def test_bisection_is_batched_across_rays(self, monkeypatch):
-        # one call of the LambdaRegion row's slack per bisection step, each
-        # on all rays together
-        real = certificates.lambda_slack_rho
+        # one call of the LambdaRegion row's slack function per bisection
+        # step, each on all rays together
+        real = render.lambda_slack_rho
         calls = []
 
         def counting(p, q, rho):
             calls.append(np.size(rho))
             return real(p, q, rho)
 
-        monkeypatch.setattr(certificates, "lambda_slack_rho", counting)
+        monkeypatch.setattr(render, "lambda_slack_rho", counting)
         compare_lambda_data(3, 4, 48)
         assert 0 < len(calls) <= 61
         assert set(calls) == {48}
@@ -409,6 +434,9 @@ class TestCompareLambda:
         assert text.startswith("theta,t_disks,t_lambda,winner\n")
         assert len(text.strip().split("\n")) == 7
         svg = compare_lambda_svg(3, 3, rows)
-        assert svg.count("<polyline ") == 2
+        assert svg.count("<polyline ") == 1
+        # the outline of the lambda row at 721 angles, closed
+        points = svg.split('<polyline points="')[1].split('"')[0].split()
+        assert len(points) == 721 and points[0] == points[-1]
         assert svg.count("<circle ") == 4 + len(rows)
         assert compare_lambda_svg(3, 3, rows) == svg
