@@ -21,10 +21,20 @@ open conditions are strict (slack > EPS_ALG), closed ones accept slack >=
 5. LineFamily    -- rho lies on a line {a (1 + i t)} through an anchor a
    that the disks of dominant_marking(p, q) certify (strict).  The anchors
    for rho lie on the circles with diameters [0, rho] and [0, sigma - rho].
-   anchor_search_bulk, the row's array slack, finds the best anchor on
-   each circle in closed form (_circle_max), over the whole array at once.
-   anchor_search, the row at one point for cert_combined and certify,
-   searches a t grid with golden-section refinement instead.
+   anchor_search_bulk finds the best anchor on each circle in closed form
+   (_circle_max), over the whole array at once.  The row's array slack
+   first screens: an anchor a on the circle of w, with centre w/2 and
+   radius |w|/2, has |a - c_k| <= |w/2 - c_k| + |w|/2 for every disk
+   centre c_k, so its slack is at most b(w) = min_k |w/2 - c_k| + |w|/2 - 2
+   (_circle_bound).  Only the rho with b(rho) or b(sigma - rho) positive go
+   to anchor_search_bulk; elsewhere the slack is the larger bound, <= 0,
+   and certifies nothing.  The screen holds back only points the search
+   could not certify: a screened circle has |w| <= 4 (b(w) >= |w| - 4, as
+   |c_k| <= 2), so its computed best anchor slack lies within ~1e-15 of
+   the true one, which is <= b(w) <= 0, far below EPS_ALG.  Every code is
+   thus the search's.  anchor_search, the row at one point for
+   cert_combined and certify, searches a t grid with golden-section
+   refinement instead.
 
 One disk family decides.  Let 3 <= p <= q <= inf, centre the plane at
 sigma/2 and let a = pi/p >= b = pi/q.  The (p, q) centres are (+-k, 0) and
@@ -197,7 +207,7 @@ def _lambda_row_slack(p, q, rho: np.ndarray) -> np.ndarray:
 LAMBDA_REGION = Stage(CODE_LAMBDA, "LambdaRegion", _finite, _lambda_row_slack, strict=False)
 LINE_FAMILY = Stage(
     CODE_LINE_FAMILY, "LineFamily", lambda p, q: _family_ok(p) or _family_ok(q),
-    lambda p, q, rho: anchor_search_bulk(p, q, rho)[0], strict=True,
+    lambda p, q, rho: _line_family_slack(p, q, rho), strict=True,
 )
 CASCADE = (
     DISKS_ELLIPTIC,
@@ -393,6 +403,26 @@ def _search_anchors(p, q, rho: np.ndarray, circle_max):
         best_anchor.reshape(rho.shape),
         best_w.reshape(rho.shape),
     )
+
+
+def _circle_bound(centers, w):
+    """b(w) = min_k |w/2 - c_k| + |w|/2 - 2 for each w: no anchor on the
+    circle with diameter [0, w] has a larger slack; +inf past the float
+    maximum."""
+    m = w / 2.0
+    with np.errstate(over="ignore"):
+        return _anchor_slack_at(centers, m) + np.abs(m)
+
+
+def _line_family_slack(p, q, rho: np.ndarray) -> np.ndarray:
+    """The LineFamily row's array slack: anchor_search_bulk's where the
+    larger circle bound of rho and sigma - rho is positive, that bound
+    (<= 0) elsewhere."""
+    centers = _anchor_centers(p, q)
+    slack = np.maximum(_circle_bound(centers, rho), _circle_bound(centers, 4.0 * sin_sin(p, q) - rho))
+    search = slack > 0.0
+    slack[search] = anchor_search_bulk(p, q, rho[search])[0]
+    return slack
 
 
 def anchor_search_bulk(p, q, rho: np.ndarray):

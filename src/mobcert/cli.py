@@ -2,8 +2,10 @@
 
 Subcommands: certify, region, scan, compare-lambda, cusps, burau-annulus.
 Complex flags accept RE+IMi notation ("1.5-0.25i"; "j" works too), orders
-accept integers or "inf".  Exit codes: 0 success, 2 argument/parse errors
-(argparse), 3 unsupported or invalid parameter combinations.
+accept integers or "inf".  Exit codes: 0 success, 1 a scan that failed
+part-way or an --out file that cannot be written (scan checks its directory
+before any band runs), 2 argument/parse errors (argparse), 3 unsupported or
+invalid parameter combinations.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import cmath
 import functools
 import json
 import math
+import os
 import re
 import sys
 
@@ -113,13 +116,20 @@ def _pair(z: complex):
     return [z.real, z.imag]
 
 
+class _CannotWrite(Exception):
+    """An output file that cannot be written (exit 1)."""
+
+
 def _emit(payload, out_path: str | None) -> None:
     data = payload.encode("utf-8") if isinstance(payload, str) else payload
     if out_path is None:
         sys.stdout.write(data.decode("utf-8"))
-    else:
+        return
+    try:
         with open(out_path, "wb") as fh:
             fh.write(data)
+    except OSError as exc:
+        raise _CannotWrite(f"cannot write {out_path}: {exc.strerror or exc}") from None
 
 
 def _json_line(doc) -> str:
@@ -179,13 +189,16 @@ def cmd_region(args) -> int:
 
 def cmd_scan(args) -> int:
     job = ScanJob(p=args.p, q=args.q, window=args.window, resolution=args.res, mode=args.mode)
+    csv_path = args.out + ".csv"
+    raster_path = args.out + "." + args.format
+    directory = os.path.dirname(args.out) or os.curdir
+    if not os.path.isdir(directory):  # fail before the probe, not after every band
+        raise _CannotWrite(f"cannot write {csv_path}: {directory} is not a directory")
     try:
         result = run_scan(job, workers=args.workers)
     except PartialScanError as exc:
         print(f"error: {exc} (completed_rows={exc.completed_rows})", file=sys.stderr)
         return 1
-    csv_path = args.out + ".csv"
-    raster_path = args.out + "." + args.format
     _emit(scan_csv(result), csv_path)
     _emit(scan_svg(result) if args.format == "svg" else scan_pgm(result), raster_path)
     metadata = {**result.metadata, "p": _order(job.p), "q": _order(job.q)}
@@ -315,6 +328,9 @@ def main(argv=None) -> int:
     except (UnsupportedError, InvalidInputError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except _CannotWrite as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

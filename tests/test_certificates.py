@@ -19,8 +19,10 @@ from mobcert.certificates import (
     CODE_IM_BOUND,
     CODE_LAMBDA,
     CODE_LINE_FAMILY,
+    LINE_FAMILY,
     _anchor_centers,
     _anchor_slack_at,
+    _circle_bound,
     _circle_max,
     _grid_max,
     _search_anchors,
@@ -324,6 +326,8 @@ class TestAnchorSearch:
 
 
 SCREEN_ORDERS = st.sampled_from([2, 3, 4, 5, 9, 10**6, math.inf])
+RESIDUAL_MARKINGS = [(3, 3), (3, 4), (5, 9), (2, 5), (3, math.inf), (math.inf, math.inf), (10**6, 7)]
+RESIDUAL_WINDOWS = [(-3.0, 6.0, -4.5, 4.5), (0.2, 1.2, -0.5, 0.5)]  # the second lies inside Omega
 FAR = [50.0, 50.0j, -50.0]  # three disks that miss every circle below
 
 
@@ -336,6 +340,13 @@ def sampled_max(centers, w, n=4000) -> float:
     """The best anchor slack over n evenly spaced points of w's anchor circle."""
     on_circle = w / 2.0 + abs(w) / 2.0 * np.exp(2j * np.pi * np.arange(n) / n)
     return float(_anchor_slack_at(np.asarray(centers, dtype=complex), on_circle).max())
+
+
+def window_grid(window, n) -> np.ndarray:
+    """The n x n points of window (re_min, re_max, im_min, im_max), edges included."""
+    xs = np.linspace(window[0], window[1], n)
+    ys = np.linspace(window[2], window[3], n)
+    return (xs[None, :] + 1j * ys[:, None]).ravel()
 
 
 def assert_witness(p, q, anchor, w):
@@ -367,7 +378,11 @@ class TestCircleMax:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             slack, anchor = circle_max(centers, w)
-            assert slack >= sampled_max(centers, w) - 1e-12 * (1.0 + abs(w))
+            best = sampled_max(centers, w)
+            bound = float(_circle_bound(centers, np.array([w]))[0])
+        assert slack >= best - 1e-12 * (1.0 + abs(w))
+        # the screen's bound b(w) lies above every anchor of the circle
+        assert bound >= max(slack, best) - 1e-12 * (1.0 + abs(w))
         assert abs(abs(anchor - w / 2.0) - abs(w) / 2.0) <= 1e-13 * abs(w)  # on the circle
         assert _anchor_slack_at(centers, np.array([anchor]))[0] == slack
 
@@ -462,18 +477,14 @@ class TestCircleScreen:
                 assert circle_max(_anchor_centers(3, 3), w)[0] < 0.0  # 0 lies in the disk at c2
                 assert circle_max([3.0, *FAR], w)[0] > 0.99
 
-    @pytest.mark.parametrize(
-        "p,q", [(3, 3), (3, 4), (5, 9), (2, 5), (3, math.inf), (math.inf, math.inf), (10**6, 7)]
-    )
-    @pytest.mark.parametrize("window", [(-3.0, 6.0, -4.5, 4.5), (0.2, 1.2, -0.5, 0.5)])
+    @pytest.mark.parametrize("p,q", RESIDUAL_MARKINGS)
+    @pytest.mark.parametrize("window", RESIDUAL_WINDOWS)
     def test_screen_keeps_every_certified_point(self, p, q, window):
         # every residual pixel of a 48 x 48 scan: the closed form and the
         # grid search certify the same points, the closed form's slack is
         # never below the grid's, and each certified anchor is a witness
         # (the second window lies inside Omega)
-        xs = np.linspace(window[0], window[1], 48)
-        ys = np.linspace(window[2], window[3], 48)
-        grid = (xs[None, :] + 1j * ys[:, None]).ravel()
+        grid = window_grid(window, 48)
         residual = grid[combined_codes_array(p, q, grid, search=False) == 0]
         assert residual.size
         bulk = anchor_search_bulk(p, q, residual)
@@ -483,6 +494,42 @@ class TestCircleScreen:
         certified = bulk[0] > EPS_ALG
         for anchor, w in zip(bulk[1][certified], bulk[2][certified]):
             assert_witness(p, q, complex(anchor), w)
+
+
+class TestLineFamilyRow:
+    """The LineFamily row of CASCADE: the circle-bound screen, then
+    anchor_search_bulk on the points it lets through."""
+
+    @pytest.mark.parametrize("p,q", RESIDUAL_MARKINGS)
+    @pytest.mark.parametrize("window", RESIDUAL_WINDOWS)
+    def test_screen_changes_no_code(self, p, q, window):
+        sigma = sigma_pq(p, q)
+        rho = np.concatenate([window_grid(window, 96), [0.0, sigma, 1e-13, 5e-324, 4.0]])
+        centers = _anchor_centers(p, q)
+        bound = np.maximum(_circle_bound(centers, rho), _circle_bound(centers, sigma - rho))
+        searched = bound > 0.0
+        # the row's slack is anchor_search_bulk's, bit for bit, where the
+        # bound lets an anchor certify; elsewhere neither certifies
+        slack = LINE_FAMILY.slack(p, q, rho)
+        bulk = anchor_search_bulk(p, q, rho)[0]
+        assert np.array_equal(slack[searched], bulk[searched])
+        assert (slack[~searched] <= EPS_ALG).all() and (bulk[~searched] <= EPS_ALG).all()
+        # the unscreened cascade: the closed rows, then the search on every residual point
+        reference = combined_codes_array(p, q, rho, search=False)
+        residual = np.flatnonzero(reference == 0)
+        found = anchor_search_bulk(p, q, rho[residual])[0] > EPS_ALG
+        reference[residual[found]] = CODE_LINE_FAMILY
+        assert np.array_equal(combined_codes_array(p, q, rho), reference)
+
+    def test_near_the_float_maximum(self):
+        # the bound passes the float maximum without a warning and is
+        # searched; every point is far outside the disks
+        rho = np.array([1.7e308, -1.7e308, 1.7e308j, 1.2e308 + 1.2e308j, 1.7e308 + 1.7e308j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            slack = LINE_FAMILY.slack(3, 4, rho)
+            assert np.array_equal(slack, anchor_search_bulk(3, 4, rho)[0])
+        assert (slack > 1e307).all()
 
 
 def canonical_anchors(p, q) -> list[complex]:

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mobcert import __version__
+from mobcert import __version__, cli
 from mobcert.burau import faithful_mask
 from mobcert.cli import build_parser, main
 
@@ -377,6 +377,42 @@ class TestScan:
         )
         assert rc == 3 and out == ""
         assert err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestUnwritableOut:
+    """An --out path in a missing directory: one error line, exit 1."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("region", "--p", "3", "--q", "4"),
+            ("cusps", "--p", "3", "--q", "4"),
+            ("certify", "--p", "3", "--q", "4", "--rho", "1"),
+            ("compare-lambda", "--p", "3", "--q", "4", "--angles", "8"),
+            ("burau-annulus", "--mu", "9"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_missing_directory_exits_1(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "out"
+        rc, out, err = run(capsys, *argv, "--out", str(path))
+        assert rc == 1 and out == ""
+        assert err == f"error: cannot write {path}: No such file or directory\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_scan_checks_the_directory_before_any_band(self, capsys, tmp_path, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setattr(cli, "run_scan", no_scan)
+        base = tmp_path / "missing" / "scan"
+        rc, out, err = run(
+            capsys, "scan", "--p", "3", "--q", "4", "--window=-3,6,-4.5,4.5",
+            "--res", "8", "--out", str(base),
+        )
+        assert rc == 1 and out == ""
+        assert err == f"error: cannot write {base}.csv: {base.parent} is not a directory\n"
         assert list(tmp_path.iterdir()) == []
 
 

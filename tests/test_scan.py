@@ -383,8 +383,9 @@ class TestPartialFailure:
             run_scan(job)
 
     def test_probe_searches_no_anchor(self, monkeypatch):
-        # The window lies inside Omega, so the first pixel is residual; the
-        # fail-fast probe must not run an anchor search of its own.
+        # The window lies inside Omega, so every pixel is residual; the
+        # fail-fast probe must not run an anchor search of its own, and the
+        # one band makes at most one call (the screen may pass it no point).
         real = certificates.anchor_search_bulk
         sizes = []
 
@@ -394,4 +395,4 @@ class TestPartialFailure:
 
         monkeypatch.setattr(certificates, "anchor_search_bulk", recording)
         run_scan(ScanJob(3, 4, Window(0.4, 0.6, 0.0, 0.2), 16, "combined"))
-        assert sizes == [256]
+        assert len(sizes) <= 1 and sum(sizes) <= 256
