@@ -141,6 +141,8 @@ def cmd_certify(args) -> int:
     if args.burau:
         if args.p is not None or args.q is not None or args.rho:
             raise InvalidInputError("certify --burau takes --mu only, not --p, --q or --rho")
+        if args.no_search:
+            raise InvalidInputError("certify --burau takes no --no-search")
         if not args.mu:
             raise InvalidInputError("certify --burau needs at least one --mu")
         for mu in args.mu:
@@ -188,6 +190,8 @@ def cmd_region(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if args.workers < 1:
+        raise InvalidInputError(f"workers must be at least 1, got {args.workers!r}")
     job = ScanJob(p=args.p, q=args.q, window=args.window, resolution=args.res, mode=args.mode)
     csv_path = args.out + ".csv"
     raster_path = args.out + "." + args.format
@@ -195,7 +199,7 @@ def cmd_scan(args) -> int:
     if not os.path.isdir(directory):  # fail before the probe, not after every band
         raise _CannotWrite(f"cannot write {csv_path}: {directory} is not a directory")
     try:
-        result = run_scan(job, workers=args.workers)
+        result = run_scan(job)
     except PartialScanError as exc:
         print(f"error: {exc} (completed_rows={exc.completed_rows})", file=sys.stderr)
         return 1
@@ -295,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--mode", choices=MODES, default="combined")
     scan.add_argument("--out", required=True, help="output base path (suffixes are appended)")
     scan.add_argument("--format", choices=("svg", "pgm"), default="svg")
-    scan.add_argument("--workers", type=int, default=1, help="threads, >= 1; at most one per band")
+    scan.add_argument("--workers", type=int, default=1, help="accepted for compatibility; scans run on one thread")
     scan.set_defaults(func=cmd_scan)
 
     cmp_ = sub.add_parser("compare-lambda", help="disk vs lambda certificate comparison")

@@ -4,11 +4,10 @@ All output here is a pure function of its inputs: fixed coordinate scale
 (1 unit = 60 px, y pointing up via an explicit flip), fixed colors (region
 fill #cccccc, exclusion disks #d33 at 40% opacity), fixed float formatting
 (12 significant digits in CSV, '.' decimal separator, '\\n' line endings).
-Running the same job twice, or with different worker counts, produces
-byte-identical files.  The scan writers (CSV, SVG, PGM) assemble their
-bytes with numpy and per-row or per-run joins, never one string per
-pixel, and accept only the palette codes 0..5: any other code raises
-ValueError.
+Running the same job twice produces byte-identical files.  The scan
+writers (CSV, SVG, PGM) assemble their bytes with numpy and per-row or
+per-run joins, never one string per pixel, and accept only the palette
+codes 0..5: any other code raises ValueError.
 """
 
 from __future__ import annotations

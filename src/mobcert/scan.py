@@ -2,11 +2,12 @@
 
 A scan evaluates one certificate mode at every pixel center of a rectangular
 window (no supersampling) and returns a grid of the witness codes defined in
-``certificates``.  The rows are cut into bands of about BAND_PIXELS pixels;
-each band is one independent pure computation of the mode's whole code
-function (in combined mode, the anchor search included) that writes its
-own rows, so the output is independent of the worker count.  Scans that
-die part-way raise PartialScanError carrying the completed-rows count.
+``certificates``.  The rows are cut into bands of about BAND_PIXELS pixels,
+run in order on the calling thread; each band is one pure computation of
+the mode's whole code function (in combined mode, the anchor search
+included) that writes its own rows, so the output is independent of the
+band size.  A scan that dies part-way raises PartialScanError carrying the
+rows of the bands before the failing one.
 
 Mode -> code semantics (0 always means "not certified"):
 
@@ -23,7 +24,6 @@ Mode -> code semantics (0 always means "not certified"):
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,7 +47,7 @@ MODES = ("omega", "disks", "lambda", "combined", "burau")
 #: Fill value for rows that never completed (only seen via PartialScanError).
 CODE_UNSCANNED = 255
 
-#: Pixels per band, the unit of scan work and of parallelism.
+#: Pixels per band, the unit of scan work: it bounds each call's temporaries.
 BAND_PIXELS = 4096
 
 
@@ -137,14 +137,8 @@ def _mode_codes(job: ScanJob) -> Callable[[np.ndarray], np.ndarray]:
     return lambda z: combined_codes_array(p, q, z)
 
 
-def run_scan(job: ScanJob, workers: int = 1) -> ScanResult:
-    """Run a scan job; deterministic and independent of the worker count.
-
-    At most one thread per band runs, so ``workers`` beyond the number of
-    bands starts no extra threads; ``workers`` below 1 is rejected.
-    """
-    if workers < 1:
-        raise InvalidInputError(f"workers must be at least 1, got {workers!r}")
+def run_scan(job: ScanJob) -> ScanResult:
+    """Run a scan job, band after band; deterministic."""
     res = job.resolution
     xs = job.xs()
     ys = job.ys()
@@ -157,32 +151,12 @@ def run_scan(job: ScanJob, workers: int = 1) -> ScanResult:
     codes_of(np.empty(0, dtype=complex))
 
     band = max(1, BAND_PIXELS // res)
-    bands = [slice(lo, min(lo + band, res)) for lo in range(0, res, band)]
-
-    def run_band(rows: slice) -> int:
-        codes[rows] = codes_of(xs[None, :] + 1j * ys[rows, None])
-        return rows.stop - rows.start
-
-    completed = 0
-    failure: BaseException | None = None
-    workers = min(workers, len(bands))
-    if workers == 1:
-        for rows in bands:
-            try:
-                completed += run_band(rows)
-            except Exception as exc:  # noqa: BLE001 - rethrown as PartialScanError
-                failure = exc
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for fut in [pool.submit(run_band, rows) for rows in bands]:
-                try:
-                    completed += fut.result()
-                except Exception as exc:  # noqa: BLE001
-                    if failure is None:
-                        failure = exc
-    if failure is not None:
-        raise PartialScanError(completed, res, codes, failure)
+    for lo in range(0, res, band):
+        rows = slice(lo, min(lo + band, res))
+        try:
+            codes[rows] = codes_of(xs[None, :] + 1j * ys[rows, None])
+        except Exception as exc:  # noqa: BLE001 - rethrown as PartialScanError
+            raise PartialScanError(lo, res, codes, exc) from exc
 
     metadata = {
         "p": job.p,

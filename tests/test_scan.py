@@ -2,8 +2,6 @@
 
 import hashlib
 import math
-import sys
-import threading
 import warnings
 
 import numpy as np
@@ -12,6 +10,7 @@ import pytest
 import mobcert.certificates as certificates
 import mobcert.scan as scan
 from mobcert import __version__
+from mobcert.cli import main
 from mobcert.certificates import combined_codes_array, disk_slack_array
 from mobcert.lambda_region import lambda_from_rho, lambda_slack
 from mobcert.mobius import EPS_ALG, GroupSpec, InvalidInputError
@@ -57,10 +56,14 @@ class TestValidation:
             ScanJob(3, 3, win, 2.5, "omega")
 
     @pytest.mark.parametrize("workers", [0, -1])
-    def test_workers_below_one_rejected(self, monkeypatch, workers):
+    def test_workers_below_one_rejected(self, monkeypatch, capsys, tmp_path, workers):
+        # scan --workers selects nothing, but a count below 1 still exits 3
+        # before any scan work
         monkeypatch.setattr(scan, "_mode_codes", lambda job: pytest.fail("scan work started"))
-        with pytest.raises(InvalidInputError, match="workers"):
-            run_scan(job_33("omega", res=8), workers=workers)
+        rc = main(["scan", "--p", "3", "--q", "3", "--window=-3,6,-4,4", "--res", "8",
+                   "--mode", "omega", "--workers", str(workers), "--out", str(tmp_path / "x")])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: workers must be at least 1, got {workers}\n"
 
     def test_pixel_centers(self):
         job = ScanJob(3, 3, Window(0.0, 1.0, -1.0, 1.0), 4, "omega")
@@ -160,20 +163,14 @@ class TestModeSemantics:
 
 
 class TestDeterminism:
-    def test_worker_count_invariant(self):
-        job = job_33("combined", res=36)
-        one = run_scan(job, workers=1)
-        four = run_scan(job, workers=4)
-        assert (one.codes == four.codes).all()
-        assert one.metadata == four.metadata
-        assert scan_csv(one) == scan_csv(four)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_combined_matches_array_codes(self, workers):
-        for res in (40, 96):  # one band; three bands
+    @pytest.mark.parametrize("split", [1, 2])
+    def test_combined_matches_array_codes(self, monkeypatch, split):
+        # split 1: one band at res 40, three at 96; split 2 halves the bands
+        monkeypatch.setattr(scan, "BAND_PIXELS", scan.BAND_PIXELS // split)
+        for res in (40, 96):
             job = ScanJob(3, 4, Window(-3.0, 6.0, -4.5, 4.5), res, "combined")
             grid = job.xs()[None, :] + 1j * job.ys()[:, None]
-            result = run_scan(job, workers=workers)
+            result = run_scan(job)
             assert (result.codes == combined_codes_array(3, 4, grid, search=True)).all()
             assert (result.codes == 3).any()
 
@@ -206,7 +203,7 @@ class TestDeterminism:
 
     def test_metadata(self):
         job = job_33("omega", res=8)
-        result = run_scan(job, workers=3)
+        result = run_scan(job)
         md = result.metadata
         assert md["p"] == 3 and md["q"] == 3
         assert md["window"] == [-3.0, 6.0, -4.0, 4.0]
@@ -218,8 +215,8 @@ class TestDeterminism:
 
 
 class TestSetup:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_omega_built_once_per_scan(self, monkeypatch, workers):
+    @pytest.mark.parametrize("bands", [1, 2])
+    def test_omega_built_once_per_scan(self, monkeypatch, bands):
         calls = []
 
         def counting(p, q):
@@ -227,66 +224,18 @@ class TestSetup:
             return build_omega(p, q)
 
         monkeypatch.setattr(scan, "build_omega", counting)
-        result = run_scan(job_33("omega", res=16), workers=workers)
+        monkeypatch.setattr(scan, "BAND_PIXELS", 16 * 16 // bands)
+        result = run_scan(job_33("omega", res=16))
         assert calls == [(3, 3)]
         assert (result.codes == 1).any()
 
 
-def record_pool_sizes(monkeypatch):
-    """Replace the scan's thread pool by one that records the requested
-    max_workers and runs on a single thread."""
-    sizes = []
-
-    class Recording(scan.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers=1)
-
-    monkeypatch.setattr(scan, "ThreadPoolExecutor", Recording)
-    return sizes
-
-
 class TestBands:
-    @pytest.mark.parametrize("workers, pool", [(10**6, 16), (17, 16), (16, 16), (3, 3)])
-    def test_pool_never_exceeds_the_band_count(self, monkeypatch, workers, pool):
-        # 16 one-row bands
-        sizes = record_pool_sizes(monkeypatch)
-        one = run_scan(job_33("omega", res=16))
-        monkeypatch.setattr(scan, "BAND_PIXELS", 16)
-        many = run_scan(job_33("omega", res=16), workers=workers)
-        assert sizes == [pool]
-        assert (many.codes == one.codes).all()
-
-    def test_one_band_runs_without_a_pool(self, monkeypatch):
-        sizes = record_pool_sizes(monkeypatch)
-        run_scan(job_33("omega", res=16), workers=4)  # 4096 // 16 rows: one band
-        assert sizes == []
-
-    def test_anchor_search_runs_in_pool_threads(self, monkeypatch):
-        real = certificates.anchor_search_bulk
-        threads = []
-
-        def recording(p, q, rho, *args, **kwargs):
-            threads.append(threading.current_thread())
-            return real(p, q, rho, *args, **kwargs)
-
-        monkeypatch.setattr(certificates, "anchor_search_bulk", recording)
-        run_scan(job_33("combined", res=96), workers=2)
-        assert len(threads) >= 2
-        assert all(t is not threading.main_thread() for t in threads)
-
-    def test_one_row_bands_on_more_workers_than_cores(self, monkeypatch):
-        # 36 bands on 8 threads that switch often: every band must land in
-        # its own rows.
+    def test_one_row_bands_match_one_band(self, monkeypatch):
         job = job_33("combined", res=36)
-        one = run_scan(job, workers=1)
+        one = run_scan(job)  # 4096 // 36 rows: one band
         monkeypatch.setattr(scan, "BAND_PIXELS", 36)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            many = run_scan(job, workers=8)
-        finally:
-            sys.setswitchinterval(interval)
+        many = run_scan(job)
         assert (many.codes == one.codes).all()
 
 
@@ -315,7 +264,7 @@ class TestPartialFailure:
         ys = job.ys()
         flaky_mode_codes(monkeypatch, lambda y: y >= ys[3] - 1e-12)
         with pytest.raises(PartialScanError) as ei:
-            run_scan(job, workers=1)
+            run_scan(job)
         err = ei.value
         assert err.completed_rows == 3
         assert err.total_rows == 8
@@ -323,42 +272,29 @@ class TestPartialFailure:
         assert (err.partial[3:] == CODE_UNSCANNED).all()
         assert isinstance(err.cause, RuntimeError)
 
-    def test_threaded_failure_is_isolated(self, monkeypatch):
-        job = job_33("disks", res=8)
-        ys = job.ys()
-        flaky_mode_codes(monkeypatch, lambda y: abs(y - ys[5]) < 1e-12)
-        with pytest.raises(PartialScanError) as ei:
-            run_scan(job, workers=4)
-        err = ei.value
-        assert err.completed_rows == 7
-        assert (err.partial[5] == CODE_UNSCANNED).all()
-        rows_done = [i for i in range(8) if i != 5]
-        for i in rows_done:
-            assert (err.partial[i] != CODE_UNSCANNED).all()
-
-    @pytest.mark.parametrize("workers, completed", [(1, 42), (2, 54)])
-    def test_anchor_stage_failure(self, monkeypatch, workers, completed):
-        # 96 rows make bands of 42, 42 and 12 rows; the middle band fails
-        # inside the anchor search.
+    @pytest.mark.parametrize("band, completed", [(0, 0), (1, 42)])
+    def test_anchor_stage_failure(self, monkeypatch, band, completed):
+        # 96 rows make bands of 42, 42 and 12 rows; one band fails inside
+        # the anchor search, and no later band runs.
         job = job_33("combined", res=96)
         ys = job.ys()
+        rows = ys[42 * band : 42 * band + 42]
         real = certificates.anchor_search_bulk
 
         def failing(p, q, rho, *args, **kwargs):
             y = np.imag(rho)
-            if ((y >= ys[42] - 1e-12) & (y <= ys[83] + 1e-12)).any():
+            if ((y >= rows[0] - 1e-12) & (y <= rows[-1] + 1e-12)).any():
                 raise RuntimeError("anchor boom")
             return real(p, q, rho, *args, **kwargs)
 
         monkeypatch.setattr(certificates, "anchor_search_bulk", failing)
         with pytest.raises(PartialScanError) as ei:
-            run_scan(job, workers=workers)
+            run_scan(job)
         err = ei.value
         assert err.completed_rows == completed
         assert isinstance(err.cause, RuntimeError)
-        assert (err.partial[42:84] == CODE_UNSCANNED).all()
-        assert (err.partial[:42] != CODE_UNSCANNED).all()
-        assert (err.partial[84:] != CODE_UNSCANNED).all() == (workers > 1)
+        assert (err.partial[:completed] != CODE_UNSCANNED).all()
+        assert (err.partial[completed:] == CODE_UNSCANNED).all()
 
     def test_fail_fast_probe(self):
         # an invalid marking dies before any row is scanned
