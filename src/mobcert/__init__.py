@@ -33,7 +33,6 @@ from .mobius import (
 from .lambda_region import (
     lambda_from_rho,
     lambda_slack,
-    lambda_slack_signed,
     rho_from_lambda,
 )
 from .omega import (

@@ -205,7 +205,15 @@ def cmd_scan(args) -> int:
         return 1
     _emit(scan_csv(result), csv_path)
     _emit(scan_svg(result) if args.format == "svg" else scan_pgm(result), raster_path)
-    metadata = {**result.metadata, "p": _order(job.p), "q": _order(job.q)}
+    window = job.window
+    metadata = {
+        "p": _order(job.p),
+        "q": _order(job.q),
+        "window": [window.re_min, window.re_max, window.im_min, window.im_max],
+        "resolution": job.resolution,
+        "mode": job.mode,
+        "version": __version__,
+    }
     print(_json_line({"csv": csv_path, "raster": raster_path, "metadata": metadata}), end="")
     return 0
 

@@ -25,8 +25,8 @@ E = S(|lam| + 1/|lam|) and |Re rho - sigma/2| = E |Re lam| / |lam|; with
 S csc_p csc_q = 1 and S cot_p cot_q = cos_p cos_q, slack = S Q(lam) / |lam|.
 
 The cascade's LambdaRegion row, which also decides Burau faithfulness, is
-lambda_slack_rho.  The lambda-space slacks are the paper's direct formula,
-the independent reference the tests check it against.  lambda_branches
+lambda_slack_rho.  The lambda-space slack lambda_slack is the paper's direct
+formula, the independent reference the tests check it against.  lambda_branches
 solves lam - 1/lam = w for every reported branch pair, of a rho and of a
 Burau mu.
 """
@@ -53,37 +53,20 @@ def _check_lambda_orders(p, q) -> None:
         raise InvalidInputError("p = q = 2 is a degenerate (dihedral) spec")
 
 
-def _check_sign(sign) -> int:
-    if sign in (+1, -1):
-        return int(sign)
-    raise InvalidInputError(f"sign must be +1 or -1, got {sign!r}")
-
-
-def _trig(p, q) -> tuple[float, float, float, float]:
-    """(cot_p, cot_q, csc_p, csc_q) for finite orders."""
-    _check_lambda_orders(p, q)
-    sp, sq = math.sin(pi_over(p)), math.sin(pi_over(q))
-    return math.cos(pi_over(p)) / sp, math.cos(pi_over(q)) / sq, 1.0 / sp, 1.0 / sq
-
-
-def lambda_slack_signed(p, q, lam, sign: int):
-    """Margin of one of the two feasibility inequalities at a complex or a
-    complex array lam: |lam| csc(pi/q) - |lam cot(pi/q) + sign cot(pi/p)|
-    - csc(pi/p), the paper's direct formula; the inequality of that sign
-    holds iff the margin is >= 0.
+def lambda_slack(p, q, lam):
+    """Worst-case margin over both feasibility inequalities at a complex or
+    a complex array lam: the smaller over sign = +-1 of |lam| csc(pi/q)
+    - |lam cot(pi/q) + sign cot(pi/p)| - csc(pi/p), the paper's direct
+    formula; >= 0 means both inequalities hold.
 
     A reference for the tests, not a decision: its rounding error is a few
     ulps of |lam| csc(pi/q), so only a margin larger than that has a sign.
     """
-    cot_p, cot_q, csc_p, csc_q = _trig(p, q)
-    sign = _check_sign(sign)
-    return abs(lam) * csc_q - abs(lam * cot_q + sign * cot_p) - csc_p
-
-
-def lambda_slack(p, q, lam):
-    """Worst-case margin over both inequalities, at a complex or a complex
-    array lam; >= 0 means both hold (within lambda_slack_signed's rounding)."""
-    return np.minimum(lambda_slack_signed(p, q, lam, +1), lambda_slack_signed(p, q, lam, -1))
+    _check_lambda_orders(p, q)
+    sp, sq = math.sin(pi_over(p)), math.sin(pi_over(q))
+    cot_p, cot_q, csc_p, csc_q = math.cos(pi_over(p)) / sp, math.cos(pi_over(q)) / sq, 1.0 / sp, 1.0 / sq
+    plus, minus = (abs(lam) * csc_q - abs(lam * cot_q + sign * cot_p) - csc_p for sign in (+1, -1))
+    return np.minimum(plus, minus)
 
 
 def lambda_slack_rho(p, q, rho):

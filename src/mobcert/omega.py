@@ -162,8 +162,12 @@ def build_omega(p, q) -> OmegaRegion:
 
 def omega_margin(region: OmegaRegion, z):
     """min over boundary lines of the inside margin (array-aware);
-    positive strictly inside Omega, negative outside."""
-    margins = [line.margin(z) for line in region.lines]
+    positive strictly inside Omega, negative outside.  Near the float
+    maximum the complex quotient in OrientedLine.margin can overflow; the
+    margin is then an infinity of the right sign, so overflow is ignored
+    here, once per call."""
+    with np.errstate(over="ignore"):
+        margins = [line.margin(z) for line in region.lines]
     out = margins[0]
     for m in margins[1:]:
         out = np.minimum(out, m)

@@ -7,7 +7,10 @@ fill #cccccc, exclusion disks #d33 at 40% opacity), fixed float formatting
 Running the same job twice produces byte-identical files.  The scan
 writers (CSV, SVG, PGM) assemble their bytes with numpy and per-row or
 per-run joins, never one string per pixel, and accept only the palette
-codes 0..5: any other code raises ValueError.
+codes 0..5: any other code raises ValueError.  They read the window and
+resolution from the result's ScanJob, and the CSV's coordinates are its
+pixel centres ScanJob.xs() and ys(), so only the scan module knows where a
+pixel's centre lies.
 """
 
 from __future__ import annotations
@@ -214,7 +217,8 @@ def _palette_codes(result: ScanResult) -> np.ndarray:
 
 
 def scan_csv(result: ScanResult) -> bytearray:
-    """Rows x,y,code with 12-significant-digit coordinates.
+    """Rows x,y,code with 12-significant-digit coordinates: the pixel
+    centres job.xs() and job.ys() that the scan evaluated.
 
     The coordinate strings are formatted once per column and once per row;
     each row's text is one join of the column strings with that row's
@@ -223,13 +227,10 @@ def scan_csv(result: ScanResult) -> bytearray:
     written into is returned as it is, without a copy to bytes.
     """
     codes = _palette_codes(result)
-    meta = result.metadata
-    re_min, re_max, im_min, im_max = meta["window"]
-    res = meta["resolution"]
-    w = (re_max - re_min) / res
-    h = (im_max - im_min) / res
-    xs = [_g12(re_min + (j + 0.5) * w).encode("ascii") for j in range(res)]
-    tails = [f",{_g12(im_min + (i + 0.5) * h)},0\n".encode("ascii") for i in range(res)]
+    job = result.job
+    res = job.resolution
+    xs = [_g12(x).encode("ascii") for x in job.xs().tolist()]
+    tails = [f",{_g12(y)},0\n".encode("ascii") for y in job.ys().tolist()]
     head = b"x,y,code\n"
     cells = xs + [b""]  # the join then ends each row with its tail
     buf = bytearray().join([head, *(tail.join(cells) for tail in tails)])
@@ -254,11 +255,9 @@ def scan_svg(result: ScanResult) -> str:
     non-zero run is one <rect>.
     """
     codes = _palette_codes(result)
-    meta = result.metadata
-    re_min, re_max, im_min, im_max = meta["window"]
-    res = meta["resolution"]
-    pw = (re_max - re_min) * SCALE / res
-    ph = (im_max - im_min) * SCALE / res
+    window, res = result.job.window, result.job.resolution
+    pw = (window.re_max - window.re_min) * SCALE / res
+    ph = (window.im_max - window.im_min) * SCALE / res
     width = pw * res
     height = ph * res
     out = [_svg_open(width, height)]
@@ -292,7 +291,7 @@ def scan_pgm(result: ScanResult) -> bytes:
     spaces in the odd ones and a newline in the last.
     """
     codes = _palette_codes(result)
-    res = result.metadata["resolution"]
+    res = result.job.resolution
     body = np.full((res, 2 * res), ord(" "), dtype=np.uint8)
     body[:, ::2] = codes[::-1]
     body[:, ::2] += ord("0")

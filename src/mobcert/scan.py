@@ -6,8 +6,10 @@ window (no supersampling) and returns a grid of the witness codes defined in
 run in order on the calling thread; each band is one pure computation of
 the mode's whole code function (in combined mode, the anchor search
 included) that writes its own rows, so the output is independent of the
-band size.  A scan that dies part-way raises PartialScanError carrying the
-rows of the bands before the failing one.
+band size.  A scan result is its job and its code grid, nothing else: the
+pixel centres are the job's xs() and ys(), and the writers read them and
+the window there.  A scan that dies part-way raises PartialScanError
+carrying the rows of the bands before the failing one.
 
 Mode -> code semantics (0 always means "not certified"):
 
@@ -29,7 +31,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__
 from .burau import faithful_mask
 from .certificates import (
     CODE_DISKS_ELLIPTIC,
@@ -96,10 +97,10 @@ class ScanJob:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Grid of certificate codes plus metadata echoing the job."""
+    """A scan job and its grid of certificate codes."""
 
-    codes: np.ndarray  # shape (resolution, resolution), row i <-> ys()[i]
-    metadata: dict
+    job: ScanJob
+    codes: np.ndarray  # shape (resolution, resolution), [i, j] <-> (job.xs()[j], job.ys()[i])
 
 
 class PartialScanError(RuntimeError):
@@ -157,13 +158,4 @@ def run_scan(job: ScanJob) -> ScanResult:
             codes[rows] = codes_of(xs[None, :] + 1j * ys[rows, None])
         except Exception as exc:  # noqa: BLE001 - rethrown as PartialScanError
             raise PartialScanError(lo, res, codes, exc) from exc
-
-    metadata = {
-        "p": job.p,
-        "q": job.q,
-        "window": [job.window.re_min, job.window.re_max, job.window.im_min, job.window.im_max],
-        "resolution": res,
-        "mode": job.mode,
-        "version": __version__,
-    }
-    return ScanResult(codes=codes, metadata=metadata)
+    return ScanResult(job, codes)

@@ -373,6 +373,25 @@ class TestScan:
         meta = json.loads(out, parse_constant=reject)["metadata"]
         assert (meta["p"], meta["q"]) == (3, "inf")
 
+    @pytest.mark.parametrize(
+        "q, q_json, extra", [("4", "4", ["--workers", "2"]), ("inf", '"inf"', [])], ids=["finite", "inf"]
+    )
+    def test_summary_line_pinned(self, capsys, tmp_path, q, q_json, extra):
+        # the metadata object is the job, keys in this order; --workers
+        # selects nothing and is not echoed
+        base = tmp_path / "x"
+        rc, out, _ = run(
+            capsys, "scan", "--p", "3", "--q", q, "--window=-3,6,-4.5,4.5", "--res", "8",
+            "--mode", "disks", "--format", "pgm", "--out", str(base), *extra,
+        )
+        assert rc == 0
+        assert out == (
+            f'{{"csv": "{base}.csv", "raster": "{base}.pgm", "metadata": {{"p": 3, "q": {q_json}, '
+            f'"window": [-3.0, 6.0, -4.5, 4.5], "resolution": 8, "mode": "disks", "version": "{__version__}"}}}}\n'
+        )
+        meta = json.loads(out)["metadata"]
+        assert "backend" not in meta and "workers" not in meta
+
     def test_invalid_marking_exits_3(self, capsys, tmp_path):
         rc, _, err = run(
             capsys, "scan", "--p", "2", "--q", "2", "--window=-1,1,-1,1",

@@ -4,6 +4,7 @@ import cmath
 import hashlib
 import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -36,16 +37,7 @@ from mobcert.scan import ScanJob, ScanResult, Window, run_scan
 
 def tiny_result(codes, window=(0.0, 1.0, 0.0, 1.0)):
     codes = np.asarray(codes, dtype=np.uint8)
-    res = codes.shape[0]
-    meta = {
-        "p": 3,
-        "q": 3,
-        "window": list(window),
-        "resolution": res,
-        "mode": "combined",
-        "version": "test",
-    }
-    return ScanResult(codes=codes, metadata=meta)
+    return ScanResult(ScanJob(3, 3, Window(*window), codes.shape[0], "combined"), codes)
 
 
 # Per-pixel references: the scan writers as they were before they assembled
@@ -53,8 +45,8 @@ def tiny_result(codes, window=(0.0, 1.0, 0.0, 1.0)):
 
 
 def ref_scan_csv(result):
-    re_min, re_max, im_min, im_max = result.metadata["window"]
-    res = result.metadata["resolution"]
+    re_min, re_max, im_min, im_max = astuple(result.job.window)
+    res = result.job.resolution
     w = (re_max - re_min) / res
     h = (im_max - im_min) / res
     xs = [_g12(re_min + (j + 0.5) * w) for j in range(res)]
@@ -66,8 +58,8 @@ def ref_scan_csv(result):
 
 
 def ref_scan_svg(result):
-    re_min, re_max, im_min, im_max = result.metadata["window"]
-    res = result.metadata["resolution"]
+    re_min, re_max, im_min, im_max = astuple(result.job.window)
+    res = result.job.resolution
     pw = (re_max - re_min) * SCALE / res
     ph = (im_max - im_min) * SCALE / res
     width = pw * res
@@ -97,7 +89,7 @@ def ref_scan_svg(result):
 
 
 def ref_scan_pgm(result):
-    res = result.metadata["resolution"]
+    res = result.job.resolution
     lines = ["P2", f"{res} {res}", "5"]
     for i in range(res - 1, -1, -1):
         lines.append(" ".join(map(str, result.codes[i].tolist())))
