@@ -79,7 +79,7 @@ def lambda_slack_rho(p, q, rho):
     numerator is 0 there too, so it is taken as 0 and the slack is -2."""
     _check_lambda_orders(p, q)
     s = sin_sin(p, q)
-    h = rho / 2.0
+    h = rho * 0.5
     e = abs(h) + abs(h - 2.0 * s)
     ratio = abs(h.real - s) / (e + (e == 0.0) if s == 0.0 else e)
     return e - 2.0 - 4.0 * (math.cos(pi_over(p)) * math.cos(pi_over(q))) * ratio

@@ -13,12 +13,16 @@ its boundary.  The twelve lines are
 with S = sin(pi/p) sin(pi/q).  For p = q the two slant families coincide
 and the vertical lines (1) touch the region only at its two real vertices,
 leaving the hexagon bounded by 6 lines.
+
+omega_margin is the margin at any points; outside_grid decides which
+pixels of a grid lie outside, from a bisection on each pixel row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -105,9 +109,10 @@ class OrientedLine:
             raise InvalidInputError(f"side must be +1 or -1, got {self.side!r}")
 
     def margin(self, z):
-        """Signed distance of z into the inside half-plane (array-aware)."""
-        w = (z - self.point) / self.direction
-        return self.side * np.imag(w)
+        """Signed distance of z into the inside half-plane (array-aware).
+        It reads only point, direction and side, so outside_grid also
+        evaluates it on all of a region's sides at once, stacked."""
+        return self.side * ((z - self.point) / self.direction).imag
 
 
 def _line_through(a: complex, b: complex, inner: complex) -> OrientedLine:
@@ -172,6 +177,59 @@ def omega_margin(region: OmegaRegion, z):
     for m in margins[1:]:
         out = np.minimum(out, m)
     return out
+
+
+def outside_grid(region: OmegaRegion, xs, ys) -> np.ndarray:
+    """omega_margin(region, xs[None, :] + 1j * ys[:, None]) < -EPS_ALG, the
+    pixels strictly outside Omega, from len(xs).bit_length() margins per
+    side and row rather than one per side and pixel.
+
+    Along a row (y fixed) each side's margin, as computed in floats, is
+    monotone in x.  numpy divides a complex a + ib by the unit D with
+    Smith's algorithm: where |Re D| >= |Im D| the imaginary part is
+    (b - a r) s with r = Im D / Re D and s = 1 / (Re D + Im D r), and
+    otherwise (b r - a) s with r = Re D / Im D and s = 1 / (Im D + Re D r).
+    Here a = x - Re P and b = y - Im P, with P the line's point; r, s and b
+    are fixed along the row.  Each IEEE operation on the way from x (a
+    difference with a constant, a product with a constant, fused or not,
+    and the sign flip by side) is monotone in its argument, so the margin
+    is too.  s has the sign of the larger of Re D and Im D, so in both
+    cases the margin moves with x against side * Im D, and is constant
+    along the row where r is 0.  No margin here is NaN: the windows are
+    finite, |r| <= 1 and s is finite and nonzero, so a rounding overflows at
+    most to an infinity of the right sign (ignored, as in omega_margin).
+
+    So a side's outside pixels in a row (margin < -EPS_ALG) are a prefix
+    of the columns where side * Im D <= 0 and a suffix otherwise, and a
+    row's outside pixels, which are outside some side, are one prefix and
+    one suffix.  Each (side, row) count is found at once by a bisection on
+    the column index, at the pixel centres themselves, so the mask is the
+    grid oracle's bit for bit.
+    """
+    n = len(xs)
+    # the lines' fields stacked into (sides, 1) columns, for
+    # OrientedLine.margin on a (sides, rows) array
+    sides = SimpleNamespace(**{f: np.array([[getattr(line, f)] for line in region.lines])
+                               for f in ("point", "direction", "side")})
+    suffix = sides.side * sides.direction.imag > 0
+    iy = 1j * ys
+    # k: the count of leading columns where the side's pixels are outside
+    # (prefix sides) or not outside (suffix sides), built bit by bit.  It
+    # grows to c where column c - 1 holds, read at x_at[c] = xs[min(c, n) - 1]:
+    # a count past n reads the last column, so it is taken only where every
+    # column holds, and then means n.
+    steps = n.bit_length()
+    x_at = np.concatenate((xs[:1], xs, np.repeat(xs[-1:], (1 << steps) - 1 - n)))
+    k = np.zeros((len(region.lines), len(iy)), dtype=np.intp)
+    with np.errstate(over="ignore"):
+        for bit in reversed(range(steps)):
+            longer = k + (1 << bit)
+            holds = (OrientedLine.margin(sides, x_at[longer] + iy) < -EPS_ALG) != suffix
+            k = np.where(holds, longer, k)
+    prefix_end = np.where(suffix, 0, k).max(axis=0)
+    suffix_start = np.where(suffix, k, n).min(axis=0)
+    cols = np.arange(n)
+    return (cols < prefix_end[:, None]) | (cols >= suffix_start[:, None])
 
 
 def boundary_cusps(p, q) -> tuple[complex, complex, complex, complex]:

@@ -2,18 +2,23 @@
 
 A scan evaluates one certificate mode at every pixel center of a rectangular
 window (no supersampling) and returns a grid of the witness codes defined in
-``certificates``.  The rows are cut into bands of about BAND_PIXELS pixels,
-run in order on the calling thread; each band is one pure computation of
-the mode's whole code function (in combined mode, the anchor search
-included) that writes its own rows, so the output is independent of the
-band size.  A scan result is its job and its code grid, nothing else: the
-pixel centres are the job's xs() and ys(), and the writers read them and
-the window there.  A scan that dies part-way raises PartialScanError
-carrying the rows of the bands before the failing one.
+``certificates``.  The rows are cut into bands of about BAND_PIXELS
+evaluated values, run in order on the calling thread: res per row in the
+pixel modes, which evaluate every pixel centre, and one per side per row
+in omega mode, which decides a row by a bisection on the sides' margins.
+Each band is one pure computation of the mode's whole code function (in
+combined mode, the anchor search included) on the band's (xs, ys) that
+writes its own rows, so the output is independent of the band size.  A
+scan result is its job and its code grid, nothing else: the pixel centres
+are the job's xs() and ys(), and the writers read them and the window
+there.  A scan that dies part-way raises PartialScanError carrying the
+rows of the bands before the failing one.
 
 Mode -> code semantics (0 always means "not certified"):
 
-* ``omega``    1 where the point lies strictly outside Omega_{p,q}.
+* ``omega``    1 where the point lies strictly outside Omega_{p,q}
+               (omega_margin < -EPS_ALG), found per row by
+               omega.outside_grid.
 * ``disks``    1 where the four (p, q) exclusion disks certify (strict);
                p must be >= 3 or inf, as for the DisksElliptic row.
 * ``lambda``   4 where the (p, q) lambda inequalities certify (closed);
@@ -40,15 +45,16 @@ from .certificates import (
     _stages,
     combined_codes_array,
 )
-from .mobius import EPS_ALG, InvalidInputError
-from .omega import build_omega, omega_margin
+from .mobius import InvalidInputError
+from .omega import build_omega, outside_grid
 
 MODES = ("omega", "disks", "lambda", "combined", "burau")
 
 #: Fill value for rows that never completed (only seen via PartialScanError).
 CODE_UNSCANNED = 255
 
-#: Pixels per band, the unit of scan work: it bounds each call's temporaries.
+#: Values evaluated per band, the unit of scan work: it bounds each call's
+#: temporaries.
 BAND_PIXELS = 4096
 
 
@@ -117,17 +123,13 @@ class PartialScanError(RuntimeError):
 
 
 def _code(hit: np.ndarray, code: int) -> np.ndarray:
-    return np.where(hit, code, 0).astype(np.uint8)
+    return hit * np.uint8(code)  # bool times uint8: the codes in one pass
 
 
-def _mode_codes(job: ScanJob) -> Callable[[np.ndarray], np.ndarray]:
-    """The code function of the job's mode, complex array -> uint8 codes,
-    with its per-scan setup (the Omega lines) done once.  Combined mode
-    includes the residual anchor search."""
+def _pixel_codes(job: ScanJob) -> Callable[[np.ndarray], np.ndarray]:
+    """The code function of a pixel mode (any but omega), complex array ->
+    uint8 codes.  Combined mode includes the residual anchor search."""
     p, q = job.p, job.q
-    if job.mode == "omega":
-        region = build_omega(p, q)
-        return lambda z: _code(omega_margin(region, z) < -EPS_ALG, CODE_DISKS_ELLIPTIC)
     stage = {"disks": DISKS_ELLIPTIC, "lambda": LAMBDA_REGION}.get(job.mode)
     if stage is not None:  # one cascade row alone, where its precondition holds
         stage.require(p, q)
@@ -136,6 +138,19 @@ def _mode_codes(job: ScanJob) -> Callable[[np.ndarray], np.ndarray]:
         _stages(p, q, False)  # rejects the orders that combined mode rejects
         return lambda z: _code(faithful_mask(z), CODE_LAMBDA)
     return lambda z: combined_codes_array(p, q, z)
+
+
+def _mode_codes(job: ScanJob) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray], int]:
+    """The code function of the job's mode, (xs, band ordinates) -> uint8
+    codes of shape (len(ys), len(xs)), with its per-scan setup (the Omega
+    lines) done once, and the values it evaluates per row: one per side in
+    omega mode, one per pixel in the others, whose pixel centres are built
+    here."""
+    if job.mode == "omega":
+        region = build_omega(job.p, job.q)
+        return (lambda xs, ys: _code(outside_grid(region, xs, ys), CODE_DISKS_ELLIPTIC)), len(region.lines)
+    codes_of = _pixel_codes(job)
+    return (lambda xs, ys: codes_of(xs[None, :] + 1j * ys[:, None])), job.resolution
 
 
 def run_scan(job: ScanJob) -> ScanResult:
@@ -148,14 +163,14 @@ def run_scan(job: ScanJob) -> ScanResult:
     # Fail fast on bad parameters before any band work starts: every mode
     # checks its parameters whatever the input size, so an empty probe
     # does no pixel work.
-    codes_of = _mode_codes(job)
-    codes_of(np.empty(0, dtype=complex))
+    codes_of, row_values = _mode_codes(job)
+    codes_of(xs[:0], ys[:0])
 
-    band = max(1, BAND_PIXELS // res)
+    band = max(1, BAND_PIXELS // row_values)
     for lo in range(0, res, band):
         rows = slice(lo, min(lo + band, res))
         try:
-            codes[rows] = codes_of(xs[None, :] + 1j * ys[rows, None])
+            codes[rows] = codes_of(xs, ys[rows])
         except Exception as exc:  # noqa: BLE001 - rethrown as PartialScanError
             raise PartialScanError(lo, res, codes, exc) from exc
     return ScanResult(job, codes)

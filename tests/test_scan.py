@@ -3,9 +3,12 @@
 import hashlib
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import mobcert.certificates as certificates
 import mobcert.scan as scan
@@ -13,13 +16,43 @@ from mobcert.cli import main
 from mobcert.certificates import combined_codes_array, disk_slack_array
 from mobcert.lambda_region import lambda_from_rho, lambda_slack
 from mobcert.mobius import EPS_ALG, GroupSpec, InvalidInputError
-from mobcert.omega import build_omega, omega_margin
-from mobcert.render import scan_csv, scan_svg
+from mobcert.omega import OrientedLine, boundary_cusps, build_omega, omega_margin, outside_grid
+from mobcert.render import scan_csv, scan_pgm, scan_svg
 from mobcert.scan import CODE_UNSCANNED, PartialScanError, ScanJob, Window, run_scan
+
+
+STANDARD = Window(-3.0, 6.0, -4.5, 4.5)
 
 
 def job_33(mode="combined", res=24):
     return ScanJob(3, 3, Window(-3.0, 6.0, -4.0, 4.0), res, mode)
+
+
+def omega_oracle(job, rows=slice(None)):
+    """The grid oracle of an omega scan: strictly outside every side's margin."""
+    grid = job.xs()[None, :] + 1j * job.ys()[rows, None]
+    return omega_margin(build_omega(job.p, job.q), grid) < -EPS_ALG
+
+
+HUGE_MARKINGS = [(1000, 1001), (3, 10**18), (10**9, 10**9), (10**22, 10**22 + 1)]
+
+
+@st.composite
+def omega_scans(draw):
+    """An omega scan job and a BAND_PIXELS: a marking, a window centred on
+    a cusp, a line's anchor point or a random point at a scale from 1e-14
+    to 1e300, and a resolution."""
+    p, q = draw(st.tuples(st.integers(3, 60), st.integers(3, 60)) | st.sampled_from(HUGE_MARKINGS))
+    points = [*boundary_cusps(p, q), *(line.point for line in build_omega(p, q).lines)]
+    finite = {"allow_nan": False, "allow_infinity": False}
+    centre = draw(st.sampled_from(points) | st.complex_numbers(max_magnitude=10.0, **finite))
+    scale = 10.0 ** draw(st.floats(-14.0, 300.0))
+    left, right, below, above = (scale * draw(st.floats(0.05, 1.0)) for _ in range(4))
+    bounds = (centre.real - left, centre.real + right, centre.imag - below, centre.imag + above)
+    assume(bounds[0] < bounds[1] and bounds[2] < bounds[3])
+    res = draw(st.integers(2, 120))
+    band_pixels = draw(st.sampled_from([1, 7, 64, scan.BAND_PIXELS]))
+    return ScanJob(p, q, Window(*bounds), res, "omega"), band_pixels
 
 
 class TestValidation:
@@ -115,6 +148,38 @@ class TestModeSemantics:
             result = run_scan(job)
         assert (result.codes == 4).all()
 
+    @settings(max_examples=150, deadline=None)
+    @given(case=omega_scans())
+    @example(case=(ScanJob(1000, 1001, Window(4.0 - 1e-12, 4.0 + 1e-12, -1e-12, 1e-12), 97, "omega"), 7))
+    @example(case=(ScanJob(10**22, 10**22 + 1, Window(3.9, 4.1, -1e-14, 1e-14), 33, "omega"), 1))
+    @example(case=(ScanJob(3, 4, Window(1e300, 1.7e308, -1.7e308, -1e300), 64, "omega"), 4096))
+    def test_omega_rows_match_grid_oracle(self, case):
+        # the row bisection decides each pixel as the grid oracle does, for
+        # any marking, window, resolution and band split
+        job, band_pixels = case
+        with mock.patch.object(scan, "BAND_PIXELS", band_pixels):
+            codes = run_scan(job).codes
+        assert ((codes == 1) == omega_oracle(job)).all()
+        assert set(np.unique(codes)) <= {0, 1}
+
+    def test_omega_margins_per_row(self, monkeypatch):
+        # a 1024^2 omega scan evaluates at most sides * 1024 * 11 margins:
+        # 11 = ceil(log2(1025)) bisection steps per side and row
+        real = OrientedLine.margin
+        evaluated = []
+
+        def counting(line, z):
+            evaluated.append(np.size(z))
+            return real(line, z)
+
+        monkeypatch.setattr(OrientedLine, "margin", counting)
+        job = ScanJob(3, 4, STANDARD, 1024, "omega")
+        codes = run_scan(job).codes
+        monkeypatch.undo()
+        assert 0 < sum(evaluated) <= len(build_omega(3, 4).lines) * 1024 * 11
+        rows = slice(None, None, 31)
+        assert ((codes[rows] == 1) == omega_oracle(job, rows)).all()
+
     def test_omega_mode_near_float_maximum(self):
         # the line margins' complex quotients overflow there, and once
         # raised RuntimeWarning; a NaN margin would read 0
@@ -209,6 +274,43 @@ class TestDeterminism:
         assert hashlib.sha256(scan_csv(result)).hexdigest() == csv_sha
         assert hashlib.sha256(scan_svg(result).encode("utf-8")).hexdigest() == svg_sha
 
+    @pytest.mark.parametrize(
+        "p, q, window, csv_sha, pgm_sha",
+        [
+            (
+                3, 4, STANDARD,
+                "3774252b63b982ec42fedcf8876a789e7400926488a982455e7795200f36578e",
+                "4e3321fee6322b4f2bbed12642ab1044d3ebbc1bb550d79329012d86d5e4ce38",
+            ),
+            (
+                5, 9, STANDARD,
+                "5f5c3ef4c2951d4e1e987d27d42938e5cadb1fcc2c39ac83b4cea9e56dbcc251",
+                "bc3cbb8151efb143d71461e12b8fd7e8d790ff3c8bbd186df74b62b38768f297",
+            ),
+            (
+                7, 7, STANDARD,
+                "154b52c4933a20ddfed503fc84e3fffd4f1729344cc4d09f209e013e6310f7b8",
+                "b8ea89ba6b7b4d81e716dfcc644116ea1c0055f6af9d8927a9a1c6a5dc1d1d8a",
+            ),
+            (
+                1000, 1001, "cusp",
+                "83dcf7076f40e87160a3f339d3db40045d23a902eec66dd27769fc639601081f",
+                "a9500d155ec8948eb4c8f5a15fe165a2a06da236955202202ea8cb2c758da331",
+            ),
+        ],
+        ids=["3-4", "5-9", "7-7", "1000-1001-cusp"],
+    )
+    def test_omega_digests_pinned(self, p, q, window, csv_sha, pgm_sha):
+        # 256 x 256 omega scans, recorded when every pixel took the minimum
+        # of all its side margins; "cusp" is the square of half-width 1e-3
+        # about the 0/1 cusp
+        if window == "cusp":
+            c = boundary_cusps(p, q)[0].real
+            window = Window(c - 1e-3, c + 1e-3, -1e-3, 1e-3)
+        result = run_scan(ScanJob(p, q, window, 256, "omega"))
+        assert hashlib.sha256(scan_csv(result)).hexdigest() == csv_sha
+        assert hashlib.sha256(scan_pgm(result)).hexdigest() == pgm_sha
+
     def test_metadata(self):
         job = job_33("omega", res=8)
         result = run_scan(job)
@@ -224,10 +326,19 @@ class TestSetup:
             calls.append((p, q))
             return build_omega(p, q)
 
+        band_rows = []
+
+        def recording(region, xs, ys):
+            band_rows.append(len(ys))
+            return outside_grid(region, xs, ys)
+
         monkeypatch.setattr(scan, "build_omega", counting)
-        monkeypatch.setattr(scan, "BAND_PIXELS", 16 * 16 // bands)
+        monkeypatch.setattr(scan, "outside_grid", recording)
+        # an omega band holds one margin per side (6 for (3, 3)) and row
+        monkeypatch.setattr(scan, "BAND_PIXELS", 6 * 16 // bands)
         result = run_scan(job_33("omega", res=16))
         assert calls == [(3, 3)]
+        assert band_rows == [0] + [16 // bands] * bands  # the probe, then the bands
         assert (result.codes == 1).any()
 
 
@@ -246,20 +357,33 @@ def flaky_mode_codes(monkeypatch, fails):
     real = scan._mode_codes
 
     def wrapper(job):
-        codes_of = real(job)
+        codes_of, row_values = real(job)
 
-        def flaky(z):
-            if np.size(z) > 1 and fails(np.imag(z)).any():
+        def flaky(xs, ys):
+            if fails(ys).any():
                 raise RuntimeError("boom")
-            return codes_of(z)
+            return codes_of(xs, ys)
 
-        return flaky
+        return flaky, row_values
 
     monkeypatch.setattr(scan, "_mode_codes", wrapper)
     monkeypatch.setattr(scan, "BAND_PIXELS", 8)
 
 
 class TestPartialFailure:
+    def test_omega_reports_completed_prefix(self, monkeypatch):
+        # an omega band holds one margin per side (6 for (3, 3)) and row, so
+        # 8 band pixels make one-row bands here too
+        job = job_33("omega", res=8)
+        ys = job.ys()
+        flaky_mode_codes(monkeypatch, lambda y: y >= ys[5] - 1e-12)
+        with pytest.raises(PartialScanError) as ei:
+            run_scan(job)
+        err = ei.value
+        assert err.completed_rows == 5
+        assert (err.partial[:5] != CODE_UNSCANNED).all()
+        assert (err.partial[5:] == CODE_UNSCANNED).all()
+
     def test_serial_reports_completed_prefix(self, monkeypatch):
         job = job_33("disks", res=8)
         ys = job.ys()
