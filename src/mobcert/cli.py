@@ -6,6 +6,11 @@ accept integers or "inf".  Exit codes: 0 success, 1 a scan that failed
 part-way or an --out file that cannot be written (scan checks its directory
 before any band runs), 2 argument/parse errors (argparse), 3 unsupported or
 invalid parameter combinations.
+
+Every --out file goes through _emit, which overwrites it in place: a
+regular file is written from its start and cut to the written length, a
+write that fails part-way leaves it empty, and any other target
+(/dev/null, a FIFO) is written as a stream.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 
 from . import __version__
@@ -120,14 +126,47 @@ class _CannotWrite(Exception):
     """An output file that cannot be written (exit 1)."""
 
 
+def _write_in_place(fd: int, data) -> None:
+    """Write data at the start of fd, then cut a regular file to its length.
+    A stream (/dev/null, a FIFO, a tty) is only written: ftruncate fails
+    there.  A write that fails part-way empties a regular file (best
+    effort) before the error propagates, so old and new bytes never mix."""
+    regular = stat.S_ISREG(os.fstat(fd).st_mode)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if regular:
+            os.ftruncate(fd, len(data))
+    except OSError:
+        if regular:
+            try:
+                os.ftruncate(fd, 0)
+            except OSError:
+                pass
+        raise
+
+
 def _emit(payload, out_path: str | None) -> None:
+    """Write payload to the file out_path, or to stdout where it is None.
+
+    The file is opened without O_TRUNC: truncating the last run's file to
+    zero frees its blocks, and ext4 then flushes the new ones on close, so
+    a rewrite cost several times an in-place write.  A missing file is
+    created with mode 0o666 minus the umask; an existing one keeps its
+    mode, and a symlink is written through.
+    """
     data = payload.encode("utf-8") if isinstance(payload, str) else payload
     if out_path is None:
         sys.stdout.write(data.decode("utf-8"))
         return
     try:
-        with open(out_path, "wb") as fh:
-            fh.write(data)
+        # O_BINARY (Windows only) keeps "\n" endings untranslated, as "wb" did
+        fd = os.open(out_path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        try:
+            _write_in_place(fd, data)
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise _CannotWrite(f"cannot write {out_path}: {exc.strerror or exc}") from None
 

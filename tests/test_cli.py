@@ -1,8 +1,13 @@
 """End-to-end CLI behavior: exit codes, JSON records, file outputs."""
 
 import argparse
+import errno
 import json
 import math
+import os
+import stat
+import subprocess
+import sys
 import threading
 import warnings
 
@@ -459,6 +464,107 @@ class TestUnwritableOut:
         assert rc == 1 and out == ""
         assert err == f"error: cannot write {base}.csv: {base.parent} is not a directory\n"
         assert list(tmp_path.iterdir()) == []
+
+
+SCAN = ("scan", "--p", "3", "--q", "4", "--window=-3,6,-4.5,4.5", "--mode", "combined")
+REGION = ("region", "--p", "3", "--q", "4")
+
+
+class TestOverwrite:
+    """--out files are overwritten in place and cut to length: a rewrite gives
+    the bytes of a write into a fresh path."""
+
+    def fresh_region(self, capsys, tmp_path):
+        assert main([*REGION, "--out", str(tmp_path / "fresh.svg")]) == 0
+        capsys.readouterr()
+        return (tmp_path / "fresh.svg").read_bytes()
+
+    def test_smaller_rewrite_leaves_no_stale_tail(self, capsys, tmp_path):
+        base, fresh = tmp_path / "scan", tmp_path / "fresh"
+        for res, out in (("16", base), ("8", base), ("8", fresh)):
+            assert main([*SCAN, "--res", res, "--out", str(out)]) == 0
+        capsys.readouterr()
+        for suffix in (".csv", ".svg"):
+            assert (tmp_path / f"scan{suffix}").read_bytes() == (tmp_path / f"fresh{suffix}").read_bytes()
+
+    def test_symlink_is_written_through(self, capsys, tmp_path):
+        target, link = tmp_path / "target.svg", tmp_path / "link.svg"
+        target.write_bytes(b"old" * 100_000)
+        link.symlink_to(target)
+        rc, out, err = run(capsys, *REGION, "--out", str(link))
+        assert (rc, out, err) == (0, "", "")
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_bytes() == self.fresh_region(capsys, tmp_path)
+
+    def test_existing_file_keeps_its_mode(self, capsys, tmp_path):
+        path = tmp_path / "region.svg"
+        path.write_bytes(b"old")
+        path.chmod(0o600)
+        assert run(capsys, *REGION, "--out", str(path)) == (0, "", "")
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+        assert path.read_bytes() == self.fresh_region(capsys, tmp_path)
+
+    def test_dev_null(self, capsys):
+        assert run(capsys, *REGION, "--out", os.devnull) == (0, "", "")
+
+    def test_fifo_receives_the_regular_file_bytes(self, capsys, tmp_path):
+        base, fifo = tmp_path / "piped", tmp_path / "piped.csv"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            rc = main([*SCAN, "--res", "64", "--out", str(base)])
+        finally:
+            if reader.is_alive() and not received:  # release a reader that no writer opened
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=30)
+        assert rc == 0 and not reader.is_alive()
+        assert main([*SCAN, "--res", "64", "--out", str(tmp_path / "file")]) == 0
+        capsys.readouterr()
+        expected = (tmp_path / "file.csv").read_bytes()
+        assert len(expected) > 65536  # more than a pipe buffer holds
+        assert received == [expected]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+    def test_failed_write_empties_the_file(self, tmp_path):
+        pytest.importorskip("resource")
+        base = tmp_path / "scan"
+        csv = tmp_path / "scan.csv"
+        csv.write_bytes(b"x" * 65536)
+        limit = 4096  # a 16^2 CSV is ~9 KB
+        script = (
+            "import resource, signal, sys\n"
+            "from mobcert.cli import main\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *SCAN, "--res", "16", "--out", str(base)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error: cannot write {csv}: {os.strerror(errno.EFBIG)}\n"
+        assert csv.read_bytes() == b""
+        assert not (tmp_path / "scan.svg").exists()
+
+    def test_emit_never_truncates_on_open(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "region.svg"
+        flags = []
+        real_open = os.open
+
+        def recording_open(file, flag, *args, **kwargs):
+            if os.fspath(file) == str(path):
+                flags.append(flag)
+            return real_open(file, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        for _ in range(2):  # a new file, then an existing one
+            assert run(capsys, *REGION, "--out", str(path)) == (0, "", "")
+        assert len(flags) == 2 and not any(f & os.O_TRUNC for f in flags)
 
 
 class TestSharedParser:

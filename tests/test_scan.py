@@ -15,7 +15,7 @@ import mobcert.scan as scan
 from mobcert.cli import main
 from mobcert.certificates import combined_codes_array, disk_slack_array
 from mobcert.lambda_region import lambda_from_rho, lambda_slack
-from mobcert.mobius import EPS_ALG, GroupSpec, InvalidInputError
+from mobcert.mobius import EPS_ALG, GroupSpec, InvalidInputError, sigma_pq
 from mobcert.omega import OrientedLine, boundary_cusps, build_omega, omega_margin, outside_grid
 from mobcert.render import scan_csv, scan_pgm, scan_svg
 from mobcert.scan import CODE_UNSCANNED, PartialScanError, ScanJob, Window, run_scan
@@ -161,6 +161,22 @@ class TestModeSemantics:
             codes = run_scan(job).codes
         assert ((codes == 1) == omega_oracle(job)).all()
         assert set(np.unique(codes)) <= {0, 1}
+
+    @pytest.mark.parametrize("half", ["left", "right"])
+    @pytest.mark.parametrize("n", [255, 256, 65535, 65536, 70_000])
+    def test_omega_wide_rows_match_grid_oracle(self, n, half):
+        # the mask compares column indices in the narrowest unsigned dtype
+        # that holds a count, up to 2**n.bit_length() - 1 where a row ends
+        # inside or is outside throughout: uint8 to uint32 here
+        region = build_omega(3, 4)
+        middle = sigma_pq(3, 4) / 2.0
+        ends = (STANDARD.re_min, middle) if half == "left" else (middle, STANDARD.re_max)
+        xs = np.linspace(*ends, n)
+        ys = np.array([-4.4, -1.0, 0.0, 0.3, 2.0])
+        oracle = omega_margin(region, xs[None, :] + 1j * ys[:, None]) < -EPS_ALG
+        mask = outside_grid(region, xs, ys)
+        assert mask.dtype == bool and (mask == oracle).all()
+        assert oracle[0].all() and not oracle[2].all()
 
     def test_omega_margins_per_row(self, monkeypatch):
         # a 1024^2 omega scan evaluates at most sides * 1024 * 11 margins:
