@@ -3,7 +3,7 @@
 Subcommands: certify, region, scan, compare-lambda, cusps, burau-annulus.
 Complex flags accept RE+IMi notation ("1.5-0.25i"; "j" works too), orders
 accept integers or "inf".  Exit codes: 0 success, 1 a scan that failed
-part-way or an --out file that cannot be written (scan checks its directory
+part-way or an --out file that cannot be written (scan checks its base
 before any band runs), 2 argument/parse errors (argparse), 3 unsupported or
 invalid parameter combinations.
 
@@ -234,9 +234,12 @@ def cmd_scan(args) -> int:
     job = ScanJob(p=args.p, q=args.q, window=args.window, resolution=args.res, mode=args.mode)
     csv_path = args.out + ".csv"
     raster_path = args.out + "." + args.format
-    directory = os.path.dirname(args.out) or os.curdir
-    if not os.path.isdir(directory):  # fail before the probe, not after every band
-        raise _CannotWrite(f"cannot write {csv_path}: {directory} is not a directory")
+    # fail before the probe, not after every band
+    directory, name = os.path.split(args.out)
+    if name in ("", os.curdir, os.pardir):  # "dir/", "" or ".": the suffixes would name hidden files
+        raise _CannotWrite(f"cannot write {csv_path}: {args.out!r} has no file name")
+    if not os.path.isdir(directory or os.curdir):
+        raise _CannotWrite(f"cannot write {csv_path}: {directory or os.curdir} is not a directory")
     try:
         result = run_scan(job)
     except PartialScanError as exc:

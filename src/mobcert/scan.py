@@ -126,31 +126,28 @@ def _code(hit: np.ndarray, code: int) -> np.ndarray:
     return hit * np.uint8(code)  # bool times uint8: the codes in one pass
 
 
-def _pixel_codes(job: ScanJob) -> Callable[[np.ndarray], np.ndarray]:
-    """The code function of a pixel mode (any but omega), complex array ->
-    uint8 codes.  Combined mode includes the residual anchor search."""
-    p, q = job.p, job.q
-    stage = {"disks": DISKS_ELLIPTIC, "lambda": LAMBDA_REGION}.get(job.mode)
-    if stage is not None:  # one cascade row alone, where its precondition holds
-        stage.require(p, q)
-        return lambda z: _code(stage.passes(stage.slack(p, q, z)), stage.code)
-    if job.mode == "burau":
-        _stages(p, q, False)  # rejects the orders that combined mode rejects
-        return lambda z: _code(faithful_mask(z), CODE_LAMBDA)
-    return lambda z: combined_codes_array(p, q, z)
-
-
 def _mode_codes(job: ScanJob) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray], int]:
     """The code function of the job's mode, (xs, band ordinates) -> uint8
     codes of shape (len(ys), len(xs)), with its per-scan setup (the Omega
     lines) done once, and the values it evaluates per row: one per side in
     omega mode, one per pixel in the others, whose pixel centres are built
-    here."""
+    here.  Combined mode includes the residual anchor search."""
+    p, q = job.p, job.q
     if job.mode == "omega":
-        region = build_omega(job.p, job.q)
+        region = build_omega(p, q)
         return (lambda xs, ys: _code(outside_grid(region, xs, ys), CODE_DISKS_ELLIPTIC)), len(region.lines)
-    codes_of = _pixel_codes(job)
-    return (lambda xs, ys: codes_of(xs[None, :] + 1j * ys[:, None])), job.resolution
+
+    def pixels(codes_of):
+        return (lambda xs, ys: codes_of(xs[None, :] + 1j * ys[:, None])), job.resolution
+
+    stage = {"disks": DISKS_ELLIPTIC, "lambda": LAMBDA_REGION}.get(job.mode)
+    if stage is not None:  # one cascade row alone, where its precondition holds
+        stage.require(p, q)
+        return pixels(lambda z: _code(stage.passes(stage.slack(p, q, z)), stage.code))
+    if job.mode == "burau":
+        _stages(p, q, False)  # rejects the orders that combined mode rejects
+        return pixels(lambda z: _code(faithful_mask(z), CODE_LAMBDA))
+    return pixels(lambda z: combined_codes_array(p, q, z))
 
 
 def run_scan(job: ScanJob) -> ScanResult:

@@ -59,6 +59,7 @@ from mobcert.mobius import (
     tr2,
 )
 from mobcert.omega import build_omega, omega_margin, rho_star
+from words import word_trace
 
 RNG = np.random.default_rng(20260814)
 
@@ -577,15 +578,6 @@ class TestCanonicalAnchors:
 # cyclically reduced words of at least two syllables, so of infinite order
 # in Z_p * Z_q for p, q >= 3; a lower-case letter is an inverse
 INFINITE_ORDER_WORDS = ("AB", "Ab", "AAB", "ABB", "AABB", "ABAb", "ABab")
-
-
-def word_trace(p, q, rho, word) -> complex:
-    A, B = make_generators(GroupSpec(p, q, rho))
-    mats = {"A": A, "B": B, "a": np.linalg.inv(A), "b": np.linalg.inv(B)}
-    w = np.eye(2, dtype=complex)
-    for letter in word:
-        w = w @ mats[letter]
-    return complex(np.trace(w))
 
 
 class TestCombined:

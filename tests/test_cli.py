@@ -10,17 +10,22 @@ import subprocess
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mobcert import __version__, certificates, cli
+from mobcert import __version__, certificates, cli, scan
 from mobcert.burau import faithful_mask
 from mobcert.cli import build_parser, main
+from mobcert.mobius import EPS_ALG
 
 
 MU_SHARP = (3.0 + math.sqrt(5.0)) / 2.0
 HUGE = "1.7e308+1.7e308i"  # finite, with a modulus past the float maximum
+SCAN = ("scan", "--p", "3", "--q", "4", "--window=-3,6,-4.5,4.5", "--mode", "combined")
+REGION = ("region", "--p", "3", "--q", "4")
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
 
 
 def run(capsys, *argv):
@@ -31,6 +36,13 @@ def run(capsys, *argv):
 
 def reject(token):
     raise ValueError(f"non-standard JSON constant {token}")
+
+
+def run_python(*args):
+    """Run a Python process with this source tree's mobcert on its path."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
 
 
 class TestCertify:
@@ -170,6 +182,12 @@ class TestCertify:
         assert [doc["verdict"] for doc in docs] == ["NoCertificate", "NoCertificate"]
         assert docs[1]["slack"] == -2.0  # the lambda row at rho = 0
 
+    def test_cusp_on_the_closed_lambda_boundary(self, capsys):
+        # the 0/1 cusp rho = 4 of (3, 3) lies on the closed lambda boundary
+        rc, out, _ = run(capsys, "certify", "--p", "3", "--q", "3", "--rho", "4", "--no-search")
+        doc = json.loads(out)
+        assert rc == 0 and doc["witness"] == "LambdaRegion" and abs(doc["slack"]) <= EPS_ALG
+
     def test_no_search_still_runs(self, capsys):
         rc, out, _ = run(
             capsys, "certify", "--p", "3", "--q", "3", "--no-search", "--rho", "9",
@@ -278,7 +296,6 @@ class TestScan:
         assert doc["csv"] == str(base) + ".csv"
         assert doc["raster"] == str(base) + ".svg"
         assert doc["metadata"]["resolution"] == 8
-        assert "backend" not in doc["metadata"]
         csv = (tmp_path / "grid.csv").read_bytes()
         assert csv.startswith(b"x,y,code\n")
         assert len(csv.strip().split(b"\n")) == 1 + 64
@@ -322,14 +339,17 @@ class TestScan:
         capsys.readouterr()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_workers_below_one_exit_3(self, capsys, tmp_path, workers):
+    def test_workers_below_one_exit_3(self, capsys, tmp_path, monkeypatch, workers):
+        # --workers selects nothing, but a count below 1 still exits 3
+        # before any scan work
+        monkeypatch.setattr(scan, "_mode_codes", lambda job: pytest.fail("scan work started"))
         rc, out, err = run(
             capsys, "scan", "--p", "3", "--q", "3", "--window=-1,1,-1,1",
             "--res", "4", "--mode", "omega", "--workers", workers,
             "--out", str(tmp_path / "x"),
         )
         assert rc == 3 and out == ""
-        assert err.startswith("error: workers must be at least 1")
+        assert err == f"error: workers must be at least 1, got {workers}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_workers_runs_on_one_thread(self, capsys, tmp_path, monkeypatch):
@@ -368,6 +388,18 @@ class TestScan:
         assert err == f"error: {witness} test does not apply to orders ({p}, {q})\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_one_disk_family_decides(self, capsys, tmp_path):
+        # (9, 5) keeps the swapped-disk row (code 2) beside the line family
+        # (code 3); (5, 9), whose own disks dominate, has no code 2
+        codes = {}
+        for p, q in (("9", "5"), ("5", "9")):
+            base = tmp_path / f"{p}-{q}"
+            rc, _, _ = run(capsys, "scan", "--p", p, "--q", q, "--window=-3,6,-4.5,4.5", "--res", "32", "--out", str(base))
+            assert rc == 0
+            codes[p, q] = set(np.loadtxt(f"{base}.csv", delimiter=",", skiprows=1, usecols=2, dtype=int))
+        assert {2, 3} <= codes["9", "5"]
+        assert 3 in codes["5", "9"] and 2 not in codes["5", "9"]
+
     def test_summary_line_is_standard_json(self, capsys, tmp_path):
         # an infinite order is written "inf", as certify writes it
         rc, out, _ = run(
@@ -394,8 +426,6 @@ class TestScan:
             f'{{"csv": "{base}.csv", "raster": "{base}.pgm", "metadata": {{"p": 3, "q": {q_json}, '
             f'"window": [-3.0, 6.0, -4.5, 4.5], "resolution": 8, "mode": "disks", "version": "{__version__}"}}}}\n'
         )
-        meta = json.loads(out)["metadata"]
-        assert "backend" not in meta and "workers" not in meta
 
     def test_invalid_marking_exits_3(self, capsys, tmp_path):
         rc, _, err = run(
@@ -451,23 +481,26 @@ class TestUnwritableOut:
         assert err == f"error: cannot write {path}: No such file or directory\n"
         assert list(tmp_path.iterdir()) == []
 
-    def test_scan_checks_the_directory_before_any_band(self, capsys, tmp_path, monkeypatch):
-        def no_scan(*args, **kwargs):
-            raise AssertionError("the scan ran")
+    @pytest.fixture
+    def no_scan(self, monkeypatch):
+        monkeypatch.setattr(cli, "run_scan", lambda job: pytest.fail("the scan ran"))
 
-        monkeypatch.setattr(cli, "run_scan", no_scan)
+    def test_scan_checks_the_directory_before_any_band(self, capsys, tmp_path, no_scan):
         base = tmp_path / "missing" / "scan"
-        rc, out, err = run(
-            capsys, "scan", "--p", "3", "--q", "4", "--window=-3,6,-4.5,4.5",
-            "--res", "8", "--out", str(base),
-        )
+        rc, out, err = run(capsys, *SCAN, "--res", "8", "--out", str(base))
         assert rc == 1 and out == ""
         assert err == f"error: cannot write {base}.csv: {base.parent} is not a directory\n"
         assert list(tmp_path.iterdir()) == []
 
-
-SCAN = ("scan", "--p", "3", "--q", "4", "--window=-3,6,-4.5,4.5", "--mode", "combined")
-REGION = ("region", "--p", "3", "--q", "4")
+    @pytest.mark.parametrize("base", ["results/", "", "."], ids=["directory", "empty", "dot"])
+    def test_scan_base_without_a_file_name_exits_1(self, capsys, tmp_path, monkeypatch, no_scan, base):
+        # the suffixes would name hidden files: results/.csv, ./.csv, ./..csv
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "results").mkdir()
+        rc, out, err = run(capsys, *SCAN, "--res", "8", "--out", base)
+        assert rc == 1 and out == ""
+        assert err == f"error: cannot write {base}.csv: {base!r} has no file name\n"
+        assert list(tmp_path.rglob("*")) == [tmp_path / "results"]
 
 
 class TestOverwrite:
@@ -540,12 +573,7 @@ class TestOverwrite:
             f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))\n"
             "sys.exit(main(sys.argv[1:]))\n"
         )
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
-        proc = subprocess.run(
-            [sys.executable, "-c", script, *SCAN, "--res", "16", "--out", str(base)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_python("-c", script, *SCAN, "--res", "16", "--out", str(base))
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == f"error: cannot write {csv}: {os.strerror(errno.EFBIG)}\n"
         assert csv.read_bytes() == b""
@@ -737,3 +765,38 @@ class TestOtherCommands:
             main([])
         assert ei.value.code == 2
         capsys.readouterr()
+
+
+class TestProcess:
+    """The generated console script is sys.exit(main()): the exit codes of
+    a real process, and the packaging smoke step that runs it in CI."""
+
+    @pytest.mark.parametrize(
+        "argv, rc",
+        [
+            ((*REGION, "--out", "{tmp}/region.svg"), 0),
+            ((*REGION, "--out", "{tmp}/missing/region.svg"), 1),
+            (("certify", "--p", "3", "--q", "4", "--rho", "spam"), 2),
+            (("region", "--p", "2", "--q", "5"), 3),
+        ],
+        ids=["ok", "unwritable-out", "unparsable-rho", "unsupported-order"],
+    )
+    def test_exit_codes(self, tmp_path, argv, rc):
+        proc = run_python("-m", "mobcert.cli", *(arg.format(tmp=tmp_path) for arg in argv))
+        assert proc.returncode == rc and "Traceback" not in proc.stderr
+        if rc == 0:
+            assert proc.stderr == "" and (tmp_path / "region.svg").read_text().startswith("<svg ")
+        elif rc == 2:
+            assert proc.stderr.startswith("usage: mobcert")
+        else:  # one error line
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    def test_smoke_step_runs_every_subcommand_and_scan_mode(self):
+        # behaviour is checked in Tier-1; the installed-package smoke step
+        # checks only that the package and its entry point run, once each
+        step = WORKFLOW.read_text().split("- name: Installed package smoke test\n", 1)[1].split("- name:", 1)[0]
+        runs = [words[words.index("mobcert") + 1:] for words in map(str.split, step.splitlines()) if "mobcert" in words]
+        subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert {r[0] for r in runs} == set(subcommands.choices)
+        assert ["certify", "--burau"] in [r[:2] for r in runs]
+        assert sorted(r[r.index("--mode") + 1] for r in runs if r[0] == "scan" and "--mode" in r) == sorted(scan.MODES)

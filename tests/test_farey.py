@@ -6,20 +6,11 @@ import numpy as np
 import pytest
 
 from mobcert.farey import FAREY_WORDS, SLOPES, cusp_residue, farey_poly, solve_cusp
-from mobcert.mobius import GroupSpec, InvalidInputError, make_generators, sigma_pq, tr2, inv2
+from mobcert.mobius import InvalidInputError, sigma_pq
 from mobcert.omega import boundary_cusps
+from words import word_trace
 
 RNG = np.random.default_rng(20260814)
-
-
-def word_trace_direct(spec: GroupSpec, word: str) -> complex:
-    """Independent oracle: multiply the letters out (a = A^{-1}, b = B^{-1})."""
-    A, B = make_generators(spec)
-    letters = {"A": A, "a": inv2(A), "B": B, "b": inv2(B)}
-    acc = np.eye(2, dtype=complex)
-    for ch in word:
-        acc = acc @ letters[ch]
-    return tr2(acc)
 
 
 class TestSlopes:
@@ -46,10 +37,9 @@ class TestPolynomialOracle:
             rho = complex(*RNG.normal(0, 3, 2))
             if abs(rho) < 0.05:
                 continue
-            spec = GroupSpec(p, q, rho)
             for slope in SLOPES:
                 poly = farey_poly(slope, p, q)
-                direct = word_trace_direct(spec, FAREY_WORDS[slope])
+                direct = word_trace(p, q, rho, FAREY_WORDS[slope])
                 assert abs(poly(rho) - direct) < 1e-9 * max(1.0, abs(direct))
 
     def test_degrees_and_leading_coefficients(self):

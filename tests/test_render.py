@@ -115,18 +115,14 @@ class TestRegionPolygon:
     def test_convex_ccw_on_boundary(self, p, q):
         region = build_omega(p, q)
         poly = region_polygon(region)
-        assert len(poly) >= 4
         n = len(poly)
+        assert (n == 6) if p == q else (n >= 6)  # a hexagon when the orders match
         for k in range(n):
             a, b, c = poly[k], poly[(k + 1) % n], poly[(k + 2) % n]
             u, v = b - a, c - b
             assert u.real * v.imag - u.imag * v.real >= -1e-9  # convex, ccw
         for z in poly:
             assert abs(omega_margin(region, z)) < 1e-7
-
-    def test_hexagon_when_orders_match(self):
-        assert len(region_polygon(build_omega(3, 3))) == 6
-        assert len(region_polygon(build_omega(4, 4))) == 6
 
     @pytest.mark.parametrize("p,q", [(3, 4), (1000, 1001), (100000, 100001)])
     def test_matches_a_half_plane_clip(self, p, q):
