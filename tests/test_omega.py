@@ -104,6 +104,14 @@ class TestRegionShape:
         want = np.array([omega_margin(region, complex(v)) for v in z[:50]])
         assert np.abs(arr[:50] - want).max() < 1e-12
 
+    def test_polygon_vertices_on_boundary(self):
+        for p, q in [(3, 3), (4, 4), (3, 4), (3, 7)]:
+            region = build_omega(p, q)
+            poly = region_polygon(region)
+            assert len(poly) >= 6
+            for v in poly:
+                assert abs(omega_margin(region, v)) < 1e-7
+
     def test_hexagon_vertices_left_of_dropped_verticals(self):
         # For p = q the vertical supporting lines Re = 2 + 2cos(0) = 4 and
         # Re = sigma - 4 touch Omega only at the real vertices, so they are

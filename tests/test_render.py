@@ -124,6 +124,10 @@ class TestRegionPolygon:
         for z in poly:
             assert abs(omega_margin(region, z)) < 1e-7
 
+    def test_hexagon_when_orders_match(self):
+        assert len(region_polygon(build_omega(3, 3))) == 6
+        assert len(region_polygon(build_omega(4, 4))) == 6
+
     @pytest.mark.parametrize("p,q", [(3, 4), (1000, 1001), (100000, 100001)])
     def test_matches_a_half_plane_clip(self, p, q):
         # Near p = q at large orders, neighbouring sides are nearly parallel
