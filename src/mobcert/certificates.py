@@ -77,8 +77,9 @@ from .mobius import (
     GroupSpec,
     InvalidInputError,
     PreconditionError,
+    check_marking,
     pi_over,
-    sin_sin,
+    sigma_pq,
 )
 from .omega import im_bound
 
@@ -224,12 +225,9 @@ CASCADE = (
 @lru_cache(maxsize=128)
 def _stages(p, q, search: bool) -> tuple[Stage, ...]:
     """The rows of CASCADE whose preconditions (p, q) meets, the line
-    family only with search.  An order that is not an integer >= 2 or inf
-    is rejected here, before any row runs, and so is the dihedral marking
-    p = q = 2: no certificate family covers it."""
-    pi_over(p), pi_over(q)  # raise InvalidInputError on an invalid order
-    if p == 2 and q == 2:
-        raise InvalidInputError("p = q = 2 is a degenerate (dihedral) spec")
+    family only with search, once check_marking has accepted (p, q): an
+    invalid order or p = q = 2 is rejected before any row runs."""
+    check_marking(p, q)
     rows = CASCADE if search else CASCADE[:-1]
     return tuple(stage for stage in rows if stage.applies(p, q))
 
@@ -386,11 +384,10 @@ def _search_anchors(p, q, rho: np.ndarray, circle_max):
     centers = _anchor_centers(p, q)
     rho = np.asarray(rho, dtype=complex)
     flat = rho.ravel()
-    sigma = 4.0 * sin_sin(p, q)
     best_slack = np.full(flat.shape, -np.inf)
     best_anchor = np.zeros(flat.shape, dtype=complex)
     best_w = flat.copy()
-    for w_all in (flat, sigma - flat):
+    for w_all in (flat, sigma_pq(p, q) - flat):
         sel = np.flatnonzero(np.abs(w_all) > EPS_ALG)
         slack, anchor = circle_max(centers, w_all[sel])
         better = slack > best_slack[sel]
@@ -419,7 +416,7 @@ def _line_family_slack(p, q, rho: np.ndarray) -> np.ndarray:
     larger circle bound of rho and sigma - rho is positive, that bound
     (<= 0) elsewhere."""
     centers = _anchor_centers(p, q)
-    slack = np.maximum(_circle_bound(centers, rho), _circle_bound(centers, 4.0 * sin_sin(p, q) - rho))
+    slack = np.maximum(_circle_bound(centers, rho), _circle_bound(centers, sigma_pq(p, q) - rho))
     search = slack > 0.0
     slack[search] = anchor_search_bulk(p, q, rho[search])[0]
     return slack

@@ -21,14 +21,14 @@ import numpy as np
 
 from .mobius import InvalidInputError, pi_over
 
-SLOPES = ((0, 1), (1, 1), (1, 2), (1, 3))
-
 FAREY_WORDS = {
     (0, 1): "Ab",
     (1, 1): "AB",
     (1, 2): "ABab",
     (1, 3): "ABaBAb",
 }
+
+SLOPES = tuple(FAREY_WORDS)
 
 
 def _check_slope(slope) -> tuple[int, int]:

@@ -39,18 +39,14 @@ import sys
 
 import numpy as np
 
-from .mobius import GroupSpec, InvalidInputError, pi_over, sin_sin
+from .mobius import GroupSpec, InvalidInputError, check_marking, gamma_of, sin_sin
 
 
-def _check_lambda_orders(p, q) -> None:
+def _check_lambda_orders(p, q) -> tuple[float, float]:
+    """(pi/p, pi/q) of a finite marking that mobius.check_marking accepts."""
     if p == math.inf or q == math.inf:
         raise InvalidInputError("lambda coordinates need finite orders")
-    if not (isinstance(p, (int, np.integer)) and p >= 2):
-        raise InvalidInputError(f"order p must be an integer >= 2, got {p!r}")
-    if not (isinstance(q, (int, np.integer)) and q >= 2):
-        raise InvalidInputError(f"order q must be an integer >= 2, got {q!r}")
-    if p == 2 and q == 2:
-        raise InvalidInputError("p = q = 2 is a degenerate (dihedral) spec")
+    return check_marking(p, q)
 
 
 def lambda_slack(p, q, lam):
@@ -62,9 +58,9 @@ def lambda_slack(p, q, lam):
     A reference for the tests, not a decision: its rounding error is a few
     ulps of |lam| csc(pi/q), so only a margin larger than that has a sign.
     """
-    _check_lambda_orders(p, q)
-    sp, sq = math.sin(pi_over(p)), math.sin(pi_over(q))
-    cot_p, cot_q, csc_p, csc_q = math.cos(pi_over(p)) / sp, math.cos(pi_over(q)) / sq, 1.0 / sp, 1.0 / sq
+    a, b = _check_lambda_orders(p, q)
+    sp, sq = math.sin(a), math.sin(b)
+    cot_p, cot_q, csc_p, csc_q = math.cos(a) / sp, math.cos(b) / sq, 1.0 / sp, 1.0 / sq
     plus, minus = (abs(lam) * csc_q - abs(lam * cot_q + sign * cot_p) - csc_p for sign in (+1, -1))
     return np.minimum(plus, minus)
 
@@ -77,12 +73,12 @@ def lambda_slack_rho(p, q, rho):
     +inf (an array warns unless overflow is ignored).  E = 0 only where
     h = 0 and S has underflowed to 0 (p q past ~2e324); the quotient's
     numerator is 0 there too, so it is taken as 0 and the slack is -2."""
-    _check_lambda_orders(p, q)
+    a, b = _check_lambda_orders(p, q)
     s = sin_sin(p, q)
     h = rho * 0.5
     e = abs(h) + abs(h - 2.0 * s)
     ratio = abs(h.real - s) / (e + (e == 0.0) if s == 0.0 else e)
-    return e - 2.0 - 4.0 * (math.cos(pi_over(p)) * math.cos(pi_over(q))) * ratio
+    return e - 2.0 - 4.0 * (math.cos(a) * math.cos(b)) * ratio
 
 
 def rho_from_lambda(p, q, lam) -> tuple[complex, complex]:
@@ -134,7 +130,7 @@ def lambda_from_rho(spec: GroupSpec) -> tuple[complex, complex]:
     if s == 0.0:
         raise InvalidInputError("sin(pi/p) sin(pi/q) underflows to 0 at these orders: no lambda coordinate")
     rho = spec.rho
-    gamma = rho * (rho - 4.0 * s)
+    gamma = gamma_of(spec)
     if s * s >= sys.float_info.min:
         w = cmath.sqrt(gamma / (s * s))
     else:  # S^2 is subnormal or 0 (p q past ~1e154): do not divide by it

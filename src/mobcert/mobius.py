@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 EPS_ALG = 1e-12  # algebraic identities (traces, determinants)
+_ORDER_MAX = int(sys.float_info.max)  # the largest order: past it, pi/n overflows converting n
 
 
 class InvalidInputError(ValueError):
@@ -34,18 +36,25 @@ class UnsupportedError(ValueError):
 
 
 def _valid_order(n) -> bool:
-    if n == math.inf:
-        return True
-    return isinstance(n, (int, np.integer)) and n >= 2
+    """The one rule for an order: an integer from 2 up to _ORDER_MAX, or inf."""
+    return isinstance(n, (int, np.integer)) and 2 <= n <= _ORDER_MAX or n == math.inf
 
 
 def pi_over(n) -> float:
-    """pi/n for an integer order n >= 2, or 0.0 for n = inf."""
-    if not _valid_order(n):
-        raise InvalidInputError(f"order must be an integer >= 2 or inf, got {n!r}")
+    """pi/n for an order n (_valid_order), or 0.0 for n = inf."""
     if n == math.inf:
         return 0.0
+    if not _valid_order(n):
+        raise InvalidInputError(f"order must be an integer >= 2 or inf, got {n!r}")
     return math.pi / n
+
+
+def check_marking(p, q) -> tuple[float, float]:
+    """(pi_over(p), pi_over(q)); InvalidInputError unless both are orders and
+    the marking is not the dihedral p = q = 2, which no family covers."""
+    if p == 2 and q == 2:
+        raise InvalidInputError("p = q = 2 is a degenerate (dihedral) spec")
+    return pi_over(p), pi_over(q)
 
 
 def sin_sin(p, q) -> float:
@@ -113,8 +122,7 @@ def inv2(m: np.ndarray) -> np.ndarray:
 
 def make_generators(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
     """The marked generators (A, B) for a spec; errors on degenerate specs."""
-    if spec.p == 2 and spec.q == 2:
-        raise InvalidInputError("p = q = 2 is a degenerate (dihedral) spec")
+    check_marking(spec.p, spec.q)
     if spec.rho == 0:
         raise InvalidInputError("rho = 0 gives a reducible pair")
     a = spec.alpha

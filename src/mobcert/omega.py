@@ -38,17 +38,15 @@ from .mobius import (
 
 def _require_orders(p, q) -> None:
     for name, n in (("p", p), ("q", q)):
-        if n == math.inf or not (isinstance(n, (int, np.integer)) and n >= 3):
-            raise UnsupportedError(
-                f"Omega_{{p,q}} needs finite orders 3 <= p, q; got {name} = {n!r}"
-            )
+        if n == math.inf or pi_over(n) > math.pi / 3:  # pi_over rejects a non-order
+            raise UnsupportedError(f"Omega_{{p,q}} needs finite orders 3 <= p, q; got {name} = {n!r}")
 
 
 def xi(p) -> float:
     """sqrt(2) sqrt(7 - cos(2 pi/p)); equals 2 sqrt(3) in the limit p = inf."""
     if p == math.inf:
         return 2.0 * math.sqrt(3.0)
-    if not (isinstance(p, (int, np.integer)) and p >= 3):
+    if pi_over(p) > math.pi / 3:
         raise UnsupportedError(f"xi needs an order p >= 3 or inf, got {p!r}")
     return math.sqrt(2.0) * math.sqrt(7.0 - math.cos(2.0 * math.pi / p))
 

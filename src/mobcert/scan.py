@@ -42,10 +42,9 @@ from .certificates import (
     CODE_LAMBDA,
     DISKS_ELLIPTIC,
     LAMBDA_REGION,
-    _stages,
     combined_codes_array,
 )
-from .mobius import InvalidInputError
+from .mobius import InvalidInputError, check_marking
 from .omega import build_omega, outside_grid
 
 MODES = ("omega", "disks", "lambda", "combined", "burau")
@@ -145,7 +144,7 @@ def _mode_codes(job: ScanJob) -> tuple[Callable[[np.ndarray, np.ndarray], np.nda
         stage.require(p, q)
         return pixels(lambda z: _code(stage.passes(stage.slack(p, q, z)), stage.code))
     if job.mode == "burau":
-        _stages(p, q, False)  # rejects the orders that combined mode rejects
+        check_marking(p, q)  # rejects the orders that combined mode rejects
         return pixels(lambda z: _code(faithful_mask(z), CODE_LAMBDA))
     return pixels(lambda z: combined_codes_array(p, q, z))
 

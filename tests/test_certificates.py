@@ -325,6 +325,36 @@ class TestAnchorSearch:
             # the anchor passes the (5, 2) disk test, which reports its slack
             assert abs(disk_slack(*dominant_marking(p, q), cert.detail["anchor"]) - cert.slack) < 1e-12
 
+    # (p, q, rho, certified, slack, anchor, symmetry image) at residual
+    # points, which no closed row certifies; the floats as float.hex.
+    # certify prints this slack, so any change to the search's arithmetic
+    # shows here first.
+    SEARCH_BITS = [
+        (3, 3, 3.75 + 0.75j, True, "0x1.85f39c276a280p-5",
+         ("0x1.bd43f54ea6082p+1", "0x1.6a9be7a5cb94cp+0"), ("0x1.e000000000000p+1", "0x1.8000000000000p-1")),
+        (3, 3, -0.75 + 0.5j, False, "-0x1.45d218e72b360p-5",
+         ("0x1.b21b20272c38dp+1", "-0x1.6175f17d3558dp+0"), ("0x1.dffffffffffffp+1", "-0x1.0000000000000p-1")),
+        (3, 4, 3.5 + 1.0j, True, "0x1.abe6f95038300p-4",
+         ("0x1.82dafd622c63cp+1", "0x1.cd2ad2ef79d14p+0"), ("0x1.c000000000000p+1", "0x1.0000000000000p+0")),
+        (3, 4, 3.5 + 0.75j, False, "-0x1.a7473cd8f7000p-7",
+         ("0x1.7815ec714c449p+1", "0x1.b6a2f7a206753p+0"), ("0x1.c000000000000p+1", "0x1.8000000000000p-1")),
+        (5, 9, 2.75 + 1.25j, True, "0x1.171794ba24340p-4",
+         ("0x1.ce1a2f38be288p+0", "0x1.095336101f48bp+1"), ("0x1.6000000000000p+1", "0x1.4000000000000p+0")),
+        (5, 9, -1.0 + 0.5j, False, "-0x1.bc5ff15346138p-1",
+         ("0x1.6ee245f5ec6aap+0", "-0x1.0555a49cf196fp+0"), ("0x1.cddbf5f4c7e6dp+0", "-0x1.0000000000000p-1")),
+    ]
+
+    @pytest.mark.parametrize("p, q, rho, certified, slack, anchor, image", SEARCH_BITS)
+    def test_single_point_search_bits(self, p, q, rho, certified, slack, anchor, image):
+        spec = GroupSpec(p, q, rho)
+        assert not cert_combined(spec, search=False).certified  # a residual point
+        cert = anchor_search(spec)
+        assert cert.certified == certified
+        assert cert.slack.hex() == slack
+        a, w = cert.detail["anchor"], cert.detail["symmetry_image"]
+        assert (a.real.hex(), a.imag.hex()) == anchor
+        assert (w.real.hex(), w.imag.hex()) == image
+
 
 SCREEN_ORDERS = st.sampled_from([2, 3, 4, 5, 9, 10**6, math.inf])
 RESIDUAL_MARKINGS = [(3, 3), (3, 4), (5, 9), (2, 5), (3, math.inf), (math.inf, math.inf), (10**6, 7)]

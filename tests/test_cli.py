@@ -696,6 +696,28 @@ class TestOtherCommands:
         assert rc == 3 and out == ""
         assert err == message
 
+    # an integer past the float maximum is no order: pi/n would overflow
+    @pytest.mark.parametrize("flag", ["--p", "--q"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--rho", "1+1i"],
+            ["region"],
+            ["cusps"],
+            ["compare-lambda", "--angles", "4"],
+            *(["scan", "--window=0,1,0,1", "--res", "4", "--mode", mode] for mode in scan.MODES),
+        ],
+        ids=["certify", "region", "cusps", "compare-lambda", *(f"scan-{mode}" for mode in scan.MODES)],
+    )
+    def test_order_past_the_float_range_exits_3(self, capsys, tmp_path, argv, flag):
+        orders = {"--p": "4", "--q": "4", flag: "1" + "0" * 399}
+        if argv[0] == "scan":
+            argv = [*argv, "--out", str(tmp_path / "x")]
+        rc, out, err = run(capsys, *argv, *(tok for item in orders.items() for tok in item))
+        assert rc == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_compare_lambda_csv(self, capsys):
         rc, out, _ = run(
             capsys, "compare-lambda", "--p", "3", "--q", "3",
