@@ -40,12 +40,21 @@ def _valid_order(n) -> bool:
     return isinstance(n, (int, np.integer)) and 2 <= n <= _ORDER_MAX or n == math.inf
 
 
+def _order_error(name: str, n) -> InvalidInputError:
+    """An integer past the float range is named by its size: its digits can
+    run to thousands, and past 4300 Python refuses to convert them."""
+    if isinstance(n, int) and abs(n) > _ORDER_MAX:
+        return InvalidInputError(f"{name} must be an integer from 2 to the float maximum or inf, "
+                                 f"got an integer of {n.bit_length()} bits")
+    return InvalidInputError(f"{name} must be an integer >= 2 or inf, got {n!r}")
+
+
 def pi_over(n) -> float:
     """pi/n for an order n (_valid_order), or 0.0 for n = inf."""
     if n == math.inf:
         return 0.0
     if not _valid_order(n):
-        raise InvalidInputError(f"order must be an integer >= 2 or inf, got {n!r}")
+        raise _order_error("order", n)
     return math.pi / n
 
 
@@ -78,9 +87,9 @@ class GroupSpec:
 
     def __post_init__(self):
         if not _valid_order(self.p):
-            raise InvalidInputError(f"p must be an integer >= 2 or inf, got {self.p!r}")
+            raise _order_error("p", self.p)
         if not _valid_order(self.q):
-            raise InvalidInputError(f"q must be an integer >= 2 or inf, got {self.q!r}")
+            raise _order_error("q", self.q)
         rho = complex(self.rho)
         if not cmath.isfinite(rho):
             raise InvalidInputError(f"rho must be finite, got {rho!r}")

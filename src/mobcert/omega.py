@@ -165,10 +165,12 @@ def build_omega(p, q) -> OmegaRegion:
 
 def omega_margin(region: OmegaRegion, z):
     """min over boundary lines of the inside margin (array-aware);
-    positive strictly inside Omega, negative outside.  Near the float
-    maximum the complex quotient in OrientedLine.margin can overflow; the
-    margin is then an infinity of the right sign, so overflow is ignored
-    here, once per call."""
+    positive strictly inside Omega, negative outside.  A point takes
+    numpy's complex division too, so its margin is a grid's bit for bit.
+    Near the float maximum the complex quotient in OrientedLine.margin can
+    overflow; the margin is then an infinity of the right sign, so overflow
+    is ignored here, once per call."""
+    z = np.asarray(z)
     with np.errstate(over="ignore"):
         margins = [line.margin(z) for line in region.lines]
     out = margins[0]

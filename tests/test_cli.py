@@ -716,6 +716,7 @@ class TestOtherCommands:
         rc, out, err = run(capsys, *argv, *(tok for item in orders.items() for tok in item))
         assert rc == 3 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 120
         assert list(tmp_path.iterdir()) == []
 
     def test_compare_lambda_csv(self, capsys):

@@ -229,6 +229,20 @@ class TestSectorNormalization:
             with pytest.raises(InvalidInputError):
                 symmetry_image(GroupSpec(p, q, 1.0))
 
+    @pytest.mark.parametrize("digits, bits", [(400, 1329), (5000, 16610)])
+    def test_order_past_the_float_range(self, digits, bits):
+        # named by its size: no digits, and no ValueError from converting
+        # an integer of more than 4300 digits to decimal
+        n = 10**digits
+        with pytest.raises(InvalidInputError) as err:
+            pi_over(n)
+        assert str(err.value) == (
+            f"order must be an integer from 2 to the float maximum or inf, got an integer of {bits} bits"
+        )
+        for spec, name in ((lambda: GroupSpec(n, 3, 1.0), "p"), (lambda: GroupSpec(3, -n, 1.0), "q")):
+            with pytest.raises(InvalidInputError, match=f"^{name} must be .* got an integer of {bits} bits$"):
+                spec()
+
 
 class TestSector:
     def test_apex_and_containment(self):

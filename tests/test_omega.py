@@ -104,6 +104,23 @@ class TestRegionShape:
         want = np.array([omega_margin(region, complex(v)) for v in z[:50]])
         assert np.abs(arr[:50] - want).max() < 1e-12
 
+    @pytest.mark.parametrize("p, q", [(3, 4), (5, 9), (7, 7)])
+    def test_point_margin_is_the_grid_margin(self, p, q):
+        # A Python complex takes numpy's complex division, as a grid does,
+        # so each point's margin is the grid's bit for bit (256^2 pixel
+        # centres of the window [-3, 6] x [-4.5, 4.5]).
+        region = build_omega(p, q)
+        xs = -3.0 + (np.arange(256) + 0.5) * (9.0 / 256)
+        ys = -4.5 + (np.arange(256) + 0.5) * (9.0 / 256)
+        grid = omega_margin(region, xs[None, :] + 1j * ys[:, None])
+        points = [[omega_margin(region, complex(x, y)) for x in xs.tolist()] for y in ys.tolist()]
+        assert np.array_equal(np.array(points), grid)
+
+    def test_point_margin_past_the_float_range(self):
+        # the quotient overflows to an infinity of the right sign, without
+        # RuntimeWarning (an error under the test policy)
+        assert omega_margin(build_omega(3, 4), 1.7e308 + 1.7e308j) == -math.inf
+
     def test_polygon_vertices_on_boundary(self):
         for p, q in [(3, 3), (4, 4), (3, 4), (3, 7)]:
             region = build_omega(p, q)

@@ -130,11 +130,10 @@ class TestRegionPolygon:
 
     @pytest.mark.parametrize("p,q", [(3, 4), (1000, 1001), (100000, 100001)])
     def test_matches_a_half_plane_clip(self, p, q):
-        # Near p = q at large orders, neighbouring sides are nearly parallel
-        # and the all-pairs intersection merges or splits vertices (6 for the
-        # 12 sides of (1000, 1001), 14 for (100000, 100001)), so only the
-        # vertex count is off: every vertex is on the boundary and the area
-        # is that of a box clipped by each side's half-plane.
+        # An independent half-plane clip of the box, written out here: near
+        # p = q at large orders, where neighbouring sides are nearly
+        # parallel, it must still give the polygon's area, and every vertex
+        # must lie on the boundary.
         region = build_omega(p, q)
         poly = region_polygon(region)
         assert max(abs(omega_margin(region, z)) for z in poly) <= 1e-9
@@ -153,6 +152,31 @@ class TestRegionPolygon:
             return 0.5 * sum((a.conjugate() * b).imag for a, b in zip(pts[-1:] + pts[:-1], pts))
 
         assert abs(area(poly) - area(clip)) <= 1e-8
+
+    # near-equal large orders, where the float sides are nearly parallel,
+    # and an order at which S is ~1e-300
+    @pytest.mark.parametrize(
+        "p, q", [(100000, 100001), (10**6, 10**6 + 1), (10**15, 10**15 + 1), (3, 10**300)]
+    )
+    def test_clip_at_nearly_parallel_sides(self, p, q):
+        region = build_omega(p, q)
+        poly = region_polygon(region)
+        n = len(poly)
+        assert n <= len(region.lines)
+        for k in range(n):
+            a, b, c = poly[k], poly[(k + 1) % n], poly[(k + 2) % n]
+            assert a != b
+            assert ((b - a).conjugate() * (c - b)).imag >= 0.0  # convex, ccw
+            assert abs(omega_margin(region, a)) <= 1e-12
+        frame = render._Frame(-4.0, 4.0, -2.0, 2.0)
+        for ln in region.lines:
+            a, b = render._clip_line(ln, frame)
+            for z in (a, b):
+                assert frame.x_min <= z.real <= frame.x_max and frame.y_min <= z.imag <= frame.y_max
+                assert min(abs(z.real - frame.x_min), abs(z.real - frame.x_max),
+                           abs(z.imag - frame.y_min), abs(z.imag - frame.y_max)) <= 1e-12
+                assert abs(ln.margin(z)) <= 1e-12
+            assert ((b - a) / ln.direction).real > 0
 
 
 class TestRegionSvg:
