@@ -142,7 +142,7 @@ def disk_centers_elliptic(p, q) -> tuple[complex, complex, complex, complex]:
     return c1, c2, c3, c4
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)
 def _centers_array(p, q) -> np.ndarray:
     centers = np.array(disk_centers_elliptic(p, q), dtype=complex)
     centers.flags.writeable = False
@@ -222,7 +222,7 @@ CASCADE = (
 )
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)
 def _stages(p, q, search: bool) -> tuple[Stage, ...]:
     """The rows of CASCADE whose preconditions (p, q) meets, the line
     family only with search, once check_marking has accepted (p, q): an

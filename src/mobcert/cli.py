@@ -3,9 +3,12 @@
 Subcommands: certify, region, scan, compare-lambda, cusps, burau-annulus.
 Complex flags accept RE+IMi notation ("1.5-0.25i"; "j" works too), orders
 accept integers or "inf".  Exit codes: 0 success, 1 a scan that failed
-part-way or an --out file that cannot be written (scan checks its base
-before any band runs), 2 argument/parse errors (argparse), 3 unsupported or
-invalid parameter combinations.
+part-way, a scan raster too large to allocate, or an --out file that
+cannot be written (scan checks both before any band runs), 2
+argument/parse errors (argparse), 3 unsupported or invalid parameter
+combinations, an order of any length included.  A raster that cannot be
+held exits 1, not 3: the job is valid, and the same command runs where
+there is the memory for it.
 
 Every --out file goes through _emit, which overwrites it in place: a
 regular file is written from its start and cut to the written length, a
@@ -36,6 +39,7 @@ from .mobius import (
     PreconditionError,
     UnsupportedError,
     gamma_of,
+    past_range_message,
     sin_sin,
     symmetry_image,
 )
@@ -81,12 +85,22 @@ def _glue_complex_values(argv: list[str]) -> list[str]:
     return out
 
 
+class _OrderTooLong(Exception):
+    """An integer order of more digits than int() converts (at least 640,
+    so far past the float maximum): exit 3, as for any order past it.  Not
+    a ValueError, which argparse would turn into a usage error (exit 2)
+    that quotes every digit."""
+
+
 def _order_arg(text: str):
     if text.strip().lower() in {"inf", "infinity", "oo"}:
         return math.inf
     try:
         return int(text)
     except ValueError:
+        if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", text):  # int() refused it for its length only
+            digits = sum(map(str.isdecimal, text))
+            raise _OrderTooLong(past_range_message("order", f"{digits} digits")) from None
         raise argparse.ArgumentTypeError(f"order must be an integer or 'inf', got {text!r}") from None
 
 
@@ -245,6 +259,10 @@ def cmd_scan(args) -> int:
     except PartialScanError as exc:
         print(f"error: {exc} (completed_rows={exc.completed_rows})", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # the raster, allocated before any band runs
+        res = job.resolution
+        print(f"error: cannot hold a {res}x{res} scan raster in memory: {exc}", file=sys.stderr)
+        return 1
     _emit(scan_csv(result), csv_path)
     _emit(scan_svg(result) if args.format == "svg" else scan_pgm(result), raster_path)
     window = job.window
@@ -376,10 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_glue_complex_values(sys.argv[1:] if argv is None else list(argv)))
     try:
+        args = parser.parse_args(_glue_complex_values(sys.argv[1:] if argv is None else list(argv)))
         return args.func(args)
-    except (UnsupportedError, InvalidInputError, PreconditionError) as exc:
+    except (UnsupportedError, InvalidInputError, PreconditionError, _OrderTooLong) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except _CannotWrite as exc:

@@ -16,6 +16,7 @@ exclusion region Omega.
 from __future__ import annotations
 
 import cmath
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,9 +39,10 @@ def _check_slope(slope) -> tuple[int, int]:
     return slope
 
 
-def farey_poly(slope, p, q) -> np.polynomial.Polynomial:
-    """P_{r/s} as a polynomial in rho (ascending coefficients)."""
-    slope = _check_slope(slope)
+@lru_cache(maxsize=128, typed=True)
+def _coefficients(slope: tuple[int, int], p, q) -> np.ndarray:
+    """P_{r/s}'s ascending coefficients as one read-only complex array,
+    derived once per checked slope and marking."""
     a = cmath.exp(1j * pi_over(p))
     b = cmath.exp(1j * pi_over(q))
     ab, ia_b, a_ib, iab = a * b, b / a, a / b, 1.0 / (a * b)
@@ -58,27 +60,34 @@ def farey_poly(slope, p, q) -> np.polynomial.Polynomial:
             ab - 2.0 * a_ib - 2.0 * ia_b + iab,
             1.0,
         ]
-    return np.polynomial.Polynomial(coeffs)
+    coefficients = np.array(coeffs, dtype=complex)
+    coefficients.flags.writeable = False
+    return coefficients
+
+
+def farey_poly(slope, p, q) -> np.polynomial.Polynomial:
+    """P_{r/s} as a polynomial in rho (ascending coefficients)."""
+    return np.polynomial.Polynomial(_coefficients(_check_slope(slope), p, q))
 
 
 def solve_cusp(slope, p, q) -> tuple[complex, ...]:
     """All roots of P_{r/s}(z) = -2, the slope-r/s cusp parameters.
 
     Degrees 1 and 2 use the closed formulas; the cubic 1/3 row uses
-    companion-matrix eigenvalues.  Roots are unordered.
+    companion-matrix eigenvalues (polyroots), to which + 0.0 writes a -0.0
+    part as 0.0, as Polynomial.roots does.  Roots are unordered.
     """
-    slope = _check_slope(slope)
-    poly = farey_poly(slope, p, q) + 2.0
-    c = poly.coef
+    c = _coefficients(_check_slope(slope), p, q).copy()
+    c[0] += 2.0
     if len(c) == 2:
         return (-c[0] / c[1],)
     if len(c) == 3:
         disc = cmath.sqrt(c[1] * c[1] - 4.0 * c[2] * c[0])
         return ((-c[1] + disc) / (2.0 * c[2]), (-c[1] - disc) / (2.0 * c[2]))
-    return tuple(complex(r) for r in poly.roots())
+    return tuple(complex(r) for r in np.polynomial.polynomial.polyroots(c) + 0.0)
 
 
 def cusp_residue(slope, p, q, rho: complex) -> float:
     """|P_{r/s}(rho) + 2|, the defect of rho against the cusp equation."""
-    poly = farey_poly(slope, p, q)
-    return abs(complex(poly(complex(rho))) + 2.0)
+    coefficients = _coefficients(_check_slope(slope), p, q)
+    return abs(complex(np.polynomial.polynomial.polyval(complex(rho), coefficients)) + 2.0)

@@ -36,6 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,6 +48,14 @@ def _check_lambda_orders(p, q) -> tuple[float, float]:
     if p == math.inf or q == math.inf:
         raise InvalidInputError("lambda coordinates need finite orders")
     return check_marking(p, q)
+
+
+@lru_cache(maxsize=128, typed=True)
+def _row_constants(p, q) -> tuple[float, float]:
+    """(S, 4 cos(pi/p) cos(pi/q)) of a finite marking, once its orders are
+    checked: the constants of lambda_slack_rho, derived once per marking."""
+    a, b = _check_lambda_orders(p, q)
+    return sin_sin(p, q), 4.0 * (math.cos(a) * math.cos(b))
 
 
 def lambda_slack(p, q, lam):
@@ -73,12 +82,11 @@ def lambda_slack_rho(p, q, rho):
     +inf (an array warns unless overflow is ignored).  E = 0 only where
     h = 0 and S has underflowed to 0 (p q past ~2e324); the quotient's
     numerator is 0 there too, so it is taken as 0 and the slack is -2."""
-    a, b = _check_lambda_orders(p, q)
-    s = sin_sin(p, q)
+    s, k = _row_constants(p, q)
     h = rho * 0.5
     e = abs(h) + abs(h - 2.0 * s)
     ratio = abs(h.real - s) / (e + (e == 0.0) if s == 0.0 else e)
-    return e - 2.0 - 4.0 * (math.cos(a) * math.cos(b)) * ratio
+    return e - 2.0 - k * ratio
 
 
 def rho_from_lambda(p, q, lam) -> tuple[complex, complex]:
@@ -88,11 +96,10 @@ def rho_from_lambda(p, q, lam) -> tuple[complex, complex]:
     roots are symmetry partners of one another, and lam and 1/lam give the
     same pair.
     """
-    _check_lambda_orders(p, q)
+    s = _row_constants(p, q)[0]
     lam = complex(lam)
     if lam == 0:
         raise InvalidInputError("lambda must be nonzero")
-    s = sin_sin(p, q)
     rm = -s * (lam - 1.0) ** 2 / lam
     rp = s * (lam + 1.0) ** 2 / lam
     return rm, rp
@@ -125,8 +132,7 @@ def lambda_from_rho(spec: GroupSpec) -> tuple[complex, complex]:
     is invariant under lam -> -lam); past the float maximum the branches
     are non-finite.  Raises InvalidInputError where S underflows to 0.
     """
-    _check_lambda_orders(spec.p, spec.q)
-    s = sin_sin(spec.p, spec.q)
+    s = _row_constants(spec.p, spec.q)[0]
     if s == 0.0:
         raise InvalidInputError("sin(pi/p) sin(pi/q) underflows to 0 at these orders: no lambda coordinate")
     rho = spec.rho

@@ -36,16 +36,24 @@ class UnsupportedError(ValueError):
 
 
 def _valid_order(n) -> bool:
-    """The one rule for an order: an integer from 2 up to _ORDER_MAX, or inf."""
+    """The one rule for an order: an integer from 2 up to _ORDER_MAX, or inf.
+
+    3.0 hashes and compares equal to 3 but is no order, so every cache keyed
+    by a marking is an lru_cache(typed=True): a float never finds the entry
+    of the integer that passed this rule."""
     return isinstance(n, (int, np.integer)) and 2 <= n <= _ORDER_MAX or n == math.inf
 
 
+def past_range_message(name: str, size: str) -> str:
+    """The message for an integer order past the float range, named by its
+    size: its digits can run to thousands, and past 4300 Python refuses to
+    convert them."""
+    return f"{name} must be an integer from 2 to the float maximum or inf, got an integer of {size}"
+
+
 def _order_error(name: str, n) -> InvalidInputError:
-    """An integer past the float range is named by its size: its digits can
-    run to thousands, and past 4300 Python refuses to convert them."""
     if isinstance(n, int) and abs(n) > _ORDER_MAX:
-        return InvalidInputError(f"{name} must be an integer from 2 to the float maximum or inf, "
-                                 f"got an integer of {n.bit_length()} bits")
+        return InvalidInputError(past_range_message(name, f"{n.bit_length()} bits"))
     return InvalidInputError(f"{name} must be an integer >= 2 or inf, got {n!r}")
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -51,37 +52,50 @@ def xi(p) -> float:
     return math.sqrt(2.0) * math.sqrt(7.0 - math.cos(2.0 * math.pi / p))
 
 
-def rho_star(p, q) -> complex:
-    """The tangency point rho*_{p,q} on the boundary of the disk union."""
+@lru_cache(maxsize=128, typed=True)
+def _tangency(p, q) -> tuple[complex, float]:
+    """(rho*_{p,q}, x_{p,q}) of a marking that _require_orders accepts, with
+    xi(p) and the sines and cosines derived once per marking."""
     _require_orders(p, q)
     x = xi(p)
     sp, cp = math.sin(pi_over(p)), math.cos(pi_over(p))
     sq, cq = math.sin(pi_over(q)), math.cos(pi_over(q))
-    re = cp * cq + 0.5 * sq * (4.0 * sp + x)
-    im = 0.5 * x * cq + cp * sq
-    return complex(re, im)
-
-
-def x_pq(p, q) -> float:
-    """Real-axis intercept of the line through rho*_{p,q} with direction
-    i rho*_{p,q}; the closed form agrees with |rho*|^2 / Re(rho*)."""
-    _require_orders(p, q)
-    x = xi(p)
+    rs = complex(cp * cq + 0.5 * sq * (4.0 * sp + x), 0.5 * x * cq + cp * sq)
     tp, tq = 2.0 * math.pi / p, 2.0 * math.pi / q
     num = (
         math.cos(tp - tq)
         - math.cos(tp)
         - math.cos(tq)
-        + x * (math.sin(pi_over(p)) - math.sin(pi_over(p) - tq))
+        + x * (sp - math.sin(pi_over(p) - tq))
         + 5.0
     )
-    return num / rho_star(p, q).real
+    return rs, num / rs.real
+
+
+def rho_star(p, q) -> complex:
+    """The tangency point rho*_{p,q} on the boundary of the disk union."""
+    return _tangency(p, q)[0]
+
+
+def x_pq(p, q) -> float:
+    """Real-axis intercept of the line through rho*_{p,q} with direction
+    i rho*_{p,q}; the closed form agrees with |rho*|^2 / Re(rho*)."""
+    return _tangency(p, q)[1]
+
+
+@lru_cache(maxsize=128, typed=True)
+def _levels(p, q) -> tuple[float, float, float, float]:
+    """(S, sigma, 2 sqrt(1 - S^2), 2 + 2 cos(pi/p - pi/q)) of a marking:
+    the symmetry constants, the height of the horizontal sides and the
+    abscissa of the first vertical side, derived once per marking."""
+    s = sin_sin(p, q)
+    v = 2.0 + 2.0 * math.cos(pi_over(p) - pi_over(q))
+    return s, sigma_pq(p, q), 2.0 * math.sqrt(max(1.0 - s * s, 0.0)), v
 
 
 def im_bound(p, q) -> float:
     """2 sqrt(1 - S^2), the height of the horizontal boundary lines."""
-    s = sin_sin(p, q)
-    return 2.0 * math.sqrt(max(1.0 - s * s, 0.0))
+    return _levels(p, q)[2]
 
 
 @dataclass(frozen=True)
@@ -139,10 +153,8 @@ def build_omega(p, q) -> OmegaRegion:
     _require_orders(p, q)
     if p > q:
         p, q = q, p
-    sigma = sigma_pq(p, q)
+    _, sigma, h, v = _levels(p, q)
     inner = complex(sigma / 2.0, 0.0)
-    h = im_bound(p, q)
-    v = 2.0 + 2.0 * math.cos(pi_over(p) - pi_over(q))
 
     lines: list[OrientedLine] = []
     if p != q:
@@ -151,8 +163,7 @@ def build_omega(p, q) -> OmegaRegion:
     for y0 in (h, -h):
         lines.append(_line_through(1j * y0, 1j * y0 + 1.0, inner))
     for a, b in ((p, q), (q, p)) if p != q else ((p, q),):
-        rs = rho_star(a, b)
-        x0 = x_pq(a, b)
+        rs, x0 = _tangency(a, b)
         for z0, x1 in (
             (rs, x0),
             (rs.conjugate(), x0),
@@ -243,8 +254,8 @@ def boundary_cusps(p, q) -> tuple[complex, complex, complex, complex]:
     p = q), the last two sit on the horizontal lines Im z = +-2 sqrt(1-S^2).
     """
     _require_orders(p, q)
-    s = sin_sin(p, q)
-    rho01 = complex(2.0 + 2.0 * math.cos(pi_over(p) - pi_over(q)), 0.0)
+    s, _, h, v = _levels(p, q)
+    rho01 = complex(v, 0.0)
     rho11 = complex(-2.0 - 2.0 * math.cos(pi_over(p) + pi_over(q)), 0.0)
-    half = complex(2.0 * s, im_bound(p, q))
+    half = complex(2.0 * s, h)
     return rho01, rho11, half, half.conjugate()

@@ -286,22 +286,23 @@ def scan_pgm(result: ScanResult) -> bytes:
     return b"".join((f"P2\n{res} {res}\n5\n".encode("ascii"), body))
 
 
-def _ray_disk_exit(center: complex, phi: float, centers) -> float:
-    """Largest t with center + t e^{i phi} inside some radius-2 disk."""
-    e = cmath.exp(1j * phi)
+def _ray_disk_exit(e: complex, offsets) -> float:
+    """Largest t with center + t e inside some radius-2 disk, for the unit
+    vector e and the (center - c, |center - c|^2 - 4) of each disk centre c."""
     t_max = 0.0
-    for c in centers:
-        b = ((center - c) * e.conjugate()).real
-        disc = b * b - (abs(center - c) ** 2 - 4.0)
+    for d, k in offsets:
+        b = (d * e.conjugate()).real
+        disc = b * b - k
         if disc <= 0.0:
             continue
         t_max = max(t_max, -b + math.sqrt(disc))
     return t_max
 
 
-def _ray_lambda_exits(p, q, center: complex, thetas, t_hi: float) -> np.ndarray:
-    """Per ray from center = sigma/2, the exit t* of center + t e^{i theta}
-    from the set that fails the closed lambda row; t_hi must exceed 4.
+def _ray_lambda_exits(p, q, center: complex, es: list[complex], t_hi: float) -> np.ndarray:
+    """Per ray from center = sigma/2, the exit t* of center + t e along the
+    unit vector e in es from the set that fails the closed lambda row; t_hi
+    must exceed 4.
 
     Each ray fails the row on [0, t*) and nowhere else, so one 60-step
     bisection of [0, t_hi], all rays per step, finds every exit.  With
@@ -321,7 +322,7 @@ def _ray_lambda_exits(p, q, center: complex, thetas, t_hi: float) -> np.ndarray:
     lambda_slack_rho cannot overflow here and is called without the
     overflow guard of LAMBDA_REGION.slack.
     """
-    es = np.array([cmath.exp(1j * phi) for phi in thetas])
+    es = np.array(es)
     lo, hi = np.zeros(len(es)), np.full(len(es), t_hi)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -329,6 +330,13 @@ def _ray_lambda_exits(p, q, center: complex, thetas, t_hi: float) -> np.ndarray:
         hi = np.where(ok, mid, hi)
         lo = np.where(ok, lo, mid)
     return 0.5 * (lo + hi)
+
+
+def _rays(p, q, thetas: list[float]) -> tuple[complex, float, list[complex]]:
+    """(sigma/2, the bisection bound t_hi, the unit vector of each angle) of
+    rays from the symmetry center."""
+    sigma = sigma_pq(p, q)
+    return complex(sigma / 2.0, 0.0), 8.0 + abs(sigma), [cmath.exp(1j * phi) for phi in thetas]
 
 
 def compare_lambda_data(p, q, n: int = 360) -> list[dict]:
@@ -342,14 +350,14 @@ def compare_lambda_data(p, q, n: int = 360) -> list[dict]:
     """
     if n < 1:
         raise InvalidInputError("need at least one angle")
-    center = complex(sigma_pq(p, q) / 2.0, 0.0)
-    t_hi = 8.0 + abs(sigma_pq(p, q))
     thetas = [2.0 * math.pi * k / n for k in range(n)]
-    t_lambda = _ray_lambda_exits(p, q, center, thetas, t_hi).tolist()
+    center, t_hi, es = _rays(p, q, thetas)
+    t_lambda = _ray_lambda_exits(p, q, center, es, t_hi).tolist()
     centers = disk_centers_elliptic(*dominant_marking(p, q))
+    offsets = [(center - c, abs(center - c) ** 2 - 4.0) for c in centers]
     rows = []
-    for theta, t_l in zip(thetas, t_lambda):
-        t_d = _ray_disk_exit(center, theta, centers)
+    for theta, e, t_l in zip(thetas, es, t_lambda):
+        t_d = _ray_disk_exit(e, offsets)
         if t_l < t_d - 1e-6:
             winner = "lambda"
         elif t_d < t_l - 1e-6:
@@ -376,10 +384,9 @@ def compare_lambda_svg(p, q, rows: list[dict]) -> str:
     t_lambda, so it bounds exactly the set the LambdaRegion row certifies.
     """
     disks = disk_centers_elliptic(*dominant_marking(p, q))
-    center = complex(sigma_pq(p, q) / 2.0, 0.0)
-    thetas = [2.0 * math.pi * k / 720 for k in range(721)]
-    t_lambda = _ray_lambda_exits(p, q, center, thetas, 8.0 + abs(sigma_pq(p, q)))
-    outline = [center + t * cmath.exp(1j * phi) for phi, t in zip(thetas, t_lambda.tolist())]
+    center, t_hi, es = _rays(p, q, [2.0 * math.pi * k / 720 for k in range(721)])
+    t_lambda = _ray_lambda_exits(p, q, center, es, t_hi)
+    outline = [center + t * e for e, t in zip(es, t_lambda.tolist())]
     xs = [z.real for z in outline] + [c.real + s for c in disks for s in (-2, 2)]
     ys = [z.imag for z in outline] + [c.imag + s for c in disks for s in (-2, 2)]
     frame = _Frame(min(xs), max(xs), min(ys), max(ys))

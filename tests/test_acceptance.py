@@ -252,9 +252,9 @@ def test_criterion_08_lambda_rho_bridge():
     worst = 0.0
     for p, q in ((3, 3), (3, 7), (4, 9), (5, 12)):
         center = sigma_pq(p, q) / 2.0
-        thetas = np.linspace(0.0, 2.0 * math.pi, 64)
-        t = _ray_lambda_exits(p, q, center, thetas, 8.0 + abs(sigma_pq(p, q)))
-        for rho in center + t * np.exp(1j * thetas):
+        es = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 64))
+        t = _ray_lambda_exits(p, q, center, es, 8.0 + abs(sigma_pq(p, q)))
+        for rho in center + t * es:
             lam = lambda_from_rho(GroupSpec(p, q, rho))[0]
             worst = max(worst, abs(lambda_slack(p, q, lam)))
     assert worst < 1e-9

@@ -460,6 +460,28 @@ class TestScan:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestRasterTooLarge:
+    def test_raster_that_cannot_be_held_exits_1_before_any_band(self, capsys, tmp_path, monkeypatch):
+        # the allocation fails as numpy's does for a 100000^2 raster, without
+        # allocating it
+        full = np.full
+
+        def no_memory(shape, *args, **kwargs):
+            if shape == (100000, 100000):
+                raise MemoryError("Unable to allocate 9.31 GiB for an array with shape (100000, 100000) "
+                                  "and data type uint8")
+            return full(shape, *args, **kwargs)
+
+        monkeypatch.setattr(scan.np, "full", no_memory)
+        monkeypatch.setattr(scan, "_mode_codes", lambda job: pytest.fail("scan work started"))
+        rc, out, err = run(capsys, "scan", "--p", "3", "--q", "4", "--window=0,1,0,1", "--res", "100000",
+                           "--out", str(tmp_path / "x"))
+        assert rc == 1 and out == ""
+        assert err == ("error: cannot hold a 100000x100000 scan raster in memory: Unable to allocate "
+                       "9.31 GiB for an array with shape (100000, 100000) and data type uint8\n")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestUnwritableOut:
     """An --out path in a missing directory: one error line, exit 1."""
 
@@ -717,6 +739,31 @@ class TestOtherCommands:
         assert rc == 3 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert len(err) < 120
+        assert list(tmp_path.iterdir()) == []
+
+    # past int()'s limit on digits the order is named by its digit count,
+    # unconverted, with exit 3 as for any order past the float maximum
+    @pytest.mark.parametrize("flag", ["--p", "--q"])
+    @pytest.mark.parametrize("sign", ["", "-"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--rho", "1+1i"],
+            ["region"],
+            ["cusps"],
+            ["compare-lambda", "--angles", "4"],
+            ["scan", "--window=0,1,0,1", "--res", "4", "--mode", "omega"],
+        ],
+        ids=["certify", "region", "cusps", "compare-lambda", "scan"],
+    )
+    def test_order_too_long_to_convert_exits_3(self, capsys, tmp_path, argv, sign, flag):
+        orders = {"--p": "4", "--q": "4", flag: sign + "1" + "0" * 5000}
+        if argv[0] == "scan":
+            argv = [*argv, "--out", str(tmp_path / "x")]
+        rc, out, err = run(capsys, *argv, *(tok for item in orders.items() for tok in item))
+        assert rc == 3 and out == ""
+        assert err == ("error: order must be an integer from 2 to the float maximum or inf, "
+                       "got an integer of 5001 digits\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_compare_lambda_csv(self, capsys):

@@ -1,10 +1,12 @@
 """Farey polynomials: word-trace oracle, cusp roots, closed forms."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from mobcert import farey
 from mobcert.farey import FAREY_WORDS, SLOPES, cusp_residue, farey_poly, solve_cusp
 from mobcert.mobius import InvalidInputError, sigma_pq
 from mobcert.omega import boundary_cusps
@@ -77,3 +79,45 @@ class TestCusps:
 
     def test_residue_positive_off_cusp(self):
         assert cusp_residue((0, 1), 3, 3, 1.0 + 1.0j) > 0.1
+
+
+# The markings of the acceptance sweeps, a swapped one, a parabolic B and
+# two large near-equal orders.  The cubic's roots go through LAPACK, so they
+# are compared with the Polynomial-object computation on this machine, not
+# with digests pinned across platforms.
+PINNED_MARKINGS = [(3, 3), (3, 4), (4, 4), (3, 7), (5, 9), (4, 3), (3, math.inf), (1000, 1001)]
+
+
+def _bits(zs):
+    return [(complex(z).real.hex(), complex(z).imag.hex()) for z in zs]
+
+
+class TestCachedCoefficients:
+    @pytest.mark.parametrize("p, q", PINNED_MARKINGS)
+    def test_roots_and_residues_are_the_polynomial_objects_bit_for_bit(self, p, q):
+        for slope in SLOPES:
+            poly = farey_poly(slope, p, q) + 2.0
+            c = poly.coef
+            if len(c) == 2:
+                want = [-c[0] / c[1]]
+            elif len(c) == 3:
+                disc = cmath.sqrt(c[1] * c[1] - 4.0 * c[2] * c[0])
+                want = [(-c[1] + disc) / (2.0 * c[2]), (-c[1] - disc) / (2.0 * c[2])]
+            else:
+                want = list(poly.roots())
+            roots = solve_cusp(slope, p, q)
+            assert _bits(roots) == _bits(want)
+            for z in (*roots, 0j, 1.5 - 0.25j, -3.0, 2j):
+                want_residue = abs(complex(farey_poly(slope, p, q)(complex(z))) + 2.0)
+                assert cusp_residue(slope, p, q, z).hex() == want_residue.hex()
+
+    def test_cache_is_read_only_and_farey_poly_owns_its_copy(self):
+        coefficients = farey._coefficients((1, 3), 3, 4)
+        assert not coefficients.flags.writeable
+        with pytest.raises(ValueError):
+            coefficients[0] = 0.0
+        poly = farey_poly((1, 3), 3, 4)
+        roots = solve_cusp((1, 3), 3, 4)
+        poly.coef[0] = 0.0  # the returned polynomial is the caller's to change
+        assert _bits(solve_cusp((1, 3), 3, 4)) == _bits(roots)
+        assert farey_poly((1, 3), 3, 4).coef[0] == coefficients[0]

@@ -343,12 +343,36 @@ class TestRhoPlaneSlack:
         assert np.array_equal(slack[2:], e - 2.0 - 4.0 * (np.abs(h.real) / e))
 
 
+class TestCachedRowConstants:
+    # lambda_slack_rho reads S and 4 cos(pi/p) cos(pi/q) from a per-marking
+    # cache; the slack keeps the bits of the formula computed afresh
+    @staticmethod
+    def uncached(p, q, rho):
+        a, b = math.pi / p, math.pi / q
+        s = math.sin(a) * math.sin(b)
+        h = rho * 0.5
+        e = abs(h) + abs(h - 2.0 * s)
+        ratio = abs(h.real - s) / (e + (e == 0.0) if s == 0.0 else e)
+        return e - 2.0 - 4.0 * (math.cos(a) * math.cos(b)) * ratio
+
+    # at (10**200, 10**200) S underflows to 0
+    @pytest.mark.parametrize(
+        "p, q", [(3, 3), (3, 4), (4, 3), (3, 2), (5, 9), (1000, 1001), (10**200, 10**200)]
+    )
+    def test_slack_is_the_uncached_formula_bit_for_bit(self, p, q):
+        rho = np.array([0.0, 1.0, -2.0 + 0.5j, 3.0 + 4.0j, 1e-300j, 0.3 - 1.7j, 12.5 + 0.0j])
+        assert lambda_slack_rho(p, q, rho).tobytes() == self.uncached(p, q, rho).tobytes()
+        for z in rho.tolist():
+            assert lambda_slack_rho(p, q, z).hex() == self.uncached(p, q, z).hex()
+
+
 def _outline(p, q, thetas):
     """The points where rays from sigma/2 leave the set the lambda row
     leaves uncertified, as compare-lambda finds them."""
     center = complex(sigma_pq(p, q) / 2.0, 0.0)
-    t = _ray_lambda_exits(p, q, center, thetas, 8.0 + abs(sigma_pq(p, q)))
-    return [center + tk * cmath.exp(1j * phi) for phi, tk in zip(thetas, t)]
+    es = [cmath.exp(1j * phi) for phi in thetas]
+    t = _ray_lambda_exits(p, q, center, es, 8.0 + abs(sigma_pq(p, q)))
+    return [center + tk * e for e, tk in zip(es, t)]
 
 
 class TestBoundary:

@@ -14,9 +14,19 @@ import mobcert.certificates as certificates
 import mobcert.scan as scan
 from mobcert.cli import main
 from mobcert.certificates import combined_codes_array, disk_slack_array
-from mobcert.lambda_region import lambda_from_rho, lambda_slack
+from mobcert.farey import cusp_residue, solve_cusp
+from mobcert.lambda_region import lambda_from_rho, lambda_slack, lambda_slack_rho
 from mobcert.mobius import EPS_ALG, GroupSpec, InvalidInputError, sigma_pq
-from mobcert.omega import OrientedLine, boundary_cusps, build_omega, omega_margin, outside_grid
+from mobcert.omega import (
+    OrientedLine,
+    boundary_cusps,
+    build_omega,
+    im_bound,
+    omega_margin,
+    outside_grid,
+    rho_star,
+    x_pq,
+)
 from mobcert.render import scan_csv, scan_pgm, scan_svg
 from mobcert.scan import CODE_UNSCANNED, PartialScanError, ScanJob, Window, run_scan
 
@@ -101,6 +111,31 @@ class TestValidation:
         job = ScanJob(3, 3, Window(0.0, 1.0, -1.0, 1.0), 4, "omega")
         assert np.allclose(job.xs(), [0.125, 0.375, 0.625, 0.875])
         assert np.allclose(job.ys(), [-0.75, -0.25, 0.25, 0.75])
+
+
+class TestTypedCaches:
+    # 3.0 hashes and compares equal to 3 but is no order: once (3, 4) has
+    # filled the per-marking caches, 3.0 must still be rejected
+    @pytest.mark.parametrize("p", [3.0, np.float64(3.0)], ids=["float", "float64"])
+    def test_a_float_order_never_finds_the_entry_of_its_integer(self, p):
+        z = np.array([9.0 + 0j])
+        window = Window(8.0, 9.0, 0.0, 1.0)
+        assert combined_codes_array(3, 4, z).tolist() == [1]
+        for mode in ("combined", "disks"):
+            run_scan(ScanJob(3, 4, window, 2, mode))
+        lambda_slack_rho(3, 4, z)
+        solve_cusp((1, 3), 3, 4)
+        build_omega(3, 4)
+        with pytest.raises(InvalidInputError):
+            combined_codes_array(p, 4, z)
+        for mode in ("combined", "disks"):
+            with pytest.raises(InvalidInputError):
+                run_scan(ScanJob(p, 4, window, 2, mode))
+        for call in (lambda: lambda_slack_rho(p, 4, z), lambda: solve_cusp((1, 3), p, 4),
+                     lambda: cusp_residue((1, 3), p, 4, 1j), lambda: rho_star(p, 4),
+                     lambda: x_pq(p, 4), lambda: im_bound(p, 4), lambda: build_omega(p, 4)):
+            with pytest.raises(InvalidInputError):
+                call()
 
 
 class TestModeSemantics:
