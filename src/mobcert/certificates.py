@@ -21,20 +21,25 @@ open conditions are strict (slack > EPS_ALG), closed ones accept slack >=
 5. LineFamily    -- rho lies on a line {a (1 + i t)} through an anchor a
    that the disks of dominant_marking(p, q) certify (strict).  The anchors
    for rho lie on the circles with diameters [0, rho] and [0, sigma - rho].
-   anchor_search_bulk finds the best anchor on each circle in closed form
-   (_circle_max), over the whole array at once.  The row's array slack
-   first screens: an anchor a on the circle of w, with centre w/2 and
-   radius |w|/2, has |a - c_k| <= |w/2 - c_k| + |w|/2 for every disk
-   centre c_k, so its slack is at most b(w) = min_k |w/2 - c_k| + |w|/2 - 2
-   (_circle_bound).  Only the rho with b(rho) or b(sigma - rho) positive go
-   to anchor_search_bulk; elsewhere the slack is the larger bound, <= 0,
-   and certifies nothing.  The screen holds back only points the search
-   could not certify: a screened circle has |w| <= 4 (b(w) >= |w| - 4, as
-   |c_k| <= 2), so its computed best anchor slack lies within ~1e-15 of
-   the true one, which is <= b(w) <= 0, far below EPS_ALG.  Every code is
-   thus the search's.  anchor_search, the row at one point for
-   cert_combined and certify, searches a t grid with golden-section
-   refinement instead.
+   The row's array slack screens each circle on its own: an anchor a on
+   the circle of w, with centre w/2 and radius |w|/2, has
+   |a - c_k| <= |w/2 - c_k| + |w|/2 for every disk centre c_k, so its
+   slack is at most b(w) = min_k |w/2 - c_k| + |w|/2 - 2 (_circle_bound).
+   The circles with b(w) > 0, of all the rho at once, go to
+   anchor_search_bulk in one call, which finds the best anchor on each in
+   closed form (_circle_max); a circle with b(w) <= 0 keeps b(w), and the
+   slack at rho is the larger of its two circles' values.  The screen
+   holds back only circles that could not certify: a screened circle has
+   |w| <= 4 (b(w) >= |w| - 4, as |c_k| <= 2), so its computed best anchor
+   slack lies within ~1e-15 of the true one, which is <= b(w) <= 0, far
+   below EPS_ALG.  A searched circle has |w| > 2 - |c_k| for every k
+   (b(w) <= |c_k| + |w| - 2), and each family has a centre with
+   |c_k| <= sqrt(3) (|c1| = 2 sin(pi/q), or |c4| = 2 sin(pi/p) where
+   q = 2), so |w| > 2 - sqrt(3) and no circle shrinks to the point 0.
+   Every code is thus the search's, and where rho certifies its slack is
+   the larger circle maximum.  anchor_search, the row at one point for
+   cert_combined and certify, searches both circles of rho on a t grid
+   with golden-section refinement instead.
 
 One disk family decides.  Let 3 <= p <= q <= inf, centre the plane at
 sigma/2 and let a = pi/p >= b = pi/q.  The (p, q) centres are (+-k, 0) and
@@ -80,6 +85,7 @@ from .mobius import (
     check_marking,
     pi_over,
     sigma_pq,
+    unhashable_order_error,
 )
 from .omega import im_bound
 
@@ -157,7 +163,11 @@ def disk_slack(p, q, z: complex) -> float:
 
 def disk_slack_array(p, q, rho: np.ndarray) -> np.ndarray:
     """Vectorized disk_slack: min_k |rho - c_k| - 2 over an array of rho."""
-    return np.minimum.reduce(np.abs(np.subtract.outer(_centers_array(p, q), rho)), axis=0) - 2.0
+    try:
+        centers = _centers_array(p, q)
+    except TypeError as exc:
+        raise unhashable_order_error(exc, p, q) from None
+    return np.minimum.reduce(np.abs(np.subtract.outer(centers, rho)), axis=0) - 2.0
 
 
 @dataclass(frozen=True)
@@ -337,6 +347,21 @@ def _grid_max(centers, w):
     return slack, w / (1.0 + 1j * t_at)
 
 
+@lru_cache(maxsize=128)
+def _bisectors(key: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """(unit normals, midpoints) of the perpendicular bisectors of each pair
+    of distinct centers in the centre set key (its complex bytes), read-only:
+    they depend on the centers alone, so they are derived once per set."""
+    centers = np.frombuffer(key, dtype=complex)
+    j, k = np.triu_indices(len(centers), 1)
+    d = centers[k] - centers[j]
+    pair = d != 0.0
+    unit = d[pair] / np.abs(d[pair])
+    mid = (centers[j] + centers[k])[pair] / 2.0
+    unit.flags.writeable = mid.flags.writeable = False
+    return unit, mid
+
+
 def _circle_max(centers, w):
     """Best (slack, anchor) over the anchor circle of each w, in closed form.
 
@@ -354,12 +379,9 @@ def _circle_max(centers, w):
     off = m - centers
     dist = np.abs(off)
     far = m + rad * (off / np.where(dist > 0.0, dist, 1.0))  # dropped where dist = 0
-    # the bisector of two distinct centers: normal to unit, foot radii from m
-    j, k = np.triu_indices(len(centers), 1)
-    d = centers[k] - centers[j]
-    pair = d != 0.0
-    unit = d[pair] / np.abs(d[pair])
-    foot = (unit.conj() * ((centers[j] + centers[k])[pair] / 2.0 - m)).real / rad
+    # each bisector's foot, as a signed multiple of the radius from m along its unit normal
+    unit, mid = _bisectors(centers.tobytes())
+    foot = (unit.conj() * (mid - m)).real / rad
     meets = np.abs(foot) <= 1.0
     base = m + unit * rad * foot
     half = unit * 1j * rad * np.sqrt(np.where(meets, (1.0 - foot) * (1.0 + foot), 0.0))
@@ -412,29 +434,31 @@ def _circle_bound(centers, w):
 
 
 def _line_family_slack(p, q, rho: np.ndarray) -> np.ndarray:
-    """The LineFamily row's array slack: anchor_search_bulk's where the
-    larger circle bound of rho and sigma - rho is positive, that bound
-    (<= 0) elsewhere."""
-    centers = _anchor_centers(p, q)
-    slack = np.maximum(_circle_bound(centers, rho), _circle_bound(centers, sigma_pq(p, q) - rho))
+    """The LineFamily row's array slack: the larger, per rho, of its two
+    circles' values, those of w = rho and w = sigma - rho.  A circle's
+    value is anchor_search_bulk's maximum where its bound b(w) is
+    positive, and b(w) (<= 0) elsewhere; the passing circles of all the
+    rho go to anchor_search_bulk in one call."""
+    w = np.stack([rho, sigma_pq(p, q) - rho])
+    slack = _circle_bound(_anchor_centers(p, q), w)
     search = slack > 0.0
-    slack[search] = anchor_search_bulk(p, q, rho[search])[0]
-    return slack
+    slack[search] = anchor_search_bulk(p, q, w[search])[0]
+    return np.maximum(slack[0], slack[1])
 
 
-def anchor_search_bulk(p, q, rho: np.ndarray):
-    """The best line anchor for many rho values at once, in closed form.
+def anchor_search_bulk(p, q, w: np.ndarray):
+    """The best line anchor on the anchor circle of each w, in closed form.
 
-    For each rho the anchors a = w / (1 + i t), for w = rho and its
-    symmetry image sigma - rho, fill the circle with diameter [0, w] (less
-    the point 0, which lies in the closed disk at c2 and never certifies).
-    _circle_max finds the largest anchor slack on each circle exactly, at
-    a cost proportional to the points.  Returns (slack, anchor,
-    symmetry_image) arrays; entries with slack > EPS_ALG carry a certified
-    line through rho or its symmetry image.  Raises PreconditionError when
-    no anchor family is valid (p = q = 2).
+    The anchors a = w / (1 + i t) fill the circle with diameter [0, w]
+    (less the point 0, which lies in the closed disk at c2 and never
+    certifies).  _circle_max finds the largest anchor slack on each circle
+    under the disks of dominant_marking(p, q) exactly, at a cost
+    proportional to the circles.  Returns (slack, anchor) arrays; an entry
+    with slack > EPS_ALG carries a certified line {anchor (1 + i t)}
+    through w.  w is a 1-d array with |w| > 0.  Raises PreconditionError
+    when no anchor family is valid (p = q = 2).
     """
-    return _search_anchors(p, q, rho, _circle_max)
+    return _circle_max(_anchor_centers(p, q), w)
 
 
 def cert_lambda(spec: GroupSpec) -> Certificate:
@@ -487,7 +511,10 @@ def combined_codes_array(p, q, rho: np.ndarray, search: bool = True) -> np.ndarr
     Like cert_combined it rejects an invalid order and the dihedral marking
     p = q = 2 outright, for any rho array, the empty one included.
     """
-    stages = _stages(p, q, search)
+    try:
+        stages = _stages(p, q, search)
+    except TypeError as exc:
+        raise unhashable_order_error(exc, p, q) from None
     rho = np.asarray(rho, dtype=complex)
     flat = rho.ravel()
     codes = np.zeros(flat.shape, dtype=np.uint8)

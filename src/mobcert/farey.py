@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mobius import InvalidInputError, pi_over
+from .mobius import InvalidInputError, pi_over, unhashable_order_error
 
 FAREY_WORDS = {
     (0, 1): "Ab",
@@ -65,9 +65,17 @@ def _coefficients(slope: tuple[int, int], p, q) -> np.ndarray:
     return coefficients
 
 
+def _polynomial(slope, p, q) -> np.ndarray:
+    """_coefficients of the slope once _check_slope has accepted it."""
+    try:
+        return _coefficients(_check_slope(slope), p, q)
+    except TypeError as exc:
+        raise unhashable_order_error(exc, p, q) from None
+
+
 def farey_poly(slope, p, q) -> np.polynomial.Polynomial:
     """P_{r/s} as a polynomial in rho (ascending coefficients)."""
-    return np.polynomial.Polynomial(_coefficients(_check_slope(slope), p, q))
+    return np.polynomial.Polynomial(_polynomial(slope, p, q))
 
 
 def solve_cusp(slope, p, q) -> tuple[complex, ...]:
@@ -77,7 +85,7 @@ def solve_cusp(slope, p, q) -> tuple[complex, ...]:
     companion-matrix eigenvalues (polyroots), to which + 0.0 writes a -0.0
     part as 0.0, as Polynomial.roots does.  Roots are unordered.
     """
-    c = _coefficients(_check_slope(slope), p, q).copy()
+    c = _polynomial(slope, p, q).copy()
     c[0] += 2.0
     if len(c) == 2:
         return (-c[0] / c[1],)
@@ -89,5 +97,5 @@ def solve_cusp(slope, p, q) -> tuple[complex, ...]:
 
 def cusp_residue(slope, p, q, rho: complex) -> float:
     """|P_{r/s}(rho) + 2|, the defect of rho against the cusp equation."""
-    coefficients = _coefficients(_check_slope(slope), p, q)
+    coefficients = _polynomial(slope, p, q)
     return abs(complex(np.polynomial.polynomial.polyval(complex(rho), coefficients)) + 2.0)

@@ -40,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mobius import GroupSpec, InvalidInputError, check_marking, gamma_of, sin_sin
+from .mobius import GroupSpec, InvalidInputError, check_marking, gamma_of, sin_sin, unhashable_order_error
 
 
 def _check_lambda_orders(p, q) -> tuple[float, float]:
@@ -82,7 +82,10 @@ def lambda_slack_rho(p, q, rho):
     +inf (an array warns unless overflow is ignored).  E = 0 only where
     h = 0 and S has underflowed to 0 (p q past ~2e324); the quotient's
     numerator is 0 there too, so it is taken as 0 and the slack is -2."""
-    s, k = _row_constants(p, q)
+    try:
+        s, k = _row_constants(p, q)
+    except TypeError as exc:
+        raise unhashable_order_error(exc, p, q) from None
     h = rho * 0.5
     e = abs(h) + abs(h - 2.0 * s)
     ratio = abs(h.real - s) / (e + (e == 0.0) if s == 0.0 else e)
@@ -96,7 +99,10 @@ def rho_from_lambda(p, q, lam) -> tuple[complex, complex]:
     roots are symmetry partners of one another, and lam and 1/lam give the
     same pair.
     """
-    s = _row_constants(p, q)[0]
+    try:
+        s = _row_constants(p, q)[0]
+    except TypeError as exc:
+        raise unhashable_order_error(exc, p, q) from None
     lam = complex(lam)
     if lam == 0:
         raise InvalidInputError("lambda must be nonzero")

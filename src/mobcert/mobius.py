@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections.abc import Hashable
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,16 @@ def _order_error(name: str, n) -> InvalidInputError:
     if isinstance(n, int) and abs(n) > _ORDER_MAX:
         return InvalidInputError(past_range_message(name, f"{n.bit_length()} bits"))
     return InvalidInputError(f"{name} must be an integer >= 2 or inf, got {n!r}")
+
+
+def unhashable_order_error(exc: TypeError, *orders) -> Exception:
+    """What to raise where a cache keyed by a marking raised exc, the
+    TypeError of an unhashable key: the order rule's error for the first
+    unhashable order (a list, a 0-d array: no order is one), else exc.
+    Each entry point catches the TypeError where it first consults its
+    cache, so a cache hit pays nothing."""
+    bad = [n for n in orders if not isinstance(n, Hashable)]
+    return _order_error("order", bad[0]) if bad else exc
 
 
 def pi_over(n) -> float:

@@ -34,6 +34,7 @@ from .mobius import (
     pi_over,
     sigma_pq,
     sin_sin,
+    unhashable_order_error,
 )
 
 
@@ -74,13 +75,19 @@ def _tangency(p, q) -> tuple[complex, float]:
 
 def rho_star(p, q) -> complex:
     """The tangency point rho*_{p,q} on the boundary of the disk union."""
-    return _tangency(p, q)[0]
+    try:
+        return _tangency(p, q)[0]
+    except TypeError as exc:
+        raise unhashable_order_error(exc, p, q) from None
 
 
 def x_pq(p, q) -> float:
     """Real-axis intercept of the line through rho*_{p,q} with direction
     i rho*_{p,q}; the closed form agrees with |rho*|^2 / Re(rho*)."""
-    return _tangency(p, q)[1]
+    try:
+        return _tangency(p, q)[1]
+    except TypeError as exc:
+        raise unhashable_order_error(exc, p, q) from None
 
 
 @lru_cache(maxsize=128, typed=True)
@@ -95,7 +102,10 @@ def _levels(p, q) -> tuple[float, float, float, float]:
 
 def im_bound(p, q) -> float:
     """2 sqrt(1 - S^2), the height of the horizontal boundary lines."""
-    return _levels(p, q)[2]
+    try:
+        return _levels(p, q)[2]
+    except TypeError as exc:
+        raise unhashable_order_error(exc, p, q) from None
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from mobcert.certificates import (
     LINE_FAMILY,
     _anchor_centers,
     _anchor_slack_at,
+    _bisectors,
     _circle_bound,
     _circle_max,
     _grid_max,
@@ -58,7 +59,8 @@ from mobcert.mobius import (
     sigma_pq,
     tr2,
 )
-from mobcert.omega import build_omega, omega_margin, rho_star
+from mobcert.omega import boundary_cusps, build_omega, omega_margin, rho_star
+from mobcert.render import region_polygon
 from words import word_trace
 
 RNG = np.random.default_rng(20260814)
@@ -290,18 +292,20 @@ class TestAnchorSearch:
 
     def test_no_false_positive_at_degenerate_points(self):
         # rho = 0 and rho = sigma are reducible/shared-fixed-point markings;
-        # the anchor circle stays inside the closed disk union, so the
-        # search must not report a strictly certified line.
+        # the anchor circle stays inside the closed disk union, so neither
+        # the closed-form search nor the row may report a strictly
+        # certified line.
         for p, q in [(3, 3), (3, 5), (4, 7)]:
-            sigma = sigma_pq(p, q)
-            slack, _, _ = anchor_search_bulk(p, q, np.array([0.0 + 0.0j, sigma + 0.0j]))
+            rho = np.array([0.0, sigma_pq(p, q)], dtype=complex)
+            slack, _, _ = _search_anchors(p, q, rho, _circle_max)
             assert (slack <= EPS_ALG).all()
+            assert (LINE_FAMILY.slack(p, q, rho) <= EPS_ALG).all()
 
     def test_bulk_matches_scalar(self):
         # anchor_search, the grid search, certifies the points the closed
         # form certifies, with at most its slack; the bulk anchor is a witness.
         rho = np.array([9.0 + 0.1j, 3.9 + 0.05j, 1.5 + 0.4j])
-        slack, anchor, w = anchor_search_bulk(3, 3, rho)
+        slack, anchor, w = _search_anchors(3, 3, rho, _circle_max)
         for k, z in enumerate(rho):
             cert = anchor_search(GroupSpec(3, 3, complex(z)))
             assert cert.certified == (slack[k] > EPS_ALG) == (k == 0)
@@ -317,7 +321,7 @@ class TestAnchorSearch:
         with pytest.raises(PreconditionError):
             anchor_search_bulk(2, 2, np.array([9.0 + 0.0j]))
         assert dominant_marking(2, 5) == dominant_marking(5, 2) == (5, 2)
-        s25, s52 = (anchor_search_bulk(p, q, np.array([5.0 + 0.0j]))[0][0] for p, q in ((2, 5), (5, 2)))
+        s25, s52 = (_search_anchors(p, q, np.array([5.0 + 0.0j]), _circle_max)[0][0] for p, q in ((2, 5), (5, 2)))
         assert abs(s25 - s52) < 1e-12
         for p, q in ((2, 5), (5, 2)):
             cert = anchor_search(GroupSpec(p, q, 9.0 + 0.1j))
@@ -438,6 +442,18 @@ class TestCircleMax:
                 assert slack >= sampled_max(centers, w) - 1e-12
                 assert slack == circle_max([1.5, *FAR], w)[0]
 
+    def test_bisectors_cached_per_centre_set(self):
+        # read-only, one entry per set of centre values, and a set that
+        # differs in one centre has bisectors of its own
+        a = np.array([1.0, 2.0j, *FAR[:2]], dtype=complex)
+        b = a.copy()
+        b[1] = 3.0j
+        unit, mid = _bisectors(a.tobytes())
+        assert _bisectors(a.copy().tobytes())[0] is unit
+        assert not (unit.flags.writeable or mid.flags.writeable)
+        assert len(unit) == len(mid) == 6
+        assert not np.array_equal(_bisectors(b.tobytes())[1], mid)
+
 
 class TestCircleScreen:
     """Pinned cases of the anchor circle (they once tested the arc-cover
@@ -476,7 +492,7 @@ class TestCircleScreen:
         # maximum, at least the grid's best anchor
         sigma = sigma_pq(p, q)
         rho = np.array([0.0, sigma], dtype=complex)
-        bulk = anchor_search_bulk(p, q, rho)
+        bulk = _search_anchors(p, q, rho, _circle_max)
         grid = _search_anchors(p, q, rho, _grid_max)
         assert (grid[0] <= bulk[0] + 1e-12).all() and (bulk[0] <= EPS_ALG).all()
         assert (bulk[2] == sigma).all()  # each point's searched circle: w = sigma
@@ -492,18 +508,24 @@ class TestCircleScreen:
             slack, anchor = circle_max(centers, w)
             assert slack >= sampled_max(centers, w) - 1e-12
             assert (slack > EPS_ALG) == (w == 9.0 + 0.1j)
-        slack, anchor, w = anchor_search_bulk(p, q, np.array([9.0 + 0.1j]))
+        slack, anchor, w = _search_anchors(p, q, np.array([9.0 + 0.1j]), _circle_max)
         assert slack[0] > EPS_ALG
         assert_witness(p, q, complex(anchor[0]), w[0])
+        # anchor_search_bulk is _circle_max on the family's centres, per circle
+        bulk = anchor_search_bulk(p, q, w)
+        assert (float(bulk[0][0]), complex(bulk[1][0])) == circle_max(centers, w[0])
 
     def test_tiny_w(self):
-        # anchor_search_bulk skips a w with |w| <= EPS_ALG, about the point
-        # 0; a circle just larger is decided like any other; no warning
+        # the two-circle search skips a w with |w| <= EPS_ALG, about the
+        # point 0, and the row's screen never passes one; a circle just
+        # larger is decided like any other; no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             tiny = np.array([0.0, EPS_ALG, 1e-13j, 2.2250738585072014e-308, 5e-324])
-            slack, anchor, w = anchor_search_bulk(3, 3, tiny)
+            slack, anchor, w = _search_anchors(3, 3, tiny, _circle_max)
             assert (slack <= EPS_ALG).all() and (w == sigma_pq(3, 3) - tiny).all()
+            assert (_circle_bound(_anchor_centers(3, 3), tiny) <= 0.0).all()
+            assert (LINE_FAMILY.slack(3, 3, tiny) <= EPS_ALG).all()
             for w in (2 * EPS_ALG, 1e-11j):
                 assert circle_max(_anchor_centers(3, 3), w)[0] < 0.0  # 0 lies in the disk at c2
                 assert circle_max([3.0, *FAR], w)[0] > 0.99
@@ -518,7 +540,7 @@ class TestCircleScreen:
         grid = window_grid(window, 48)
         residual = grid[combined_codes_array(p, q, grid, search=False) == 0]
         assert residual.size
-        bulk = anchor_search_bulk(p, q, residual)
+        bulk = _search_anchors(p, q, residual, _circle_max)
         oracle = _search_anchors(p, q, residual, _grid_max)
         assert np.array_equal(bulk[0] > EPS_ALG, oracle[0] > EPS_ALG)
         assert (bulk[0] >= oracle[0] - 1e-12).all()
@@ -528,39 +550,98 @@ class TestCircleScreen:
 
 
 class TestLineFamilyRow:
-    """The LineFamily row of CASCADE: the circle-bound screen, then
-    anchor_search_bulk on the points it lets through."""
+    """The LineFamily row of CASCADE: the circle-bound screen of each
+    anchor circle, then anchor_search_bulk on the circles it lets through."""
+
+    @staticmethod
+    def per_circle(p, q, rho):
+        """The row's slack from each circle on its own: _circle_max of
+        w = rho and of w = sigma - rho (one call for each) where
+        _circle_bound(w) is positive, the bound elsewhere, and per rho the
+        larger of the two."""
+        centers = _anchor_centers(p, q)
+        values = []
+        for w in (rho, sigma_pq(p, q) - rho):
+            value = _circle_bound(centers, w)
+            searched = value > 0.0
+            value[searched] = _circle_max(centers, w[searched])[0]
+            values.append(value)
+        return np.maximum(*values)
 
     @pytest.mark.parametrize("p,q", RESIDUAL_MARKINGS)
     @pytest.mark.parametrize("window", RESIDUAL_WINDOWS)
     def test_screen_changes_no_code(self, p, q, window):
         sigma = sigma_pq(p, q)
         rho = np.concatenate([window_grid(window, 96), [0.0, sigma, 1e-13, 5e-324, 4.0]])
-        centers = _anchor_centers(p, q)
-        bound = np.maximum(_circle_bound(centers, rho), _circle_bound(centers, sigma - rho))
-        searched = bound > 0.0
-        # the row's slack is anchor_search_bulk's, bit for bit, where the
-        # bound lets an anchor certify; elsewhere neither certifies
         slack = LINE_FAMILY.slack(p, q, rho)
-        bulk = anchor_search_bulk(p, q, rho)[0]
-        assert np.array_equal(slack[searched], bulk[searched])
-        assert (slack[~searched] <= EPS_ALG).all() and (bulk[~searched] <= EPS_ALG).all()
-        # the unscreened cascade: the closed rows, then the search on every residual point
+        # bit for bit the per-circle oracle
+        assert np.array_equal(slack, self.per_circle(p, q, rho))
+        # the unscreened search of both circles certifies the same points,
+        # and where a point certifies its slack is the row's, bit for bit
+        both = _search_anchors(p, q, rho, _circle_max)[0]
+        certified = both > EPS_ALG
+        assert np.array_equal(slack > EPS_ALG, certified)
+        assert np.array_equal(slack[certified], both[certified])
+        # the unscreened cascade: the closed rows, then the two-circle
+        # search on every residual point
         reference = combined_codes_array(p, q, rho, search=False)
         residual = np.flatnonzero(reference == 0)
-        found = anchor_search_bulk(p, q, rho[residual])[0] > EPS_ALG
+        found = _search_anchors(p, q, rho[residual], _circle_max)[0] > EPS_ALG
         reference[residual[found]] = CODE_LINE_FAMILY
         assert np.array_equal(combined_codes_array(p, q, rho), reference)
 
     def test_near_the_float_maximum(self):
-        # the bound passes the float maximum without a warning and is
-        # searched; every point is far outside the disks
+        # the bounds pass the float maximum without a warning and both
+        # circles of every point are searched; every point is far outside
+        # the disks
         rho = np.array([1.7e308, -1.7e308, 1.7e308j, 1.2e308 + 1.2e308j, 1.7e308 + 1.7e308j])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             slack = LINE_FAMILY.slack(3, 4, rho)
-            assert np.array_equal(slack, anchor_search_bulk(3, 4, rho)[0])
+            assert np.array_equal(slack, self.per_circle(3, 4, rho))
+            assert np.array_equal(slack, _search_anchors(3, 4, rho, _circle_max)[0])
         assert (slack > 1e307).all()
+
+    @staticmethod
+    def outside_omega(p, q, site, shift, log_half):
+        """The pixels of a grid that no closed row certifies and that lie
+        outside Omega by more than 1e-9.  site < 0: the standard window at
+        48 x 48, moved by shift of a pixel; else a 16 x 16 zoom of
+        half-width 10**log_half about a vertex of Omega or a boundary cusp."""
+        region = build_omega(p, q)
+        if site < 0:
+            lo = (-3.0 - 4.5j) + shift * 9.0 / 48 * (1 + 1j)
+            n, size = 48, 9.0
+        else:
+            sites = region_polygon(region) + list(boundary_cusps(p, q))
+            n, size = 16, 2.0 * 10.0**log_half
+            lo = sites[site % len(sites)] - size / 2 * (1 + 1j)
+        steps = (np.arange(n) + 0.5) * (size / n)
+        rho = (lo.real + steps[None, :]) + 1j * (lo.imag + steps[:, None])
+        rho = rho.ravel()
+        residual = combined_codes_array(p, q, rho, search=False) == 0
+        return rho[residual & (omega_margin(region, rho) < -1e-9)]
+
+    @given(
+        p=st.integers(3, 60),
+        q=st.integers(3, 60),
+        site=st.integers(-2, 15),
+        shift=st.floats(0.0, 1.0),
+        log_half=st.floats(-8.0, -2.0),
+    )
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    def test_certifies_every_residual_point_outside_omega(self, p, q, site, shift, log_half):
+        # ROADMAP item 17, step 2: the paper proves every rho outside Omega
+        # free and discrete, and in a scan the row certifies the residual
+        # points there
+        rho = self.outside_omega(p, q, site, shift, log_half)
+        slack = LINE_FAMILY.slack(p, q, rho)
+        assert LINE_FAMILY.passes(slack).all(), rho[~LINE_FAMILY.passes(slack)]
+
+    @pytest.mark.parametrize("p, q, site", [(3, 4, -1), (4, 3, -1), (5, 9, 0), (9, 5, 3), (7, 7, 1)])
+    def test_outside_omega_has_residual_points(self, p, q, site):
+        # the property above is not vacuous: both kinds of grid hold such points
+        assert self.outside_omega(p, q, site, 0.0, -2.0).size
 
 
 def canonical_anchors(p, q) -> list[complex]:

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 import mobcert.certificates as certificates
 import mobcert.scan as scan
 from mobcert.cli import main
-from mobcert.certificates import combined_codes_array, disk_slack_array
-from mobcert.farey import cusp_residue, solve_cusp
-from mobcert.lambda_region import lambda_from_rho, lambda_slack, lambda_slack_rho
+from mobcert.certificates import cert_combined, combined_codes_array, disk_slack, disk_slack_array
+from mobcert.farey import cusp_residue, farey_poly, solve_cusp
+from mobcert.lambda_region import lambda_from_rho, lambda_slack, lambda_slack_rho, rho_from_lambda
 from mobcert.mobius import EPS_ALG, GroupSpec, InvalidInputError, sigma_pq
 from mobcert.omega import (
     OrientedLine,
@@ -136,6 +136,29 @@ class TestTypedCaches:
                      lambda: x_pq(p, 4), lambda: im_bound(p, 4), lambda: build_omega(p, 4)):
             with pytest.raises(InvalidInputError):
                 call()
+
+    # an unhashable value (a 0-d array, a list) is no order, and the caches
+    # keyed by a marking cannot hash it: every entry point raises the order
+    # rule's error for it, as GroupSpec and the uncached disk_slack do
+    @pytest.mark.parametrize("bad", [np.array(3), [3]], ids=["0-d array", "list"])
+    def test_an_unhashable_order_is_no_order(self, bad):
+        z = np.array([9.0 + 0j])
+        calls = (
+            lambda: combined_codes_array(bad, 4, z), lambda: combined_codes_array(4, bad, z),
+            lambda: disk_slack_array(bad, 4, z), lambda: disk_slack_array(4, bad, z),
+            lambda: lambda_slack_rho(bad, 4, 1 + 1j), lambda: lambda_slack_rho(4, bad, z),
+            lambda: rho_from_lambda(bad, 4, 2.0), lambda: solve_cusp((1, 2), bad, 4),
+            lambda: solve_cusp((1, 2), 4, bad), lambda: cusp_residue((1, 3), bad, 4, 1j),
+            lambda: farey_poly((0, 1), 4, bad), lambda: rho_star(bad, 4), lambda: x_pq(4, bad),
+            lambda: im_bound(bad, 4), lambda: build_omega(bad, 4), lambda: disk_slack(bad, 4, 1j),
+            lambda: cert_combined(GroupSpec(bad, 4, 1j)),
+        )
+        for call in calls:
+            with pytest.raises(InvalidInputError, match=r"must be an integer >= 2 or inf, got (array\(3\)|\[3\])$"):
+                call()
+        # an unhashable argument that is not an order keeps its TypeError
+        with pytest.raises(TypeError, match="unhashable"):
+            combined_codes_array(3, 4, z, search=[True])
 
 
 class TestModeSemantics:
@@ -451,22 +474,24 @@ class TestPartialFailure:
     @pytest.mark.parametrize("band, completed", [(0, 0), (1, 42)])
     def test_anchor_stage_failure(self, monkeypatch, band, completed):
         # 96 rows make bands of 42, 42 and 12 rows; one band fails inside
-        # the anchor search, and no later band runs.
+        # the anchor search, and no later band runs.  The row searches a
+        # band's circles in one call, of rho and sigma - rho alike, so the
+        # failing band is told by the call's number, not by Im rho.
         job = job_33("combined", res=96)
-        ys = job.ys()
-        rows = ys[42 * band : 42 * band + 42]
         real = certificates.anchor_search_bulk
+        calls = []
 
-        def failing(p, q, rho, *args, **kwargs):
-            y = np.imag(rho)
-            if ((y >= rows[0] - 1e-12) & (y <= rows[-1] + 1e-12)).any():
+        def failing(p, q, w, *args, **kwargs):
+            calls.append(np.size(w))
+            if len(calls) == band + 1:
                 raise RuntimeError("anchor boom")
-            return real(p, q, rho, *args, **kwargs)
+            return real(p, q, w, *args, **kwargs)
 
         monkeypatch.setattr(certificates, "anchor_search_bulk", failing)
         with pytest.raises(PartialScanError) as ei:
             run_scan(job)
         err = ei.value
+        assert len(calls) == band + 1 and all(calls)  # one call per band, each with circles
         assert err.completed_rows == completed
         assert isinstance(err.cause, RuntimeError)
         assert (err.partial[:completed] != CODE_UNSCANNED).all()
@@ -479,12 +504,21 @@ class TestPartialFailure:
             run_scan(job)
 
     def test_fail_fast_probe_combined(self, monkeypatch):
+        real = certificates.anchor_search_bulk
         calls = []
-        monkeypatch.setattr(certificates, "anchor_search_bulk", lambda *a, **k: calls.append(a))
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(certificates, "anchor_search_bulk", recording)
         job = ScanJob(2, 2, Window(-1.0, 1.0, -1.0, 1.0), 4, "combined")
         with pytest.raises(InvalidInputError):
             run_scan(job)
         assert calls == []
+        # the same window at a valid marking reaches the patched search
+        run_scan(ScanJob(3, 3, Window(-1.0, 1.0, -1.0, 1.0), 4, "combined"))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("p, q, bad", [(1, 4, 1), (4, 1, 1), (0, 5, 0)])
     def test_fail_fast_probe_order_below_two(self, p, q, bad):
@@ -497,14 +531,15 @@ class TestPartialFailure:
     def test_probe_searches_no_anchor(self, monkeypatch):
         # The window lies inside Omega, so every pixel is residual; the
         # fail-fast probe must not run an anchor search of its own, and the
-        # one band makes at most one call (the screen may pass it no point).
+        # one band makes one call, with at most the two circles of each of
+        # its 256 pixels (the screen may pass it none).
         real = certificates.anchor_search_bulk
         sizes = []
 
-        def recording(p, q, rho, *args, **kwargs):
-            sizes.append(np.size(rho))
-            return real(p, q, rho, *args, **kwargs)
+        def recording(p, q, w, *args, **kwargs):
+            sizes.append(np.size(w))
+            return real(p, q, w, *args, **kwargs)
 
         monkeypatch.setattr(certificates, "anchor_search_bulk", recording)
         run_scan(ScanJob(3, 4, Window(0.4, 0.6, 0.0, 0.2), 16, "combined"))
-        assert len(sizes) <= 1 and sum(sizes) <= 256
+        assert len(sizes) == 1 and sizes[0] <= 2 * 256
