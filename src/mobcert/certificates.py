@@ -83,9 +83,9 @@ from .mobius import (
     InvalidInputError,
     PreconditionError,
     check_marking,
+    marking_cache,
     pi_over,
     sigma_pq,
-    unhashable_order_error,
 )
 from .omega import im_bound
 
@@ -148,25 +148,31 @@ def disk_centers_elliptic(p, q) -> tuple[complex, complex, complex, complex]:
     return c1, c2, c3, c4
 
 
-@lru_cache(maxsize=128, typed=True)
+@marking_cache
 def _centers_array(p, q) -> np.ndarray:
     centers = np.array(disk_centers_elliptic(p, q), dtype=complex)
     centers.flags.writeable = False
     return centers
 
 
+def _modulus(z: complex) -> float:
+    """abs(z), or +inf past the float maximum, where abs() raises
+    OverflowError and np.abs, the rows' modulus, gives inf."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def disk_slack(p, q, z: complex) -> float:
     """min_k |z - c_k| - 2 over the four exclusion disks; > 0 certifies."""
     z = complex(z)
-    return min(abs(z - c) for c in disk_centers_elliptic(p, q)) - 2.0
+    return min(_modulus(z - c) for c in disk_centers_elliptic(p, q)) - 2.0
 
 
 def disk_slack_array(p, q, rho: np.ndarray) -> np.ndarray:
     """Vectorized disk_slack: min_k |rho - c_k| - 2 over an array of rho."""
-    try:
-        centers = _centers_array(p, q)
-    except TypeError as exc:
-        raise unhashable_order_error(exc, p, q) from None
+    centers = _centers_array(p, q)
     return np.minimum.reduce(np.abs(np.subtract.outer(centers, rho)), axis=0) - 2.0
 
 
@@ -232,7 +238,7 @@ CASCADE = (
 )
 
 
-@lru_cache(maxsize=128, typed=True)
+@marking_cache
 def _stages(p, q, search: bool) -> tuple[Stage, ...]:
     """The rows of CASCADE whose preconditions (p, q) meets, the line
     family only with search, once check_marking has accepted (p, q): an
@@ -260,9 +266,10 @@ def line_distance(rho: complex, anchor: complex) -> float:
     """Transverse distance from rho to the line {anchor (1 + i t)}.
 
     The line passes through the anchor in direction i*anchor, so the
-    distance is |Re(rho/anchor) - 1| * |anchor|.
+    distance is |Re(rho/anchor) - 1| * |anchor|; NaN where rho / anchor
+    overflows to inf / inf.
     """
-    return abs((rho / anchor).real - 1.0) * abs(anchor)
+    return abs((rho / anchor).real - 1.0) * _modulus(anchor)
 
 
 def cert_line_family(spec: GroupSpec, anchor: complex) -> Certificate:
@@ -270,7 +277,7 @@ def cert_line_family(spec: GroupSpec, anchor: complex) -> Certificate:
 
     Raises PreconditionError unless the anchor passes the elliptic disk
     test of the spec's marking strictly; returns NoCertificate when rho is
-    farther than LINE_TOL from the line (not-applicable, not an error).
+    not within LINE_TOL of the line (not-applicable, not an error).
     """
     anchor = complex(anchor)
     if anchor == 0:
@@ -279,7 +286,7 @@ def cert_line_family(spec: GroupSpec, anchor: complex) -> Certificate:
     slack = disk_slack(spec.p, spec.q, anchor)
     if not DISKS_ELLIPTIC.passes(slack):
         raise PreconditionError("anchor must pass the elliptic disk test strictly")
-    if line_distance(spec.rho, anchor) > LINE_TOL:
+    if not line_distance(spec.rho, anchor) <= LINE_TOL:  # a NaN distance is off the line
         return Certificate(VERDICT_NONE, None, slack, CODE_NONE, {"on_line": False})
     return LINE_FAMILY.certificate(slack, {"anchor": anchor, "on_line": True})
 
@@ -511,10 +518,7 @@ def combined_codes_array(p, q, rho: np.ndarray, search: bool = True) -> np.ndarr
     Like cert_combined it rejects an invalid order and the dihedral marking
     p = q = 2 outright, for any rho array, the empty one included.
     """
-    try:
-        stages = _stages(p, q, search)
-    except TypeError as exc:
-        raise unhashable_order_error(exc, p, q) from None
+    stages = _stages(p, q, search)
     rho = np.asarray(rho, dtype=complex)
     flat = rho.ravel()
     codes = np.zeros(flat.shape, dtype=np.uint8)

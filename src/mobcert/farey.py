@@ -16,11 +16,10 @@ exclusion region Omega.
 from __future__ import annotations
 
 import cmath
-from functools import lru_cache
 
 import numpy as np
 
-from .mobius import InvalidInputError, pi_over, unhashable_order_error
+from .mobius import InvalidInputError, marking_cache, pi_over
 
 FAREY_WORDS = {
     (0, 1): "Ab",
@@ -39,8 +38,8 @@ def _check_slope(slope) -> tuple[int, int]:
     return slope
 
 
-@lru_cache(maxsize=128, typed=True)
-def _coefficients(slope: tuple[int, int], p, q) -> np.ndarray:
+@marking_cache
+def _coefficients(p, q, slope: tuple[int, int]) -> np.ndarray:
     """P_{r/s}'s ascending coefficients as one read-only complex array,
     derived once per checked slope and marking."""
     a = cmath.exp(1j * pi_over(p))
@@ -67,10 +66,7 @@ def _coefficients(slope: tuple[int, int], p, q) -> np.ndarray:
 
 def _polynomial(slope, p, q) -> np.ndarray:
     """_coefficients of the slope once _check_slope has accepted it."""
-    try:
-        return _coefficients(_check_slope(slope), p, q)
-    except TypeError as exc:
-        raise unhashable_order_error(exc, p, q) from None
+    return _coefficients(p, q, _check_slope(slope))
 
 
 def farey_poly(slope, p, q) -> np.polynomial.Polynomial:

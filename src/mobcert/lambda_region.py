@@ -36,21 +36,21 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from functools import lru_cache
 
 import numpy as np
 
-from .mobius import GroupSpec, InvalidInputError, check_marking, gamma_of, sin_sin, unhashable_order_error
+from .mobius import GroupSpec, InvalidInputError, check_marking, gamma_of, marking_cache, sin_sin
 
 
 def _check_lambda_orders(p, q) -> tuple[float, float]:
     """(pi/p, pi/q) of a finite marking that mobius.check_marking accepts."""
+    angles = check_marking(p, q)
     if p == math.inf or q == math.inf:
         raise InvalidInputError("lambda coordinates need finite orders")
-    return check_marking(p, q)
+    return angles
 
 
-@lru_cache(maxsize=128, typed=True)
+@marking_cache
 def _row_constants(p, q) -> tuple[float, float]:
     """(S, 4 cos(pi/p) cos(pi/q)) of a finite marking, once its orders are
     checked: the constants of lambda_slack_rho, derived once per marking."""
@@ -82,10 +82,7 @@ def lambda_slack_rho(p, q, rho):
     +inf (an array warns unless overflow is ignored).  E = 0 only where
     h = 0 and S has underflowed to 0 (p q past ~2e324); the quotient's
     numerator is 0 there too, so it is taken as 0 and the slack is -2."""
-    try:
-        s, k = _row_constants(p, q)
-    except TypeError as exc:
-        raise unhashable_order_error(exc, p, q) from None
+    s, k = _row_constants(p, q)
     h = rho * 0.5
     e = abs(h) + abs(h - 2.0 * s)
     ratio = abs(h.real - s) / (e + (e == 0.0) if s == 0.0 else e)
@@ -99,10 +96,7 @@ def rho_from_lambda(p, q, lam) -> tuple[complex, complex]:
     roots are symmetry partners of one another, and lam and 1/lam give the
     same pair.
     """
-    try:
-        s = _row_constants(p, q)[0]
-    except TypeError as exc:
-        raise unhashable_order_error(exc, p, q) from None
+    s = _row_constants(p, q)[0]
     lam = complex(lam)
     if lam == 0:
         raise InvalidInputError("lambda must be nonzero")

@@ -13,6 +13,7 @@ fixing 0.  An order of ``math.inf`` means a parabolic generator.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from collections.abc import Hashable
@@ -39,10 +40,10 @@ class UnsupportedError(ValueError):
 def _valid_order(n) -> bool:
     """The one rule for an order: an integer from 2 up to _ORDER_MAX, or inf.
 
-    3.0 hashes and compares equal to 3 but is no order, so every cache keyed
-    by a marking is an lru_cache(typed=True): a float never finds the entry
-    of the integer that passed this rule."""
-    return isinstance(n, (int, np.integer)) and 2 <= n <= _ORDER_MAX or n == math.inf
+    No array is an order, not even one equal to inf (its == is an array).
+    3.0 equals 3 but is no order either: marking_cache keeps a float from
+    the entry of the integer that passed this rule."""
+    return isinstance(n, (int, np.integer)) and 2 <= n <= _ORDER_MAX or not isinstance(n, np.ndarray) and n == math.inf
 
 
 def past_range_message(name: str, size: str) -> str:
@@ -58,31 +59,41 @@ def _order_error(name: str, n) -> InvalidInputError:
     return InvalidInputError(f"{name} must be an integer >= 2 or inf, got {n!r}")
 
 
-def unhashable_order_error(exc: TypeError, *orders) -> Exception:
-    """What to raise where a cache keyed by a marking raised exc, the
-    TypeError of an unhashable key: the order rule's error for the first
-    unhashable order (a list, a 0-d array: no order is one), else exc.
-    Each entry point catches the TypeError where it first consults its
-    cache, so a cache hit pays nothing."""
-    bad = [n for n in orders if not isinstance(n, Hashable)]
-    return _order_error("order", bad[0]) if bad else exc
+def marking_cache(fn):
+    """fn, whose first two arguments are the orders, behind the one gate of
+    every cache keyed by a marking: an lru_cache(maxsize=128, typed=True),
+    typed so that 3.0 never finds the entry of 3.  An unhashable order (a
+    list, an array) is no order: the TypeError of hashing it becomes the
+    order rule's error, and any other TypeError stands."""
+    cached = functools.lru_cache(maxsize=128, typed=True)(fn)
+
+    @functools.wraps(fn)
+    def gate(*args):
+        try:
+            return cached(*args)
+        except TypeError:
+            for n in args[:2]:
+                if not isinstance(n, Hashable):
+                    raise _order_error("order", n) from None
+            raise
+
+    return gate
 
 
 def pi_over(n) -> float:
     """pi/n for an order n (_valid_order), or 0.0 for n = inf."""
-    if n == math.inf:
-        return 0.0
     if not _valid_order(n):
         raise _order_error("order", n)
-    return math.pi / n
+    return 0.0 if n == math.inf else math.pi / n
 
 
 def check_marking(p, q) -> tuple[float, float]:
     """(pi_over(p), pi_over(q)); InvalidInputError unless both are orders and
     the marking is not the dihedral p = q = 2, which no family covers."""
+    angles = pi_over(p), pi_over(q)  # first: == on a non-order need not be a bool
     if p == 2 and q == 2:
         raise InvalidInputError("p = q = 2 is a degenerate (dihedral) spec")
-    return pi_over(p), pi_over(q)
+    return angles
 
 
 def sin_sin(p, q) -> float:

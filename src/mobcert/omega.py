@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,29 +30,29 @@ from .mobius import (
     EPS_ALG,
     InvalidInputError,
     UnsupportedError,
+    marking_cache,
     pi_over,
     sigma_pq,
     sin_sin,
-    unhashable_order_error,
 )
 
 
 def _require_orders(p, q) -> None:
     for name, n in (("p", p), ("q", q)):
-        if n == math.inf or pi_over(n) > math.pi / 3:  # pi_over rejects a non-order
+        if pi_over(n) > math.pi / 3 or n == math.inf:  # pi_over first: it rejects a non-order
             raise UnsupportedError(f"Omega_{{p,q}} needs finite orders 3 <= p, q; got {name} = {n!r}")
 
 
 def xi(p) -> float:
     """sqrt(2) sqrt(7 - cos(2 pi/p)); equals 2 sqrt(3) in the limit p = inf."""
+    if pi_over(p) > math.pi / 3:  # pi_over rejects a non-order, an array equal to inf too
+        raise UnsupportedError(f"xi needs an order p >= 3 or inf, got {p!r}")
     if p == math.inf:
         return 2.0 * math.sqrt(3.0)
-    if pi_over(p) > math.pi / 3:
-        raise UnsupportedError(f"xi needs an order p >= 3 or inf, got {p!r}")
     return math.sqrt(2.0) * math.sqrt(7.0 - math.cos(2.0 * math.pi / p))
 
 
-@lru_cache(maxsize=128, typed=True)
+@marking_cache
 def _tangency(p, q) -> tuple[complex, float]:
     """(rho*_{p,q}, x_{p,q}) of a marking that _require_orders accepts, with
     xi(p) and the sines and cosines derived once per marking."""
@@ -75,22 +74,16 @@ def _tangency(p, q) -> tuple[complex, float]:
 
 def rho_star(p, q) -> complex:
     """The tangency point rho*_{p,q} on the boundary of the disk union."""
-    try:
-        return _tangency(p, q)[0]
-    except TypeError as exc:
-        raise unhashable_order_error(exc, p, q) from None
+    return _tangency(p, q)[0]
 
 
 def x_pq(p, q) -> float:
     """Real-axis intercept of the line through rho*_{p,q} with direction
     i rho*_{p,q}; the closed form agrees with |rho*|^2 / Re(rho*)."""
-    try:
-        return _tangency(p, q)[1]
-    except TypeError as exc:
-        raise unhashable_order_error(exc, p, q) from None
+    return _tangency(p, q)[1]
 
 
-@lru_cache(maxsize=128, typed=True)
+@marking_cache
 def _levels(p, q) -> tuple[float, float, float, float]:
     """(S, sigma, 2 sqrt(1 - S^2), 2 + 2 cos(pi/p - pi/q)) of a marking:
     the symmetry constants, the height of the horizontal sides and the
@@ -102,10 +95,7 @@ def _levels(p, q) -> tuple[float, float, float, float]:
 
 def im_bound(p, q) -> float:
     """2 sqrt(1 - S^2), the height of the horizontal boundary lines."""
-    try:
-        return _levels(p, q)[2]
-    except TypeError as exc:
-        raise unhashable_order_error(exc, p, q) from None
+    return _levels(p, q)[2]
 
 
 @dataclass(frozen=True)

@@ -102,6 +102,12 @@ class TestDiskFamily:
         assert arr.shape == rho.shape
         want = np.array([disk_slack(3, 4, complex(z)) for z in rho[:50]])
         assert np.abs(arr[:50] - want).max() < 1e-12
+        # past the float maximum both read a distance as +inf: the scalar
+        # abs() raised OverflowError there once
+        far = -1.7e308 - 1.7e308j
+        for p, q in ((3, 4), (4, 3)):
+            assert disk_slack(p, q, far) == disk_slack_array(p, q, np.array([far]))[0] == math.inf
+            assert_closed_codes_agree(p, q, far)
 
     def test_slack_array_infinite_q(self):
         rho = RNG.uniform(-6.0, 12.0, 100) + 1j * RNG.uniform(-6.0, 6.0, 100)
@@ -223,6 +229,15 @@ class TestLineFamily:
         # distance is measured transversally in units of |anchor|
         d = line_distance(anchor * (1.1 + 3.0j), anchor)
         assert abs(d - 0.1 * abs(anchor)) < 1e-12
+        # past the float maximum |anchor| is +inf; where rho / anchor
+        # overflows the distance is NaN, which is off the line, never on it
+        far = -1.7e308 - 1.7e308j
+        assert line_distance(1j, far) == math.inf
+        cert = cert_line_family(GroupSpec(3, 4, 1j), far)
+        assert not cert.certified and cert.slack == math.inf
+        anchor = -1e308 - 1e308j  # rho / anchor is -1, computed as NaN
+        assert math.isnan(line_distance(-anchor, anchor))
+        assert not cert_line_family(GroupSpec(3, 4, -anchor), anchor).certified
 
 
 class TestGeneralRay:

@@ -112,7 +112,7 @@ class TestCachedCoefficients:
                 assert cusp_residue(slope, p, q, z).hex() == want_residue.hex()
 
     def test_cache_is_read_only_and_farey_poly_owns_its_copy(self):
-        coefficients = farey._coefficients((1, 3), 3, 4)
+        coefficients = farey._coefficients(3, 4, (1, 3))
         assert not coefficients.flags.writeable
         with pytest.raises(ValueError):
             coefficients[0] = 0.0

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobcert.certificates import disk_centers_elliptic
+from mobcert.certificates import disk_centers_elliptic, disk_slack
+from mobcert.lambda_region import lambda_slack
 from mobcert.mobius import (
     EPS_ALG,
     GroupSpec,
     InvalidInputError,
+    check_marking,
     det2,
     gamma_of,
     inv2,
@@ -22,6 +24,7 @@ from mobcert.mobius import (
     symmetry_image,
     tr2,
 )
+from mobcert.omega import xi
 
 RNG = np.random.default_rng(20260814)
 
@@ -217,14 +220,17 @@ class TestSectorNormalization:
             assert abs(t1 - t2) < 1e-9 * max(1.0, abs(t1))
 
     def test_preconditions(self):
-        # orders are integers >= 2 or inf; the symmetry image needs finite ones
-        for bad in (1, 0, -3, 2.5, math.nan):
-            with pytest.raises(InvalidInputError):
-                pi_over(bad)
-            with pytest.raises(InvalidInputError):
-                GroupSpec(bad, 3, 1.0)
-            with pytest.raises(InvalidInputError):
-                GroupSpec(3, bad, 1.0)
+        # orders are integers >= 2 or inf, and no array is one, not even one
+        # equal to inf; the symmetry image needs finite ones
+        for bad in (1, 0, -3, 2.5, math.nan, np.array(np.inf), np.array([np.inf]), np.array([np.inf, np.inf])):
+            calls = (lambda: pi_over(bad), lambda: GroupSpec(bad, 3, 1.0), lambda: GroupSpec(3, bad, 1.0),
+                     lambda: check_marking(bad, 3), lambda: xi(bad), lambda: disk_slack(bad, 3, 1j),
+                     lambda: lambda_slack(bad, 3, 2j))
+            for call in calls:
+                with pytest.raises(InvalidInputError):
+                    call()
+        for inf in (math.inf, np.float64("inf"), np.float32("inf")):
+            assert pi_over(inf) == 0.0 and xi(inf) == 2.0 * math.sqrt(3.0) and GroupSpec(inf, 3, 1.0).p == inf
         for p, q in ((math.inf, 3), (3, math.inf)):
             with pytest.raises(InvalidInputError):
                 symmetry_image(GroupSpec(p, q, 1.0))

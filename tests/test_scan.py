@@ -124,23 +124,28 @@ class TestTypedCaches:
         for mode in ("combined", "disks"):
             run_scan(ScanJob(3, 4, window, 2, mode))
         lambda_slack_rho(3, 4, z)
+        rho_from_lambda(3, 4, 2.0)
         solve_cusp((1, 3), 3, 4)
+        farey_poly((1, 3), 3, 4)
+        disk_slack_array(3, 4, z)
         build_omega(3, 4)
         with pytest.raises(InvalidInputError):
             combined_codes_array(p, 4, z)
         for mode in ("combined", "disks"):
             with pytest.raises(InvalidInputError):
                 run_scan(ScanJob(p, 4, window, 2, mode))
-        for call in (lambda: lambda_slack_rho(p, 4, z), lambda: solve_cusp((1, 3), p, 4),
-                     lambda: cusp_residue((1, 3), p, 4, 1j), lambda: rho_star(p, 4),
-                     lambda: x_pq(p, 4), lambda: im_bound(p, 4), lambda: build_omega(p, 4)):
+        for call in (lambda: lambda_slack_rho(p, 4, z), lambda: rho_from_lambda(p, 4, 2.0),
+                     lambda: solve_cusp((1, 3), p, 4), lambda: farey_poly((1, 3), p, 4),
+                     lambda: cusp_residue((1, 3), p, 4, 1j), lambda: disk_slack_array(p, 4, z),
+                     lambda: rho_star(p, 4), lambda: x_pq(p, 4), lambda: im_bound(p, 4),
+                     lambda: build_omega(p, 4)):
             with pytest.raises(InvalidInputError):
                 call()
 
     # an unhashable value (a 0-d array, a list) is no order, and the caches
     # keyed by a marking cannot hash it: every entry point raises the order
     # rule's error for it, as GroupSpec and the uncached disk_slack do
-    @pytest.mark.parametrize("bad", [np.array(3), [3]], ids=["0-d array", "list"])
+    @pytest.mark.parametrize("bad", [np.array(3), [3], np.array(np.inf)], ids=["0-d array", "list", "0-d inf"])
     def test_an_unhashable_order_is_no_order(self, bad):
         z = np.array([9.0 + 0j])
         calls = (
@@ -154,7 +159,7 @@ class TestTypedCaches:
             lambda: cert_combined(GroupSpec(bad, 4, 1j)),
         )
         for call in calls:
-            with pytest.raises(InvalidInputError, match=r"must be an integer >= 2 or inf, got (array\(3\)|\[3\])$"):
+            with pytest.raises(InvalidInputError, match=r"must be an integer >= 2 or inf, got (array\(3\)|\[3\]|array\(inf\))$"):
                 call()
         # an unhashable argument that is not an order keeps its TypeError
         with pytest.raises(TypeError, match="unhashable"):
