@@ -266,10 +266,16 @@ def line_distance(rho: complex, anchor: complex) -> float:
     """Transverse distance from rho to the line {anchor (1 + i t)}.
 
     The line passes through the anchor in direction i*anchor, so the
-    distance is |Re(rho/anchor) - 1| * |anchor|; NaN where rho / anchor
-    overflows to inf / inf.
+    distance is |Re(rho/anchor) - 1| * |anchor|.  Where the quotient is not
+    finite (from |anchor| ~ 2^1023 it overflows to inf / inf), it is taken
+    again with both operands scaled by the power of two that brings the
+    anchor's larger part into [0.5, 1); a finite quotient is kept as it is.
     """
-    return abs((rho / anchor).real - 1.0) * _modulus(anchor)
+    ratio = rho / anchor
+    if not cmath.isfinite(ratio):
+        scale = math.ldexp(1.0, -math.frexp(max(abs(anchor.real), abs(anchor.imag)))[1])
+        ratio = (rho * scale) / (anchor * scale)
+    return abs(ratio.real - 1.0) * _modulus(anchor)
 
 
 def cert_line_family(spec: GroupSpec, anchor: complex) -> Certificate:

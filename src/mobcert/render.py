@@ -18,6 +18,8 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import operator
+from itertools import chain
 
 import numpy as np
 
@@ -50,6 +52,14 @@ def _fmt(v: float) -> str:
     return "0.000" if out == "-0.000" else out
 
 
+def _fmt_all(template: str, *columns) -> str:
+    """template % the columns' values, taken row by row, with each %.3f
+    field written as _fmt writes it: every "-0.000" of the text becomes
+    "0.000", so only a %.3f field may produce one."""
+    values = chain.from_iterable(zip(*(np.asarray(c).tolist() for c in columns)))
+    return (template % tuple(values)).replace("-0.000", "0.000")
+
+
 def _g12(v: float) -> str:
     """12-significant-digit decimal used by all CSV writers."""
     return f"{float(v):.12g}"
@@ -76,7 +86,8 @@ class _Frame:
         self.width = (self.x_max - self.x_min) * SCALE
         self.height = (self.y_max - self.y_min) * SCALE
 
-    def to_px(self, z: complex) -> tuple[float, float]:
+    def to_px(self, z):
+        """(x, y) of a complex z, or of each point of a complex array."""
         return ((z.real - self.x_min) * SCALE, (self.y_max - z.imag) * SCALE)
 
 
@@ -286,19 +297,6 @@ def scan_pgm(result: ScanResult) -> bytes:
     return b"".join((f"P2\n{res} {res}\n5\n".encode("ascii"), body))
 
 
-def _ray_disk_exit(e: complex, offsets) -> float:
-    """Largest t with center + t e inside some radius-2 disk, for the unit
-    vector e and the (center - c, |center - c|^2 - 4) of each disk centre c."""
-    t_max = 0.0
-    for d, k in offsets:
-        b = (d * e.conjugate()).real
-        disc = b * b - k
-        if disc <= 0.0:
-            continue
-        t_max = max(t_max, -b + math.sqrt(disc))
-    return t_max
-
-
 def _ray_lambda_exits(p, q, center: complex, es: list[complex], t_hi: float) -> np.ndarray:
     """Per ray from center = sigma/2, the exit t* of center + t e along the
     unit vector e in es from the set that fails the closed lambda row; t_hi
@@ -321,15 +319,42 @@ def _ray_lambda_exits(p, q, center: complex, es: list[complex], t_hi: float) -> 
     Every point evaluated lies within t_hi of center, so the row's slack
     lambda_slack_rho cannot overflow here and is called without the
     overflow guard of LAMBDA_REGION.slack.
+
+    The steps run in buffers allocated once per call, which hold the same
+    floats as fresh arrays would: mid = (lo + hi) * 0.5, rho = mid e + center.
     """
     es = np.array(es)
     lo, hi = np.zeros(len(es)), np.full(len(es), t_hi)
+    mid, rho, miss = np.empty_like(lo), np.empty_like(es), np.empty(len(es), dtype=bool)
     for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        ok = LAMBDA_REGION.passes(lambda_slack_rho(p, q, center + mid * es))
-        hi = np.where(ok, mid, hi)
-        lo = np.where(ok, lo, mid)
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        np.multiply(mid, es, out=rho)
+        rho += center
+        ok = LAMBDA_REGION.passes(lambda_slack_rho(p, q, rho))
+        np.copyto(hi, mid, where=ok)
+        np.copyto(lo, mid, where=np.logical_not(ok, out=miss))
     return 0.5 * (lo + hi)
+
+
+def _ray_disk_exits(center: complex, es: list[complex], centers) -> np.ndarray:
+    """Per unit vector e in es, the largest t >= 0 with center + t e inside
+    some radius-2 disk about a point of centers, or 0 where there is none.
+
+    With d = center - c and k = |d|^2 - 4, the ray meets the disk about c
+    where t^2 + 2bt + k = 0, b = Re(d conj(e)), and leaves it at
+    -b + sqrt(b^2 - k) where b^2 - k > 0.  b is Re d Re e + Im d Im e,
+    which is CPython's (d * e.conjugate()).real bit for bit.
+    """
+    ds = [center - c for c in centers]
+    k = np.array([abs(d) ** 2 - 4.0 for d in ds])[:, None]
+    d = np.array(ds)[:, None]
+    e = np.array(es)
+    b = d.real * e.real + d.imag * e.imag
+    disc = b * b - k
+    hit = disc > 0.0
+    root = np.sqrt(disc, out=np.zeros_like(disc), where=hit)
+    return np.where(hit, root - b, 0.0).max(axis=0, initial=0.0)
 
 
 def _rays(p, q, thetas: list[float]) -> tuple[complex, float, list[complex]]:
@@ -353,11 +378,9 @@ def compare_lambda_data(p, q, n: int = 360) -> list[dict]:
     thetas = [2.0 * math.pi * k / n for k in range(n)]
     center, t_hi, es = _rays(p, q, thetas)
     t_lambda = _ray_lambda_exits(p, q, center, es, t_hi).tolist()
-    centers = disk_centers_elliptic(*dominant_marking(p, q))
-    offsets = [(center - c, abs(center - c) ** 2 - 4.0) for c in centers]
+    t_disks = _ray_disk_exits(center, es, disk_centers_elliptic(*dominant_marking(p, q))).tolist()
     rows = []
-    for theta, e, t_l in zip(thetas, es, t_lambda):
-        t_d = _ray_disk_exit(e, offsets)
+    for theta, t_d, t_l in zip(thetas, t_disks, t_lambda):
         if t_l < t_d - 1e-6:
             winner = "lambda"
         elif t_d < t_l - 1e-6:
@@ -368,11 +391,14 @@ def compare_lambda_data(p, q, n: int = 360) -> list[dict]:
     return rows
 
 
+_ROW_FIELDS = operator.itemgetter("theta", "t_disks", "t_lambda", "winner")
+
+
 def compare_lambda_csv(rows: list[dict]) -> bytes:
-    lines = ["theta,t_disks,t_lambda,winner"]
-    for r in rows:
-        lines.append(f"{_g12(r['theta'])},{_g12(r['t_disks'])},{_g12(r['t_lambda'])},{r['winner']}")
-    return ("\n".join(lines) + "\n").encode("ascii")
+    """Rows theta,t_disks,t_lambda,winner, every number formatted as _g12
+    does, in one % pass over all rows."""
+    text = "theta,t_disks,t_lambda,winner\n" + "%.12g,%.12g,%.12g,%s\n" * len(rows)
+    return (text % tuple(chain.from_iterable(map(_ROW_FIELDS, rows)))).encode("ascii")
 
 
 def compare_lambda_svg(p, q, rows: list[dict]) -> str:
@@ -385,21 +411,22 @@ def compare_lambda_svg(p, q, rows: list[dict]) -> str:
     """
     disks = disk_centers_elliptic(*dominant_marking(p, q))
     center, t_hi, es = _rays(p, q, [2.0 * math.pi * k / 720 for k in range(721)])
-    t_lambda = _ray_lambda_exits(p, q, center, es, t_hi)
-    outline = [center + t * e for e, t in zip(es, t_lambda.tolist())]
-    xs = [z.real for z in outline] + [c.real + s for c in disks for s in (-2, 2)]
-    ys = [z.imag for z in outline] + [c.imag + s for c in disks for s in (-2, 2)]
+    outline = center + _ray_lambda_exits(p, q, center, es, t_hi) * np.array(es)
+    xs = [outline.real.min(), outline.real.max()] + [c.real + s for c in disks for s in (-2, 2)]
+    ys = [outline.imag.min(), outline.imag.max()] + [c.imag + s for c in disks for s in (-2, 2)]
     frame = _Frame(min(xs), max(xs), min(ys), max(ys))
 
     out = [_svg_open(frame.width, frame.height)]
     for c in disks:
         out.append(_svg_circle(frame, c, 2.0, DISK_FILL, opacity=DISK_OPACITY))
-    coords = " ".join("{},{}".format(*map(_fmt, frame.to_px(z))) for z in outline)
+    coords = _fmt_all(" ".join(["%.3f,%.3f"] * len(outline)), *frame.to_px(outline))
     out.append(f'<polyline points="{coords}" fill="none" stroke="#2ca02c" stroke-width="1.5"/>')
-    win_color = {"lambda": "#2ca02c", "disks": "#d33", "tie": "#999999"}
-    for r in rows:
-        t = min(r["t_disks"], r["t_lambda"])
-        z = center + t * cmath.exp(1j * r["theta"])
-        out.append(_svg_circle(frame, z, 0.03, win_color[r["winner"]]))
+    if rows:
+        win_color = {"lambda": "#2ca02c", "disks": "#d33", "tie": "#999999"}
+        t = np.minimum([r["t_disks"] for r in rows], [r["t_lambda"] for r in rows])
+        marks = center + t * np.array([cmath.exp(1j * r["theta"]) for r in rows])
+        marker = f'<circle cx="%.3f" cy="%.3f" r="{_fmt(0.03 * SCALE)}" fill="%s"/>'
+        colors = [win_color[r["winner"]] for r in rows]
+        out.append(_fmt_all("\n".join([marker] * len(rows)), *frame.to_px(marks), colors))
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -230,14 +230,17 @@ class TestLineFamily:
         d = line_distance(anchor * (1.1 + 3.0j), anchor)
         assert abs(d - 0.1 * abs(anchor)) < 1e-12
         # past the float maximum |anchor| is +inf; where rho / anchor
-        # overflows the distance is NaN, which is off the line, never on it
+        # overflows to inf / inf the quotient is taken on scaled operands
         far = -1.7e308 - 1.7e308j
         assert line_distance(1j, far) == math.inf
         cert = cert_line_family(GroupSpec(3, 4, 1j), far)
         assert not cert.certified and cert.slack == math.inf
-        anchor = -1e308 - 1e308j  # rho / anchor is -1, computed as NaN
-        assert math.isnan(line_distance(-anchor, anchor))
+        anchor = -1e308 - 1e308j  # rho / anchor directly is NaN + NaN i
+        assert line_distance(-anchor, anchor) == math.inf  # two lengths off
         assert not cert_line_family(GroupSpec(3, 4, -anchor), anchor).certified
+        assert line_distance(anchor, anchor) == 0.0
+        cert = cert_line_family(GroupSpec(3, 4, anchor), anchor)
+        assert cert.certified and cert.witness == "LineFamily"
 
 
 class TestGeneralRay:

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mobcert.render as render
-from mobcert.certificates import LAMBDA_REGION, cert_disks_elliptic
+from mobcert.certificates import LAMBDA_REGION, cert_disks_elliptic, disk_centers_elliptic, dominant_marking
 from mobcert.cli import main
+from mobcert.lambda_region import lambda_slack_rho
 from mobcert.mobius import GroupSpec, InvalidInputError, sigma_pq
 from mobcert.omega import build_omega, omega_margin
 from mobcert.render import (
@@ -33,6 +34,7 @@ from mobcert.render import (
     scan_svg,
 )
 from mobcert.scan import ScanJob, ScanResult, Window, run_scan
+from test_acceptance import SWEEP_MARKINGS
 
 
 def tiny_result(codes, window=(0.0, 1.0, 0.0, 1.0)):
@@ -330,7 +332,52 @@ class TestScanFormats:
             writer(tiny_result([[0, 1], [bad, 3]]))
 
 
+# Per-ray references: compare-lambda's exits as they were computed before
+# the bisection ran in preallocated buffers and the disk exits became one
+# array expression.  The library must match them bit for bit.
+
+
+def ref_lambda_exits(p, q, center, es, t_hi):
+    es = np.array(es)
+    lo, hi = np.zeros(len(es)), np.full(len(es), t_hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        ok = LAMBDA_REGION.passes(lambda_slack_rho(p, q, center + mid * es))
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid)
+    return (0.5 * (lo + hi)).tolist()
+
+
+def ref_disk_exits(p, q, center, es):
+    offsets = [(center - c, abs(center - c) ** 2 - 4.0) for c in disk_centers_elliptic(*dominant_marking(p, q))]
+    exits = []
+    for e in es:
+        t_max = 0.0
+        for d, k in offsets:
+            b = (d * e.conjugate()).real
+            disc = b * b - k
+            if disc <= 0.0:
+                continue
+            t_max = max(t_max, -b + math.sqrt(disc))
+        exits.append(t_max)
+    return exits
+
+
 class TestCompareLambda:
+    @pytest.mark.parametrize("p, q", SWEEP_MARKINGS + [(2, 5), (5, 2), (3, 2), (1000, 1001), (10**6, 10**6)])
+    def test_exits_match_the_per_ray_references(self, p, q):
+        for n in (1, 7, 48, 360):
+            rows = compare_lambda_data(p, q, n)
+            center, t_hi, es = render._rays(p, q, [r["theta"] for r in rows])
+            assert [r["t_lambda"] for r in rows] == ref_lambda_exits(p, q, center, es, t_hi)
+            assert [r["t_disks"] for r in rows] == ref_disk_exits(p, q, center, es)
+        # the SVG outline's 721 rays
+        center, t_hi, es = render._rays(p, q, [2.0 * math.pi * k / 720 for k in range(721)])
+        t_lambda = render._ray_lambda_exits(p, q, center, es, t_hi).tolist()
+        assert t_lambda == ref_lambda_exits(p, q, center, es, t_hi)
+        centers = disk_centers_elliptic(*dominant_marking(p, q))
+        assert render._ray_disk_exits(center, es, centers).tolist() == ref_disk_exits(p, q, center, es)
+
     def test_rows_and_known_winners(self):
         rows = compare_lambda_data(3, 3, n=8)
         assert len(rows) == 8
@@ -437,7 +484,7 @@ class TestCompareLambda:
 
         monkeypatch.setattr(render, "lambda_slack_rho", counting)
         compare_lambda_data(3, 4, 48)
-        assert 0 < len(calls) <= 61
+        assert len(calls) == 60
         assert set(calls) == {48}
 
     def test_single_ray(self):
