@@ -19,16 +19,11 @@ from .mobius import (
     InvalidInputError,
     PreconditionError,
     UnsupportedError,
-    det2,
     gamma_of,
-    inv2,
-    make_generators,
-    mat2c,
     pi_over,
     sigma_pq,
     sin_sin,
     symmetry_image,
-    tr2,
 )
 from .lambda_region import (
     lambda_from_rho,
@@ -73,11 +68,8 @@ from .farey import FAREY_WORDS, SLOPES, cusp_residue, farey_poly, solve_cusp
 from .burau import (
     ANNULUS_CONJECTURED,
     ANNULUS_PROVED,
-    BurauPoint,
-    burau_generators,
     faithful_certificate,
     faithful_mask,
-    mu_coordinates,
 )
 
 __version__ = "0.1.0"

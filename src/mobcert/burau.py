@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from .certificates import (
     VERDICT_NONE,
 )
 from .lambda_region import lambda_branches
-from .mobius import EPS_ALG, InvalidInputError, mat2c
+from .mobius import EPS_ALG, InvalidInputError
 
 SQRT3 = math.sqrt(3.0)
 
@@ -45,45 +44,6 @@ SQRT3 = math.sqrt(3.0)
 # annulus; the conjectured annulus is the sharper band.
 ANNULUS_PROVED = (3.0 - 2.0 * math.sqrt(2.0), 3.0 + 2.0 * math.sqrt(2.0))
 ANNULUS_CONJECTURED = ((3.0 - math.sqrt(5.0)) / 2.0, (3.0 + math.sqrt(5.0)) / 2.0)
-
-
-def _check_mu(mu: complex) -> complex:
-    mu = complex(mu)
-    if not cmath.isfinite(mu):
-        raise InvalidInputError(f"mu must be finite, got {mu!r}")
-    if mu == 0:
-        raise InvalidInputError("mu must be nonzero")
-    return mu
-
-
-def burau_generators(mu: complex) -> tuple[np.ndarray, np.ndarray]:
-    """The normalized (det 1) generator pair (A, B) at t = mu; A B A = B A B
-    holds projectively."""
-    mu = _check_mu(mu)
-    s = cmath.sqrt(-mu)
-    A = mat2c(-mu / s, 1.0 / s, 0.0, 1.0 / s)
-    B = mat2c(1.0 / s, 0.0, mu / s, -mu / s)
-    return A, B
-
-
-@dataclass(frozen=True)
-class BurauPoint:
-    """Derived coordinates of a Burau specialization t = mu."""
-
-    mu: complex
-    z: complex  # sqrt(mu) - 1/sqrt(mu)
-    lam: complex  # lambda branch with |lam| >= 1
-    lam_other: complex  # the other branch; product of the two is -1
-    rho: complex  # sqrt(3) + i z = i sqrt(mu) + sqrt(3) - i/sqrt(mu)
-
-
-def mu_coordinates(mu: complex) -> BurauPoint:
-    """z, rho and both lambda branches (lam - 1/lam = 2z/sqrt(3))."""
-    mu = _check_mu(mu)
-    r = cmath.sqrt(mu)
-    z = r - 1.0 / r
-    lam, lam_other = lambda_branches(2.0 * z / SQRT3)
-    return BurauPoint(mu=mu, z=z, lam=lam, lam_other=lam_other, rho=SQRT3 + 1j * z)
 
 
 def faithful_certificate(mu: complex) -> Certificate:
@@ -96,12 +56,19 @@ def faithful_certificate(mu: complex) -> Certificate:
     the boundary.  The detail carries z, rho and the lambda branches
     (larger first).
     """
-    pt = mu_coordinates(mu)
-    slack = LAMBDA_REGION.slack(3, 2, pt.rho)
-    detail = {"z": pt.z, "lambda_branches": (pt.lam, pt.lam_other), "rho": pt.rho}
+    mu = complex(mu)
+    if not cmath.isfinite(mu):
+        raise InvalidInputError(f"mu must be finite, got {mu!r}")
+    if mu == 0:
+        raise InvalidInputError("mu must be nonzero")
+    r = cmath.sqrt(mu)
+    z = r - 1.0 / r
+    rho = SQRT3 + 1j * z
+    detail = {"z": z, "lambda_branches": lambda_branches(2.0 * z / SQRT3), "rho": rho}
+    slack = LAMBDA_REGION.slack(3, 2, rho)
     # abs() of a complex raises OverflowError past the float maximum; the
     # real-part test first keeps it to mu near -1
-    if abs(pt.mu.real + 1.0) <= EPS_ALG and abs(pt.mu + 1.0) <= EPS_ALG:
+    if abs(mu.real + 1.0) <= EPS_ALG and abs(mu + 1.0) <= EPS_ALG:
         detail["exception"] = "mu = -1"
         return Certificate(VERDICT_NONE, None, slack, CODE_NONE, detail)
     if LAMBDA_REGION.passes(slack):

@@ -62,8 +62,11 @@ combined_codes_array runs the rows over an array, the disks and lambda scan
 modes run single rows, and cert_combined is the size-1 case, so certify and
 a scan give a point that a closed row decides one code and one slack.  The
 scalar per-stage tests (cert_disks_elliptic, cert_im_bound, cert_lambda,
-cert_line_family) apply a row's rule to a slack computed in scalar
-arithmetic: they are the independent references for checking a witness.
+cert_line_family) apply a row's rule to a slack taken at one Python
+complex: three re-run their row's formula in scalar arithmetic, and
+cert_lambda runs the row's own lambda_slack_rho.  They catch faults in
+the array path only, not in a row's formula; the lambda formula's
+independent check is lambda_slack, the paper's formula in lambda space.
 """
 
 from __future__ import annotations

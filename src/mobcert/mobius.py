@@ -1,6 +1,5 @@
 """Core types for two-generator Mobius groups with elliptic generators.
 
-Matrices are 2x2 complex numpy arrays normalized to determinant 1.
 Group parameters follow the (p, q, rho) convention:
 
     A = [[alpha, 1], [0, 1/alpha]],   alpha = exp(i*pi/p)
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-EPS_ALG = 1e-12  # algebraic identities (traces, determinants)
+EPS_ALG = 1e-12  # the float tolerance of every slack rule and equality test
 _ORDER_MAX = int(sys.float_info.max)  # the largest order: past it, pi/n overflows converting n
 
 
@@ -126,49 +125,11 @@ class GroupSpec:
         object.__setattr__(self, "rho", rho)
 
     @property
-    def alpha(self) -> complex:
-        return cmath.exp(1j * pi_over(self.p))
-
-    @property
-    def beta(self) -> complex:
-        return cmath.exp(1j * pi_over(self.q))
-
-    @property
     def sigma(self) -> float:
         return sigma_pq(self.p, self.q)
 
     def swapped(self) -> "GroupSpec":
         return GroupSpec(self.q, self.p, self.rho)
-
-
-def mat2c(a, b, c, d) -> np.ndarray:
-    """2x2 complex matrix from entries."""
-    return np.array([[a, b], [c, d]], dtype=complex)
-
-
-def det2(m: np.ndarray) -> complex:
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-
-
-def tr2(m: np.ndarray) -> complex:
-    return m[0, 0] + m[1, 1]
-
-
-def inv2(m: np.ndarray) -> np.ndarray:
-    """Inverse of a det-1 matrix (adjugate)."""
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex)
-
-
-def make_generators(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The marked generators (A, B) for a spec; errors on degenerate specs."""
-    check_marking(spec.p, spec.q)
-    if spec.rho == 0:
-        raise InvalidInputError("rho = 0 gives a reducible pair")
-    a = spec.alpha
-    b = spec.beta
-    A = mat2c(a, 1.0, 0.0, 1.0 / a)
-    B = mat2c(b, 0.0, spec.rho, 1.0 / b)
-    return A, B
 
 
 def gamma_of(spec: GroupSpec) -> complex:

@@ -14,7 +14,6 @@ from mobcert.burau import (
     ANNULUS_CONJECTURED,
     faithful_certificate,
     faithful_mask,
-    mu_coordinates,
 )
 from mobcert.certificates import (
     anchor_search,
@@ -32,17 +31,15 @@ from mobcert.mobius import (
     EPS_ALG,
     GroupSpec,
     PreconditionError,
-    inv2,
-    make_generators,
     gamma_of,
     pi_over,
     sigma_pq,
     sin_sin,
-    tr2,
 )
 from mobcert.omega import boundary_cusps, build_omega, im_bound, omega_margin, rho_star, x_pq
 from mobcert.render import _ray_lambda_exits, region_svg, scan_csv, scan_svg
 from mobcert.scan import ScanJob, Window, run_scan
+from words import word_trace
 
 RNG = np.random.default_rng(20260814)
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -67,9 +64,7 @@ def test_criterion_01_trace_identity():
         if rho == 0:
             rho = 1.0 + 0.5j
         spec = GroupSpec(p, q, rho)
-        a, b = make_generators(spec)
-        commutator = a @ b @ inv2(a) @ inv2(b)
-        err = abs((tr2(commutator) - 2.0) - gamma_of(spec))
+        err = abs((word_trace(p, q, rho, "ABab") - 2.0) - gamma_of(spec))
         worst = max(worst, err)
     assert worst < 1e-10
     _ok(1, f"trace identity on {n} random (p,q,rho), worst |error| = {worst:.3e} < 1e-10")
@@ -193,16 +188,16 @@ def test_criterion_06_sharpness_at_cusps():
 def test_criterion_07_burau_sharp_points():
     """Sharp points of the Burau certificate and the conjectured annulus."""
     mu_plus = (3.0 + math.sqrt(5.0)) / 2.0
-    pt = mu_coordinates(mu_plus)
-    assert abs(pt.z - 1.0) < 1e-12
-    boundary_gap = abs(max(abs(pt.z + cmath.sqrt(pt.z**2 + 3)),
-                           abs(pt.z - cmath.sqrt(pt.z**2 + 3))) - 3.0)
+    cert = faithful_certificate(mu_plus)
+    z = cert.detail["z"]
+    assert abs(z - 1.0) < 1e-12
+    boundary_gap = abs(max(abs(z + cmath.sqrt(z**2 + 3)),
+                           abs(z - cmath.sqrt(z**2 + 3))) - 3.0)
     assert boundary_gap < 1e-12
-    assert faithful_certificate(mu_plus).certified
+    assert cert.certified
 
-    pt_neg = mu_coordinates(-1.0 + 0.0j)
     branches = sorted(
-        (math.sqrt(3.0) * pt_neg.lam, math.sqrt(3.0) * pt_neg.lam_other),
+        (math.sqrt(3.0) * lam for lam in faithful_certificate(-1.0 + 0.0j).detail["lambda_branches"]),
         key=abs,
     )
     assert abs(branches[1] - 3j) < 1e-12 and abs(branches[0] - 1j) < 1e-12

@@ -13,17 +13,16 @@ from hypothesis import strategies as st
 from mobcert.burau import (
     ANNULUS_CONJECTURED,
     ANNULUS_PROVED,
-    burau_generators,
     burau_slack_array,
     faithful_certificate,
     faithful_mask,
-    mu_coordinates,
 )
 from mobcert.certificates import LAMBDA_REGION
 from mobcert.lambda_region import lambda_slack, lambda_slack_rho
-from mobcert.mobius import EPS_ALG, InvalidInputError, det2, inv2, sigma_pq, tr2
+from mobcert.mobius import EPS_ALG, InvalidInputError, sigma_pq
 from mobcert.render import scan_csv, scan_pgm
 from mobcert.scan import ScanJob, Window, run_scan
+from words import burau_pair, trace_of
 
 SQRT3 = math.sqrt(3.0)
 MU_SHARP = (3.0 + math.sqrt(5.0)) / 2.0
@@ -44,23 +43,20 @@ class TestGenerators:
     @given(mu=mu_values)
     @settings(max_examples=80, deadline=None)
     def test_braid_relation_and_det(self, mu):
-        A, B = burau_generators(mu)
-        assert abs(det2(A) - 1.0) < 1e-9
-        assert abs(det2(B) - 1.0) < 1e-9
+        A, B = burau_pair(mu)
+        assert abs(np.linalg.det(A) - 1.0) < 1e-9
+        assert abs(np.linalg.det(B) - 1.0) < 1e-9
         # the defining B_3 relation ABA = BAB survives specialization
         lhs = A @ B @ A
         rhs = B @ A @ B
         assert np.abs(lhs - rhs).max() < 1e-9 * max(1.0, np.abs(lhs).max())
 
     def test_rejects_zero(self):
-        with pytest.raises(InvalidInputError):
-            burau_generators(0.0)
-
+        with pytest.raises(InvalidInputError, match="^mu must be nonzero$"):
+            faithful_certificate(0.0)
 
     @pytest.mark.parametrize("mu", [complex("nan"), complex("inf"), complex("nan+1j")], ids=["nan", "inf", "nan+1j"])
     def test_rejects_non_finite(self, mu):
-        with pytest.raises(InvalidInputError):
-            mu_coordinates(mu)
         with pytest.raises(InvalidInputError):
             faithful_certificate(mu)
 
@@ -71,31 +67,31 @@ class TestCoordinates:
     def test_gamma_identity(self, mu):
         # tr[A, B] - 2 = -(z^2 + 3) links the braid matrices to the
         # (3, 2) marking with rho = sqrt(3) + i z.
-        A, B = burau_generators(mu)
-        pt = mu_coordinates(mu)
-        gamma = tr2(A @ B @ inv2(A) @ inv2(B)) - 2.0
-        assert abs(gamma - (-(pt.z**2 + 3.0))) < 1e-8 * max(1.0, abs(gamma))
+        z = faithful_certificate(mu).detail["z"]
+        gamma = trace_of(*burau_pair(mu), "ABab") - 2.0
+        assert abs(gamma - (-(z**2 + 3.0))) < 1e-8 * max(1.0, abs(gamma))
 
     @given(mu=mu_values)
     @settings(max_examples=80, deadline=None)
     def test_z_and_branches(self, mu):
-        pt = mu_coordinates(mu)
+        d = faithful_certificate(mu).detail
+        z, (lam, lam_other) = d["z"], d["lambda_branches"]
         r = cmath.sqrt(mu)
-        assert abs(pt.z - (r - 1.0 / r)) < 1e-10 * max(1.0, abs(pt.z))
+        assert abs(z - (r - 1.0 / r)) < 1e-10 * max(1.0, abs(z))
         # sqrt(3) lambda = z +- sqrt(z^2 + 3), branch product -1
-        for lam in (pt.lam, pt.lam_other):
-            v = SQRT3 * lam
-            assert abs(v * v - 2.0 * pt.z * v - 3.0) < 1e-8 * max(1.0, abs(v) ** 2)
-        assert abs(pt.lam * pt.lam_other + 1.0) < 1e-9
-        assert abs(pt.lam) >= abs(pt.lam_other) - 1e-12
-        assert abs(pt.rho - (SQRT3 + 1j * pt.z)) < 1e-12
+        for branch in (lam, lam_other):
+            v = SQRT3 * branch
+            assert abs(v * v - 2.0 * z * v - 3.0) < 1e-8 * max(1.0, abs(v) ** 2)
+        assert abs(lam * lam_other + 1.0) < 1e-9
+        assert abs(lam) >= abs(lam_other) - 1e-12
+        assert abs(d["rho"] - (SQRT3 + 1j * z)) < 1e-12
 
     def test_rho_of_mu_both_branches_sum_to_sigma(self):
         # the other branch -sqrt(mu) flips z, and gives the symmetry partner
         # of rho under the (3, 2) marking, sigma = 2 sqrt(3)
         mu = 4.0 + 1.0j
         r = -cmath.sqrt(mu)
-        rho1 = mu_coordinates(mu).rho
+        rho1 = faithful_certificate(mu).detail["rho"]
         rho2 = SQRT3 + 1j * (r - 1.0 / r)
         assert abs((rho1 + rho2) - sigma_pq(3, 2)) < 1e-12
 
@@ -106,19 +102,19 @@ class TestCoordinates:
     def test_tiny_mu_finite_and_faithful(self, mu):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pt = mu_coordinates(mu)
             cert = faithful_certificate(mu)
             slack = burau_slack_array(np.array([mu]))[0]
             ok = faithful_mask(np.array([mu]))[0]
-        assert all(cmath.isfinite(v) for v in (pt.z, pt.lam, pt.lam_other, pt.rho))
+        z, (lam, lam_other), rho = cert.detail["z"], cert.detail["lambda_branches"], cert.detail["rho"]
+        assert all(cmath.isfinite(v) for v in (z, lam, lam_other, rho))
         # sqrt(3) lam = z (1 + sqrt(1 + 3/z^2)), branch product -1
-        assert abs(SQRT3 * pt.lam / pt.z - 2.0) < 1e-12
-        assert abs(pt.lam * pt.lam_other + 1.0) < 1e-12
+        assert abs(SQRT3 * lam / z - 2.0) < 1e-12
+        assert abs(lam * lam_other + 1.0) < 1e-12
         assert cert.verdict == "Faithful" and ok
         assert math.isfinite(cert.slack) and math.isfinite(slack)
         # the rho-plane slack of the (3, 2) lambda row, about |rho| here
         assert math.isclose(slack, cert.slack, rel_tol=1e-12)
-        assert math.isclose(slack, row_slack_of_modulus(abs(pt.lam)), rel_tol=1e-12)
+        assert math.isclose(slack, row_slack_of_modulus(abs(lam)), rel_tol=1e-12)
 
     def test_finite_square_keeps_the_direct_formula(self):
         # where w^2 = (2z/sqrt(3))^2 is finite the large branch is the direct
@@ -133,9 +129,9 @@ class TestCoordinates:
             rs = cmath.sqrt(m)
             w = 2.0 * (rs - 1.0 / rs) / SQRT3
             root = cmath.sqrt(w * w + 4.0)
-            pt = mu_coordinates(m)
-            assert pt.lam == max((w + root) / 2.0, (w - root) / 2.0, key=abs)
-            assert pt.lam_other == -1.0 / pt.lam
+            lam, lam_other = faithful_certificate(m).detail["lambda_branches"]
+            assert lam == max((w + root) / 2.0, (w - root) / 2.0, key=abs)
+            assert lam_other == -1.0 / lam
 
     @pytest.mark.parametrize("mu", [1e16j, 1e308])
     def test_small_branch_keeps_its_digits(self, mu):
@@ -144,20 +140,21 @@ class TestCoordinates:
         # exactly 0 at 1e308
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pt = mu_coordinates(mu)
-        assert abs(pt.lam * pt.lam_other + 1.0) < 1e-15
-        w = 2.0 * pt.z / SQRT3
-        assert abs(pt.lam + pt.lam_other - w) < 1e-15 * abs(w)
-        assert pt.lam_other != 0
+            d = faithful_certificate(mu).detail
+        lam, lam_other = d["lambda_branches"]
+        assert abs(lam * lam_other + 1.0) < 1e-15
+        w = 2.0 * d["z"] / SQRT3
+        assert abs(lam + lam_other - w) < 1e-15 * abs(w)
+        assert lam_other != 0
 
 
 class TestFaithfulness:
     def test_sharp_modulus_point(self):
         # mu = (3 + sqrt(5))/2: z = 1 exactly, branches {3, -1}/sqrt(3),
         # slack exactly zero -- certified by the closed inequality.
-        pt = mu_coordinates(MU_SHARP)
-        assert abs(pt.z - 1.0) < 1e-12
-        branch_vals = sorted([SQRT3 * pt.lam, SQRT3 * pt.lam_other], key=lambda v: abs(v))
+        d = faithful_certificate(MU_SHARP).detail
+        assert abs(d["z"] - 1.0) < 1e-12
+        branch_vals = sorted([SQRT3 * lam for lam in d["lambda_branches"]], key=lambda v: abs(v))
         assert abs(branch_vals[1] - 3.0) < 1e-9
         assert abs(branch_vals[0] + 1.0) < 1e-9
         cert = faithful_certificate(MU_SHARP)
@@ -167,9 +164,9 @@ class TestFaithfulness:
     def test_minus_one_excluded(self):
         # mu = -1: z = 2i, branches {3i, i}/sqrt(3); modulus reaches the
         # threshold but the point itself is the known unfaithful exception.
-        pt = mu_coordinates(-1.0 + 0.0j)
-        assert abs(pt.z - 2j) < 1e-12
-        vals = sorted([SQRT3 * pt.lam, SQRT3 * pt.lam_other], key=lambda v: abs(v))
+        d = faithful_certificate(-1.0 + 0.0j).detail
+        assert abs(d["z"] - 2j) < 1e-12
+        vals = sorted([SQRT3 * lam for lam in d["lambda_branches"]], key=lambda v: abs(v))
         assert abs(vals[1] - 3j) < 1e-9
         assert abs(vals[0] - 1j) < 1e-9
         cert = faithful_certificate(-1.0 + 0.0j)
@@ -195,12 +192,12 @@ class TestFaithfulness:
         # Faithful, where the lambda-space rule |lambda| - sqrt(3) >= -EPS_ALG
         # gave NoCertificate
         mu = -0.9848190887401111 + 0.014954296729401247j
-        pt = mu_coordinates(mu)
-        assert -2e-12 < lambda_slack(3, 2, pt.lam) < -EPS_ALG
         cert = faithful_certificate(mu)
+        lam = cert.detail["lambda_branches"][0]
+        assert -2e-12 < lambda_slack(3, 2, lam) < -EPS_ALG
         assert cert.verdict == "Faithful"
         assert -EPS_ALG <= cert.slack < 0.0
-        assert math.isclose(cert.slack, lambda_slack(3, 2, pt.lam) / SQRT3, rel_tol=1e-2)
+        assert math.isclose(cert.slack, lambda_slack(3, 2, lam) / SQRT3, rel_tol=1e-2)
         assert faithful_mask(np.array([mu]))[0]
 
     @given(mu=mu_values)
@@ -273,10 +270,10 @@ class TestAnnuli:
         mu = mu[np.abs(mu) > 0.05]
         arr = burau_slack_array(mu)
         for v, m in zip(arr, mu):
-            pt = mu_coordinates(complex(m))
-            assert abs(v - faithful_certificate(complex(m)).slack) < 1e-14
-            assert abs(v - LAMBDA_REGION.slack(3, 2, pt.rho)) < 1e-14
-            assert abs(v - row_slack_of_modulus(abs(pt.lam))) < 1e-9
+            cert = faithful_certificate(complex(m))
+            assert abs(v - cert.slack) < 1e-14
+            assert abs(v - LAMBDA_REGION.slack(3, 2, cert.detail["rho"])) < 1e-14
+            assert abs(v - row_slack_of_modulus(abs(cert.detail["lambda_branches"][0]))) < 1e-9
 
     @pytest.mark.parametrize(
         "window, res, csv_sha, pgm_sha",

@@ -52,16 +52,12 @@ from mobcert.mobius import (
     GroupSpec,
     InvalidInputError,
     PreconditionError,
-    det2,
     gamma_of,
-    inv2,
-    make_generators,
     sigma_pq,
-    tr2,
 )
 from mobcert.omega import boundary_cusps, build_omega, omega_margin, rho_star
 from mobcert.render import region_polygon
-from words import word_trace
+from words import generators, trace_of, word_trace
 
 RNG = np.random.default_rng(20260814)
 
@@ -141,10 +137,9 @@ class TestDisksGeneral:
             if p == 2 and q == 2:
                 continue
             rho = complex(*RNG.normal(0, 3, 2))
-            spec = GroupSpec(p, q, rho)
-            _, B = make_generators(spec)
+            A, B = generators(p, q, rho)
             a, c, d = B[0, 0], B[1, 0], B[1, 1]
-            al = spec.alpha
+            al = A[0, 0]
             t = al - al.conjugate()
             moduli = (
                 abs(c - d * t),
@@ -159,8 +154,8 @@ class TestDisksGeneral:
         # trace is 2 (gamma = 0), and no stage of the cascade certifies it.
         p, q = 3, 4
         spec = GroupSpec(p, q, complex(sigma_pq(p, q)))
-        A, B = make_generators(spec)
-        assert abs(tr2(A @ B @ inv2(A) @ inv2(B)) - 2.0) < 1e-12
+        _, B = generators(p, q, spec.rho)
+        assert abs(word_trace(p, q, spec.rho, "ABab") - 2.0) < 1e-12
         assert gamma_of(spec) == 0
         fixed = 0.5j / math.sin(math.pi / p)  # A's finite fixed point
         image = (B[0, 0] * fixed + B[0, 1]) / (B[1, 0] * fixed + B[1, 1])
@@ -172,24 +167,20 @@ class TestDisksGeneral:
     def test_upper_triangular_shares_infinity(self):
         # A fixes infinity, so any upper-triangular Y shares that fixed point
         # and the commutator trace tr[A, Y] is exactly 2.
-        A, _ = make_generators(GroupSpec(3, 4, 1.0))
+        A, _ = generators(3, 4, 1.0)
         for Y in (
             np.array([[2.0, 1.0], [0.0, 0.5]], dtype=complex),
             np.array([[1j, 3.0 - 1j], [0.0, -1j]], dtype=complex),
         ):
-            assert abs(tr2(A @ Y @ inv2(A) @ inv2(Y)) - 2.0) < 1e-12
+            assert abs(trace_of(A, Y, "ABab") - 2.0) < 1e-12
 
     def test_det_check(self):
-        # inv2 is the adjugate: the inverse only of a det-1 matrix, which the
-        # generators are; for det 4 it gives 4 times the inverse.
+        # the generators have det 1
         for _ in range(10):
             p, q = (int(v) for v in RNG.integers(3, 10, 2))
-            for m in make_generators(GroupSpec(p, q, complex(*RNG.normal(0, 3, 2)))):
-                assert abs(det2(m) - 1.0) < EPS_ALG
-                assert np.abs(m @ inv2(m) - np.eye(2)).max() < 1e-10
-        Y = np.array([[2.0, 0.0], [1.0, 2.0]], dtype=complex)
-        assert det2(Y) == 4.0
-        assert np.abs(Y @ inv2(Y) - 4.0 * np.eye(2)).max() == 0
+            for m in generators(p, q, complex(*RNG.normal(0, 3, 2))):
+                assert abs(np.linalg.det(m) - 1.0) < EPS_ALG
+                assert np.abs(m @ np.linalg.inv(m) - np.eye(2)).max() < 1e-10
 
     def test_order_two_allowed(self):
         # p = 2 has no (p, q) disk family, but the DisksGeneral stage runs
@@ -872,6 +863,22 @@ class TestCombined:
             assert rho == 0 or abs(word_trace(p, q, rho, word) - 2.0 * math.cos(theta)) < 1e-9
             cert = cert_combined(GroupSpec(p, q, complex(rho)))
             assert not cert.certified or abs(cert.slack) <= EPS_ALG
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 18: the closed rule slack >= -EPS_ALG certifies inside the band",
+    )
+    def test_no_certificate_just_below_the_zero_one_cusp(self):
+        # 5e-13 below the 0/1 cusp rho = 2 + 2 cos(pi/p - pi/q) (3.9318516525776364
+        # at (3, 4)), tr Ab = 2 cos(pi/p - pi/q) - rho is real and in (-2, 2):
+        # Ab has infinite order and is elliptic, so no row may certify.  The
+        # LambdaRegion row's slack is about -5e-13 there, which the closed
+        # rule accepts.
+        for p, q in [(3, 3), (3, 4), (5, 9), (7, 7), (3, 10)]:
+            rho = 2.0 + 2.0 * math.cos(math.pi / p - math.pi / q) - 5e-13
+            t = word_trace(p, q, rho, "Ab")
+            assert -2.0 < t.real < 2.0 and abs(t.imag) < 1e-12
+            assert cert_combined(GroupSpec(p, q, rho)).verdict == "NoCertificate"
 
 
 # orders from 2 to 10^9 and inf; magnitudes of rho from 1e-300 to 1e300

@@ -338,7 +338,7 @@ class TestScan:
         assert ei.value.code == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize("workers", ["0", "-1", "-3"])
     def test_workers_below_one_exit_3(self, capsys, tmp_path, monkeypatch, workers):
         # --workers selects nothing, but a count below 1 still exits 3
         # before any scan work

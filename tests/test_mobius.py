@@ -1,4 +1,5 @@
-"""Matrix layer: group specs, generators, traces, gamma, symmetry image."""
+"""Group specs, gamma and the symmetry image, and the paper's generators
+from the word oracle: orders, traces, powers, fixed points and disks."""
 
 import cmath
 import math
@@ -8,23 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobcert.certificates import disk_centers_elliptic, disk_slack
+from mobcert.certificates import cert_combined, disk_centers_elliptic, disk_slack
 from mobcert.lambda_region import lambda_slack
 from mobcert.mobius import (
     EPS_ALG,
     GroupSpec,
     InvalidInputError,
     check_marking,
-    det2,
     gamma_of,
-    inv2,
-    make_generators,
     pi_over,
     sigma_pq,
     symmetry_image,
-    tr2,
 )
 from mobcert.omega import xi
+from words import generators, trace_of, word_trace
 
 RNG = np.random.default_rng(20260814)
 
@@ -44,8 +42,9 @@ def act(m: np.ndarray, z: complex) -> complex:
 
 
 def power(m: np.ndarray, k: int) -> np.ndarray:
-    """m^k by repeated products; negative k uses inv2."""
-    step = m if k >= 0 else inv2(m)
+    """m^k by repeated products of a det-1 m; negative k steps by the
+    adjugate, the exact inverse (numpy's LU inverse is not exact)."""
+    step = m if k >= 0 else np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
     out = np.eye(2, dtype=complex)
     for _ in range(abs(k)):
         out = out @ step
@@ -60,29 +59,23 @@ def apex(p) -> complex:
 class TestGenerators:
     def test_traces_and_det(self):
         for p, q in [(3, 3), (2, 5), (7, 4), (math.inf, 3), (3, math.inf)]:
-            A, B = make_generators(GroupSpec(p, q, 1.7 - 0.3j))
-            assert abs(det2(A) - 1) < EPS_ALG and abs(det2(B) - 1) < EPS_ALG
+            A, B = generators(p, q, 1.7 - 0.3j)
+            assert abs(np.linalg.det(A) - 1) < EPS_ALG and abs(np.linalg.det(B) - 1) < EPS_ALG
             if p != math.inf:
-                assert abs(tr2(A) - 2 * math.cos(math.pi / p)) < EPS_ALG
+                assert abs(np.trace(A) - 2 * math.cos(math.pi / p)) < EPS_ALG
             else:
-                assert abs(tr2(A) - 2) < EPS_ALG
+                assert abs(np.trace(A) - 2) < EPS_ALG
             if q != math.inf:
-                assert abs(tr2(B) - 2 * math.cos(math.pi / q)) < EPS_ALG
+                assert abs(np.trace(B) - 2 * math.cos(math.pi / q)) < EPS_ALG
 
     def test_orders_are_exact(self):
         # A has order p: A^p = -I (trace 2cos(pi/p) lifts the rotation by 2pi/p).
         for p in (2, 3, 5, 8):
-            A, _ = make_generators(GroupSpec(p, 3, 1.0 + 1.0j))
+            A, _ = generators(p, 3, 1.0 + 1.0j)
             acc = np.eye(2, dtype=complex)
             for _ in range(p):
                 acc = acc @ A
             assert np.abs(acc + np.eye(2)).max() < 1e-12
-
-    def test_rejects_degenerate(self):
-        with pytest.raises(InvalidInputError):
-            make_generators(GroupSpec(2, 2, 1.0))
-        with pytest.raises(InvalidInputError):
-            make_generators(GroupSpec(3, 3, 0.0))
 
     @pytest.mark.parametrize("rho", [complex("nan"), complex("inf"), complex("nan+1j")], ids=["nan", "inf", "nan+1j"])
     def test_rejects_non_finite_rho(self, rho):
@@ -99,8 +92,7 @@ class TestGenerators:
             if abs(rho) < 0.1:
                 continue
             spec = GroupSpec(p, q, rho)
-            A, B = make_generators(spec)
-            gamma_mat = tr2(A @ B @ inv2(A) @ inv2(B)) - 2.0
+            gamma_mat = word_trace(p, q, rho, "ABab") - 2.0
             assert abs(gamma_mat - gamma_of(spec)) < 1e-10
             assert abs(gamma_of(spec) - rho * (rho - sigma_pq(p, q))) < 1e-10
 
@@ -119,7 +111,7 @@ class TestGeneratorPower:
     def test_matches_repeated_product(self, p, k):
         # Closed form of A^k: [[alpha^k, s_k], [0, alpha^-k]] with
         # s_k = (alpha^k - alpha^-k) / (alpha - alpha^-1), or k for p = inf.
-        A, _ = make_generators(GroupSpec(p, 3, 1.0 + 1.0j))
+        A, _ = generators(p, 3, 1.0 + 1.0j)
         if p == math.inf:
             want = np.array([[1.0, k], [0.0, 1.0]], dtype=complex)
         else:
@@ -129,7 +121,7 @@ class TestGeneratorPower:
         assert np.abs(power(A, k) - want).max() < 1e-9
 
     def test_infinite_order_is_translation(self):
-        A, B = make_generators(GroupSpec(math.inf, math.inf, 2.5 - 1j))
+        A, B = generators(math.inf, math.inf, 2.5 - 1j)
         assert np.abs(power(A, 5) - np.array([[1, 5], [0, 1]])).max() == 0
         assert np.abs(power(B, -3) - np.array([[1, 0], [-3 * (2.5 - 1j), 1]])).max() == 0
 
@@ -140,11 +132,11 @@ class TestTraceIdentity:
         # A does not change the group's commutator trace.
         for _ in range(60):
             spec = random_spec()
-            A, B = make_generators(spec)
+            A, B = generators(spec.p, spec.q, spec.rho)
             n, m = (int(v) for v in RNG.integers(-8, 9, 2))
             Bt = power(A, n) @ B @ power(A, m)
-            t1 = tr2(A @ B @ inv2(A) @ inv2(B))
-            t2 = tr2(A @ Bt @ inv2(A) @ inv2(Bt))
+            t1 = word_trace(spec.p, spec.q, spec.rho, "ABab")
+            t2 = trace_of(A, Bt, "ABab")
             assert abs(t1 - t2) < 1e-10 * max(1.0, abs(t1))
             assert abs(t1 - 2.0 - gamma_of(spec)) < 1e-10 * max(1.0, abs(t1))
 
@@ -155,7 +147,7 @@ class TestFixedPointsAndDisks:
         # 2i sin(pi/q) / rho.
         for _ in range(20):
             spec = random_spec()
-            A, B = make_generators(spec)
+            A, B = generators(spec.p, spec.q, spec.rho)
             assert A[1, 0] == 0 and B[0, 1] == 0
             zb = 2j * math.sin(math.pi / spec.q) / spec.rho
             for m, z in ((A, apex(spec.p)), (B, 0.0), (B, zb)):
@@ -170,9 +162,9 @@ class TestFixedPointsAndDisks:
         # at A's fixed point.
         for _ in range(40):
             spec = random_spec()
-            _, B = make_generators(spec)
+            _, B = generators(spec.p, spec.q, spec.rho)
             a, _, c, d = B.ravel()
-            Bi = inv2(B)
+            Bi = np.linalg.inv(B)
             assert abs(-Bi[1, 1] / Bi[1, 0] - a / c) < 1e-12 * abs(a / c)
             assert abs(1.0 / abs(Bi[1, 0]) - 1.0 / abs(c)) < 1e-12 / abs(c)
             centers = disk_centers_elliptic(spec.q, spec.p)
@@ -186,7 +178,7 @@ class TestFixedPointsAndDisks:
         # isometric disk of B^-1.
         for _ in range(20):
             spec = random_spec()
-            _, B = make_generators(spec)
+            _, B = generators(spec.p, spec.q, spec.rho)
             a, _, c, d = B.ravel()
             radius = 1.0 / abs(c)
             for ang in np.linspace(0.0, 2.0 * math.pi, 7):
@@ -195,11 +187,13 @@ class TestFixedPointsAndDisks:
 
     def test_upper_triangular_rejected(self):
         # rho = 0 makes B diagonal, so B shares infinity with A: the pair is
-        # reducible, gamma vanishes and make_generators refuses it.
+        # reducible, gamma vanishes, tr[A, B] = 2 and the cascade refuses it.
         spec = GroupSpec(3, 5, 0.0)
         assert gamma_of(spec) == 0
-        with pytest.raises(InvalidInputError):
-            make_generators(spec)
+        _, B = generators(3, 5, 0.0)
+        assert B[1, 0] == 0 and B[0, 1] == 0
+        assert abs(word_trace(3, 5, 0.0, "ABab") - 2.0) < 1e-12
+        assert not cert_combined(spec).certified
 
 
 class TestSectorNormalization:
@@ -208,15 +202,15 @@ class TestSectorNormalization:
         # with the same commutator trace.
         for _ in range(25):
             spec = random_spec()
-            A, B = make_generators(spec)
+            A, B = generators(spec.p, spec.q, spec.rho)
             p = spec.p
             n, m = (int(v) for v in RNG.integers(-3 * p, 3 * p + 1, 2))
             full = power(A, n) @ B @ power(A, m)
             reduced = power(A, n % p) @ B @ power(A, m % p)
             sign = (-1) ** ((n - n % p) // p + (m - m % p) // p)
             assert np.abs(full - sign * reduced).max() < 1e-9 * max(1.0, abs(spec.rho))
-            t1 = tr2(A @ full @ inv2(A) @ inv2(full))
-            t2 = tr2(A @ reduced @ inv2(A) @ inv2(reduced))
+            t1 = trace_of(A, full, "ABab")
+            t2 = trace_of(A, reduced, "ABab")
             assert abs(t1 - t2) < 1e-9 * max(1.0, abs(t1))
 
     def test_preconditions(self):
@@ -255,7 +249,7 @@ class TestSector:
         # A is the rotation by 2 pi / p about its fixed point (the apex):
         # A(apex + w) = apex + alpha^2 w, and A^p is the identity on points.
         p = 4
-        A, _ = make_generators(GroupSpec(p, 3, 1.0))
+        A, _ = generators(p, 3, 1.0)
         top = apex(p)
         assert abs(top - 0.5j / math.sin(math.pi / 4)) < 1e-12
         alpha2 = cmath.exp(2j * pi_over(p))
@@ -269,7 +263,7 @@ class TestSector:
     def test_infinite_order_half_plane(self):
         # For p = inf, A is the translation z -> z + 1: parabolic, with no
         # finite fixed point.
-        A, _ = make_generators(GroupSpec(math.inf, 3, 1.0))
-        assert tr2(A) == 2 and A[1, 0] == 0
+        A, _ = generators(math.inf, 3, 1.0)
+        assert np.trace(A) == 2 and A[1, 0] == 0
         for z in (-1j, 2.0 + 3.0j):
             assert act(A, z) == z + 1
