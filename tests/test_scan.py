@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import mobcert.certificates as certificates
 import mobcert.scan as scan
+from mobcert.cli import main
 from mobcert.certificates import cert_combined, combined_codes_array, disk_slack, disk_slack_array
 from mobcert.farey import cusp_residue, farey_poly, solve_cusp
 from mobcert.lambda_region import lambda_from_rho, lambda_slack, lambda_slack_rho, rho_from_lambda
@@ -95,6 +96,16 @@ class TestValidation:
             ScanJob(3, 3, win, 1, "omega")
         with pytest.raises(InvalidInputError):
             ScanJob(3, 3, win, 2.5, "omega")
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, monkeypatch, capsys, tmp_path, workers):
+        # scan --workers selects nothing, but a count below 1 still exits 3
+        # before any scan work
+        monkeypatch.setattr(scan, "_mode_codes", lambda job: pytest.fail("scan work started"))
+        rc = main(["scan", "--p", "3", "--q", "3", "--window=-3,6,-4,4", "--res", "8",
+                   "--mode", "omega", "--workers", str(workers), "--out", str(tmp_path / "x")])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: workers must be at least 1, got {workers}\n"
 
     def test_pixel_centers(self):
         job = ScanJob(3, 3, Window(0.0, 1.0, -1.0, 1.0), 4, "omega")
