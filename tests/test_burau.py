@@ -26,6 +26,15 @@ from words import burau_pair, trace_of
 
 SQRT3 = math.sqrt(3.0)
 MU_SHARP = (3.0 + math.sqrt(5.0)) / 2.0
+# |mu| = 3/2 and cos(arg mu) = -19/21: a non-real point of the certified
+# set's boundary H = 0
+MU_ON_CURVE = complex(-1.5 * 19.0 / 21.0, 1.5 * math.sqrt(80.0) / 21.0)
+
+
+def _zoom(centre, half_width):
+    """The window of the given half-width around centre."""
+    c = complex(centre)
+    return (c.real - half_width, c.real + half_width, c.imag - half_width, c.imag + half_width)
 
 
 def row_slack_of_modulus(r):
@@ -293,10 +302,70 @@ class TestAnnuli:
                 "66cb7a8c9e8d2252bc31cb6db271ab1503b5d3e6f7a4aa5c687efc486c7957ac",
                 "2cc578dea3fab8f90083d13ecfd2d01c9d0d4750f3bebd4506bf626f5dbb3a32",
             ),
+            (  # the benchmark's mu window and resolution
+                (-4.0, 4.0, -4.0, 4.0), 256,
+                "417c50b4341bb21f5007a483c6000f73a32ed6f7dffe13f9d848632d8ce0d6ab",
+                "a77a380b0157113faf342e0660e96d7b021e207dba302d3aafec31b5d82f44f1",
+            ),
+            # zooms on the boundary |lambda| = sqrt(3): at mu = (3 + sqrt(5))/2,
+            # at mu = -1 (the last one lies inside the mu = -1 exclusion) and at
+            # a non-real point of the curve
+            (
+                _zoom(MU_SHARP, 1e-6), 63,
+                "682f05f5d7ce75a14b5e48af5d972059b667f588ba84f167bde17cf5cf813622",
+                "b2362fa5c44a44e155795a1c39548bb6cccdd4d067512acdecbcffe26916272d",
+            ),
+            (
+                _zoom(MU_SHARP, 1e-10), 63,
+                "e66c07222feb950a1bd51bea0b23a0563b00be883536aa2baae6e28e92c858d3",
+                "f1e620ce516d35933c385d0e3a2d956f2011a783d573438cde0a3d2cb7b7d92f",
+            ),
+            (
+                _zoom(MU_SHARP, 1e-13), 63,
+                "70f96ae99cc684245b0a084122f064e5e0783ab6c90c1a548745d4df841918db",
+                "c2c32894f10e0f5b1ab73188684184de8ca3a55e4b20ab5b14e718d195df9877",
+            ),
+            (
+                _zoom(-1.0, 1e-6), 63,
+                "22880c50bb89f7bff37450e94b6ad1275d39afce7364bc69fccd08d71186e62f",
+                "bcf082f20a712a06ea8bcd4bd90bc10918d8f7e908a5d83ea7563a9d125a5fa2",
+            ),
+            (
+                _zoom(-1.0, 1e-10), 63,
+                "4facfad4108e3447a6829b6b2a72655a3030d3c726eefda358917dd65de3ca3b",
+                "bcf082f20a712a06ea8bcd4bd90bc10918d8f7e908a5d83ea7563a9d125a5fa2",
+            ),
+            (
+                _zoom(-1.0, 1e-13), 63,
+                "7fbcaf122dfa5882108044eebc23e07e8c718188e52fce0370ed6b57bcec6e64",
+                "b6c4c3f5409dcb131b4295adab1057780abbc7aa2dfd4013fa864627ea449e88",
+            ),
+            (
+                _zoom(MU_ON_CURVE, 1e-6), 63,
+                "06027f593dce94f4c10d8cf6d18096e7e9628786e6cfe31c1c3c73bad0b6cc51",
+                "c436c38912fc40c78129466786ed273ae3809e2c46df13c5c65cb88285a7868b",
+            ),
+            (
+                _zoom(MU_ON_CURVE, 1e-10), 63,
+                "ebe3e25b077c803b7da63030d1c481c29cb96940c42b93a9796a7f64af61922b",
+                "a447bfd9e78ddedde84685544823fe5b0be22313d4782951fb4c0f85fa7f0ecf",
+            ),
+            (
+                _zoom(MU_ON_CURVE, 1e-13), 63,
+                "46e33f647bea832e2e2e13540839f29754cbd5f578652410dde252090d295e1e",
+                "c2c32894f10e0f5b1ab73188684184de8ca3a55e4b20ab5b14e718d195df9877",
+            ),
+            (  # a window at scale 1e200: |mu|^2 overflows on every pixel
+                (-1e200, 3e200, -2e200, 2e200), 64,
+                "4f0ab8fe80b9310e452fb4f055c2f8f3f78dfe37eb07e6bb40ebdd13db9b98a4",
+                "e1fb2d3f6d649a3427ca48c47b381c45723b81d80d88bf6157f3d0e2647d3b3c",
+            ),
         ],
     )
     def test_burau_scan_digests_pinned(self, window, res, csv_sha, pgm_sha):
-        # recorded when the burau scan thresholded sqrt(3)|lambda| - 3
+        # the first three were recorded when the burau scan thresholded
+        # sqrt(3)|lambda| - 3, the others from the slack array path before the
+        # scan decided mu by the sign of H
         result = run_scan(ScanJob(3, 3, Window(*window), res, "burau"))
         assert hashlib.sha256(scan_csv(result)).hexdigest() == csv_sha
         assert hashlib.sha256(scan_pgm(result)).hexdigest() == pgm_sha
