@@ -3,12 +3,14 @@
 Subcommands: certify, region, scan, compare-lambda, cusps, burau-annulus.
 Complex flags accept RE+IMi notation ("1.5-0.25i"; "j" works too), orders
 accept integers or "inf".  Exit codes: 0 success, 1 a scan that failed
-part-way, a scan raster too large to allocate, or an --out file that
-cannot be written (scan checks both before any band runs), 2
-argument/parse errors (argparse), 3 unsupported or invalid parameter
-combinations, an order of any length included.  A raster that cannot be
-held exits 1, not 3: the job is valid, and the same command runs where
-there is the memory for it.
+part-way, a scan raster too large to allocate, an output file whose
+bytes cannot be held in memory (that file is left as it was), or an
+--out file that cannot be written (scan checks the raster and the --out
+directory before any band runs), 2 argument/parse errors (argparse), 3
+unsupported or invalid parameter combinations, an order of any length
+included.  A raster or an output that cannot be held exits 1, not 3:
+the job is valid, and the same command runs where there is the memory
+for it.
 
 Every --out file goes through _emit, which overwrites it in place: a
 regular file is written from its start and cut to the written length, a
@@ -263,8 +265,13 @@ def cmd_scan(args) -> int:
         res = job.resolution
         print(f"error: cannot hold a {res}x{res} scan raster in memory: {exc}", file=sys.stderr)
         return 1
-    _emit(scan_csv(result), csv_path)
-    _emit(scan_svg(result) if args.format == "svg" else scan_pgm(result), raster_path)
+    for writer, path in ((scan_csv, csv_path), (scan_svg if args.format == "svg" else scan_pgm, raster_path)):
+        try:
+            payload = writer(result)
+        except MemoryError as exc:  # before _emit: the file keeps its bytes
+            print(f"error: cannot hold {path} in memory: {exc}", file=sys.stderr)
+            return 1
+        _emit(payload, path)
     window = job.window
     metadata = {
         "p": _order(job.p),

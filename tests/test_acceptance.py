@@ -7,11 +7,13 @@ the whole module is budgeted to finish in well under 60 seconds.
 import cmath
 import math
 import pathlib
+from fractions import Fraction
 
 import numpy as np
 
 from mobcert.burau import (
     ANNULUS_CONJECTURED,
+    burau_slack_array,
     faithful_certificate,
     faithful_mask,
 )
@@ -211,8 +213,57 @@ def test_criterion_07_burau_sharp_points():
     assert complement.size > 0
     assert (complement >= lo - 1e-9).all()
     assert (complement <= hi + 1e-9).all()
+
+    # In closed form: with R = |mu| and u = cos(arg mu), the row's slack
+    # has the sign of H = (5R^2 - 14R + 5) + u (3R^2 - 10R + 3), so the
+    # boundary H = 0 is u = ratio(R) = numerator / denominator.
+    def numerator(r):
+        return 5 * r * r - 14 * r + 5
+
+    def denominator(r):
+        return 10 * r - 3 * r * r - 3
+
+    # Exact quadratic identities (three points fix a quadratic):
+    # denominator - numerator = -8 (R^2 - 3R + 1), numerator + denominator
+    # = 2 (R - 1)^2, and the denominator's roots are 1/3 and 3.  On
+    # (1/3, 3), which holds the annulus, the denominator is positive, so
+    # ratio <= 1 iff R^2 - 3R + 1 <= 0 -- R in [lo, hi], with ratio = 1 at
+    # the ends only -- and ratio >= -1 throughout; outside it ratio < -1.
+    for r in map(Fraction, (0, 1, 2)):
+        assert denominator(r) - numerator(r) == -8 * (r * r - 3 * r + 1)
+        assert numerator(r) + denominator(r) == 2 * (r - 1) ** 2
+    assert denominator(Fraction(1, 3)) == 0 == denominator(Fraction(3))
+    assert 1 / 3 < lo < hi < 3
+    r = np.geomspace(1e-3, 1e3, 200_001)
+    with np.errstate(divide="ignore"):
+        ratio = numerator(r) / denominator(r)
+    inside = (lo <= r) & (r <= hi)
+    away = (np.abs(r - lo) > 1e-9) & (np.abs(r - hi) > 1e-9)
+    assert ((np.abs(ratio) <= 1.0) == inside)[away].all()
+    assert abs(numerator(lo) / denominator(lo) - 1.0) < 1e-12
+    assert abs(numerator(hi) / denominator(hi) - 1.0) < 1e-12
+    # the row's slack vanishes on the curve
+    r = np.linspace(lo, hi, 1001)
+    u = np.clip(numerator(r) / denominator(r), -1.0, 1.0)
+    curve = r * (u + 1j * np.sqrt(1.0 - u * u))
+    assert np.abs(burau_slack_array(curve)).max() < 1e-14
+
+    # The uncertified set is arg(mu) in (-arccos ratio, arccos ratio) on
+    # each circle |mu| = R: area = integral of 2 R arccos(ratio) dR,
+    # taken with R = mid - half cos t, which smooths the square-root ends.
+    n = 200_000
+    t = (np.arange(n) + 0.5) * (math.pi / n)
+    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+    r = mid - half * np.cos(t)
+    angle = np.arccos(np.clip(numerator(r) / denominator(r), -1.0, 1.0))
+    area = float(np.sum(2.0 * r * angle * half * np.sin(t)) * (math.pi / n))
+    assert abs(area - 14.7432) < 5e-5
+    codes = run_scan(ScanJob(3, 3, Window(-4.0, 4.0, -4.0, 4.0), 1024, "burau")).codes
+    scan_area = 64.0 * float(np.mean(codes == 0))
+    assert abs(scan_area - area) < 0.005 * area
     _ok(7, f"sharp at mu=(3+sqrt5)/2 (gap {boundary_gap:.1e}) and mu=-1 excluded; "
-           f"400^2 grid complement ({complement.size} pts) inside the conjectured annulus")
+           f"400^2 grid complement ({complement.size} pts) inside the conjectured annulus; "
+           f"uncertified area {area:.4f} in closed form, {scan_area:.4f} from a 1024^2 scan")
 
 
 def test_criterion_08_lambda_rho_bridge():

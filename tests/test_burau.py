@@ -4,12 +4,14 @@ import cmath
 import hashlib
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mobcert import burau
 from mobcert.burau import (
     ANNULUS_CONJECTURED,
     ANNULUS_PROVED,
@@ -29,6 +31,44 @@ MU_SHARP = (3.0 + math.sqrt(5.0)) / 2.0
 # |mu| = 3/2 and cos(arg mu) = -19/21: a non-real point of the certified
 # set's boundary H = 0
 MU_ON_CURVE = complex(-1.5 * 19.0 / 21.0, 1.5 * math.sqrt(80.0) / 21.0)
+# faithful_certificate and faithful_mask straddle the closed rule's
+# threshold -EPS_ALG here; mpmath gives E - 2 = -9.9976e-13
+MU_DISAGREE = 2.485424786162156 - 0.7995652751013667j
+
+
+def parent_faithful_mask(mu):
+    """faithful_mask as it was before it decided mu by the sign of H: the
+    row's slack array under the closed rule, less mu = -1 and mu = 0.  The
+    reference that the closed form must match on every pixel."""
+    mu = np.asarray(mu, dtype=complex)
+    with np.errstate(invalid="ignore"):
+        ok = LAMBDA_REGION.passes(burau_slack_array(mu))
+    return ok & (np.abs(mu + 1.0) > EPS_ALG) & (mu != 0)
+
+
+def exact_sign_of_h(mu):
+    """The exact sign of H = (5 + 3u)(R^2 + 1) - (14 + 10u) R at the float
+    mu = x + iy (R = |mu|, u = x / R), in rational arithmetic: sqrt(N) H =
+    sqrt(N) A + B with N = x^2 + y^2, A = 5N + 5 - 10x, B = 3xN + 3x - 14N,
+    and where A and B have opposite signs, squaring decides."""
+    x, y = Fraction(mu.real), Fraction(mu.imag)
+    n = x * x + y * y
+    a = 5 * n + 5 - 10 * x
+    b = 3 * x * n + 3 * x - 14 * n
+    if (a >= 0) == (b >= 0) or a == 0 or b == 0:
+        total = a + b
+    else:
+        total = (n * a * a - b * b) * (1 if a > 0 else -1)
+    return (total > 0) - (total < 0)
+
+
+def point_on_curve(t, upper):
+    """The point of H = 0 at modulus R = lo + t (hi - lo) of the conjectured
+    annulus (lo, hi), above or below the real axis."""
+    lo, hi = ANNULUS_CONJECTURED
+    r = lo + t * (hi - lo)
+    c = min(1.0, max(-1.0, (5.0 * r * r - 14.0 * r + 5.0) / (10.0 * r - 3.0 * r * r - 3.0)))
+    return complex(r * c, r * math.sqrt(1.0 - c * c) * (1.0 if upper else -1.0))
 
 
 def _zoom(centre, half_width):
@@ -263,13 +303,36 @@ class TestAnnuli:
         # they straddle the closed rule's threshold -EPS_ALG.  The scalar
         # path says Faithful, the scan says not certified.  Pinned, not
         # tuned away: a Boundary result (ROADMAP item 7) is the fix.
-        mu = 2.485424786162156 - 0.7995652751013667j
+        mu = MU_DISAGREE
         cert = faithful_certificate(mu)
         arr = burau_slack_array(np.array([mu]))[0]
         assert cert.verdict == "Faithful"
         assert not faithful_mask(np.array([mu]))[0]
         assert arr < -EPS_ALG <= cert.slack
         assert cert.slack - arr < 1e-15
+        # exactly, H < 0 at the float mu, so E < 2: the scan is right and
+        # the scalar path's Faithful is a false positive of the -EPS_ALG band
+        assert exact_sign_of_h(mu) == -1
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 18: the closed rule slack >= -EPS_ALG certifies inside the band",
+    )
+    def test_no_certificate_where_h_is_negative(self):
+        # E - 2 = -9.9976e-13 at this mu, yet the scalar slack -9.9988e-13
+        # passes the closed rule
+        assert exact_sign_of_h(MU_DISAGREE) == -1
+        assert faithful_certificate(MU_DISAGREE).verdict == "NoCertificate"
+
+    def test_exact_sign_of_h(self):
+        # the oracle on points of known sign: H = 2 (R - 1)^2 >= 0 on the
+        # negative axis, 0 at mu = -1, 8 (R^2 - 3R + 1) on the positive one
+        assert exact_sign_of_h(-1.0 + 0.0j) == 0
+        assert exact_sign_of_h(-2.0 + 0.0j) == 1
+        assert exact_sign_of_h(1.0 + 0.0j) == -1
+        assert exact_sign_of_h(3.0 + 0.0j) == 1
+        assert exact_sign_of_h(complex(MU_SHARP)) == 1  # MU_SHARP rounds up
+        assert exact_sign_of_h(complex(math.nextafter(MU_SHARP, 0.0))) == -1
 
     def test_slack_array_matches_scalar(self):
         # both are the LambdaRegion row's slack at rho(mu), S Q(lam) / |lam|
@@ -369,3 +432,66 @@ class TestAnnuli:
         result = run_scan(ScanJob(3, 3, Window(*window), res, "burau"))
         assert hashlib.sha256(scan_csv(result)).hexdigest() == csv_sha
         assert hashlib.sha256(scan_pgm(result)).hexdigest() == pgm_sha
+
+
+class TestClosedForm:
+    """faithful_mask decides mu by the sign of H, and runs the row's slack
+    array only in a thin band around H = 0."""
+
+    def test_h_is_8_r_times_the_ellipse_test(self):
+        # H = 8 R ((Re z)^2 + (Im z)^2 / 4 - 1), whose sign is that of the
+        # row's slack E - 2
+        rng = np.random.default_rng(6)
+        mu = rng.uniform(-4.0, 4.0, 500) + 1j * rng.uniform(-4.0, 4.0, 500)
+        r, u = np.abs(mu), mu.real / np.abs(mu)
+        h = (5.0 + 3.0 * u) * (r * r + 1.0) - (14.0 + 10.0 * u) * r
+        root = np.sqrt(mu)
+        z = root - 1.0 / root
+        assert np.allclose(h, 8.0 * r * (z.real**2 + z.imag**2 / 4.0 - 1.0), rtol=0.0, atol=1e-12)
+        slack = burau_slack_array(mu)
+        clear = np.abs(slack) > 1e-12
+        assert (np.sign(h[clear]) == np.sign(slack[clear])).all()
+
+    @given(
+        centre=st.one_of(
+            st.sampled_from([-1.0, 0.0, MU_SHARP, 1.0 / MU_SHARP]).map(complex),
+            st.builds(point_on_curve, st.floats(0.0, 1.0), st.booleans()),
+            st.builds(complex, st.floats(-8.0, 8.0), st.floats(-8.0, 8.0)),
+        ),
+        log_half_width=st.floats(-14.0, 300.0),
+        res=st.integers(2, 64),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_mask_matches_the_parent(self, centre, log_half_width, res):
+        window = Window(*_zoom(centre, 10.0**log_half_width))
+        job = ScanJob(3, 3, window, res, "burau")
+        mu = job.xs()[None, :] + 1j * job.ys()[:, None]
+        assert (faithful_mask(mu) == parent_faithful_mask(mu)).all()
+        assert (run_scan(job).codes == 4 * parent_faithful_mask(mu)).all()
+
+    def test_band_alone_runs_the_row(self, monkeypatch):
+        sizes = []
+
+        def counted(mu):
+            sizes.append(np.size(mu))
+            return burau_slack_array(mu)
+
+        monkeypatch.setattr(burau, "burau_slack_array", counted)
+        # clear of H = 0 (|mu| > (3 + sqrt(5))/2 throughout), and the
+        # benchmark window, which H = 0 crosses between pixel centres
+        for window, res in [((3.0, 5.0, -1.0, 1.0), 64), ((-4.0, 4.0, -4.0, 4.0), 256)]:
+            run_scan(ScanJob(3, 3, Window(*window), res, "burau"))
+        assert sizes == []
+        # the centre pixel is mu = -1 exactly, on the double point of H = 0
+        result = run_scan(ScanJob(3, 3, Window(-1.5, -0.5, -0.5, 0.5), 3, "burau"))
+        assert sizes == [1]
+        assert result.codes[1, 1] == 0  # mu = -1 is excluded
+
+    def test_guards_and_non_finite_h(self):
+        # mu = 0 (H is NaN) and |mu|^2 overflowing go through the row, as do
+        # a NaN mu and a 0-d array
+        mu = np.array([0.0, -1.0, 1.7e308 + 1.7e308j, 1e200j, complex("nan"), 1e-320])
+        assert faithful_mask(mu).tolist() == parent_faithful_mask(mu).tolist()
+        assert faithful_mask(mu).tolist() == [False, False, True, True, False, True]
+        assert faithful_mask(np.asarray(9.0 + 0.0j)) == np.True_
+        assert faithful_mask(np.asarray(1.0 + 0.0j)) == np.False_

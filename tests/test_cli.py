@@ -483,6 +483,23 @@ class TestRasterTooLarge:
                        "9.31 GiB for an array with shape (100000, 100000) and data type uint8\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("writer, fmt", [("scan_csv", "pgm"), ("scan_svg", "svg"), ("scan_pgm", "pgm")])
+    def test_writer_that_runs_out_of_memory_exits_1(self, capsys, tmp_path, monkeypatch, writer, fmt):
+        # the scan fits, its output does not: one error line, and the file
+        # the writer would have written keeps its old bytes
+        def no_memory(result):
+            raise MemoryError("Unable to allocate 31.0 GiB")
+
+        monkeypatch.setattr(cli, writer, no_memory)
+        base = tmp_path / "x"
+        path = Path(f"{base}.csv" if writer == "scan_csv" else f"{base}.{fmt}")
+        path.write_bytes(b"old bytes")
+        rc, out, err = run(capsys, "scan", "--p", "3", "--q", "4", "--window=0,1,0,1", "--res", "4",
+                           "--mode", "burau", "--format", fmt, "--out", str(base))
+        assert rc == 1 and out == ""
+        assert err == f"error: cannot hold {path} in memory: Unable to allocate 31.0 GiB\n"
+        assert path.read_bytes() == b"old bytes"
+
 
 class TestUnwritableOut:
     """An --out path in a missing directory: one error line, exit 1."""
@@ -865,10 +882,14 @@ class TestProcess:
 
     def test_smoke_step_runs_every_subcommand_and_scan_mode(self):
         # behaviour is checked in Tier-1; the installed-package smoke step
-        # checks only that the package and its entry point run, once each
+        # checks only that the package and its entry point run, once each,
+        # and the burau scan a second time, on a window whose centre pixel
+        # is mu = -1, so that its band path runs too
         step = WORKFLOW.read_text().split("- name: Installed package smoke test\n", 1)[1].split("- name:", 1)[0]
         runs = [words[words.index("mobcert") + 1:] for words in map(str.split, step.splitlines()) if "mobcert" in words]
         subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         assert {r[0] for r in runs} == set(subcommands.choices)
         assert ["certify", "--burau"] in [r[:2] for r in runs]
-        assert sorted(r[r.index("--mode") + 1] for r in runs if r[0] == "scan" and "--mode" in r) == sorted(scan.MODES)
+        modes = sorted(r[r.index("--mode") + 1] for r in runs if r[0] == "scan" and "--mode" in r)
+        assert modes == sorted([*scan.MODES, "burau"])
+        assert "--window=-1.5,-0.5,-0.5,0.5" in next(r for r in runs if r[-1].endswith("/scan-burau-band\""))
