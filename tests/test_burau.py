@@ -36,7 +36,7 @@ MU_ON_CURVE = complex(-1.5 * 19.0 / 21.0, 1.5 * math.sqrt(80.0) / 21.0)
 MU_DISAGREE = 2.485424786162156 - 0.7995652751013667j
 
 
-def parent_faithful_mask(mu):
+def row_faithful_mask(mu):
     """faithful_mask as it was before it decided mu by the sign of H: the
     row's slack array under the closed rule, less mu = -1 and mu = 0.  The
     reference that the closed form must match on every pixel."""
@@ -462,12 +462,12 @@ class TestClosedForm:
         res=st.integers(2, 64),
     )
     @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_mask_matches_the_parent(self, centre, log_half_width, res):
+    def test_mask_matches_the_row_path(self, centre, log_half_width, res):
         window = Window(*_zoom(centre, 10.0**log_half_width))
         job = ScanJob(3, 3, window, res, "burau")
         mu = job.xs()[None, :] + 1j * job.ys()[:, None]
-        assert (faithful_mask(mu) == parent_faithful_mask(mu)).all()
-        assert (run_scan(job).codes == 4 * parent_faithful_mask(mu)).all()
+        assert (faithful_mask(mu) == row_faithful_mask(mu)).all()
+        assert (run_scan(job).codes == 4 * row_faithful_mask(mu)).all()
 
     def test_band_alone_runs_the_row(self, monkeypatch):
         sizes = []
@@ -491,7 +491,7 @@ class TestClosedForm:
         # mu = 0 (H is NaN) and |mu|^2 overflowing go through the row, as do
         # a NaN mu and a 0-d array
         mu = np.array([0.0, -1.0, 1.7e308 + 1.7e308j, 1e200j, complex("nan"), 1e-320])
-        assert faithful_mask(mu).tolist() == parent_faithful_mask(mu).tolist()
+        assert faithful_mask(mu).tolist() == row_faithful_mask(mu).tolist()
         assert faithful_mask(mu).tolist() == [False, False, True, True, False, True]
         assert faithful_mask(np.asarray(9.0 + 0.0j)) == np.True_
         assert faithful_mask(np.asarray(1.0 + 0.0j)) == np.False_
