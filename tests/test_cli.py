@@ -2,6 +2,7 @@
 
 import argparse
 import errno
+import hashlib
 import json
 import math
 import os
@@ -462,6 +463,32 @@ class TestScan:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestPartialScan:
+    def test_scan_that_fails_part_way_exits_1(self, capsys, tmp_path, monkeypatch):
+        # bands of one row, the fourth of which raises: one error line that
+        # names the rows done, and no file written
+        real = scan._mode_codes
+
+        def failing_fourth_band(job):
+            codes_of, _ = real(job)
+            calls = []
+
+            def flaky(xs, ys):
+                calls.append(len(ys))
+                if len(calls) == 5:  # the first call is the empty probe
+                    raise RuntimeError("boom")
+                return codes_of(xs, ys)
+
+            return flaky, 8
+
+        monkeypatch.setattr(scan, "_mode_codes", failing_fourth_band)
+        monkeypatch.setattr(scan, "BAND_PIXELS", 8)
+        rc, out, err = run(capsys, *SCAN, "--res", "8", "--out", str(tmp_path / "x"))
+        assert rc == 1 and out == ""
+        assert err == "error: scan failed after 3 of 8 rows: RuntimeError('boom') (completed_rows=3)\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestRasterTooLarge:
     def test_raster_that_cannot_be_held_exits_1_before_any_band(self, capsys, tmp_path, monkeypatch):
         # the allocation fails as numpy's does for a 100000^2 raster, without
@@ -715,6 +742,28 @@ class TestOtherCommands:
             assert entry["word"]
             assert len(entry["roots"]) == len(entry["residues"])
             assert all(r < 1e-9 for r in entry["residues"])
+
+    # SHA-256 of the cusps record without its 1/3 slope, whose cubic's roots
+    # go through LAPACK (see test_farey.py): the boundary cusps and the
+    # closed-form 0/1, 1/1 and 1/2 roots and residues, re-dumped as the
+    # command dumps them
+    @pytest.mark.parametrize(
+        "p, q, digest",
+        [
+            (3, 3, "d5fe839927d041256450e2d3ac78f55cd43a2fd1922e8999ef527a0e3b6c3da1"),
+            (3, 4, "a9c44656a57ec799fd0d5d6d6ef81d9d7cf813bfc644682f69f827b30608d89f"),
+            (4, 3, "77fcfb7706ea597fc36505bde5b0f2634cbbef2b459146c7579149e5415de99e"),
+            (5, 9, "9cf6bb28f4b26c1ad26df13001b208f5b12626b37e9036c9215fb835d8891439"),
+            (7, 7, "044942d624046330c2672ef8e567ea2939ffb30fe7e520922460704cd10fd71c"),
+            (3, 10, "4133058bfdde29902979d9f20e7f6ce4b4b8469df81167bbd1957b857252dd53"),
+        ],
+    )
+    def test_cusps_closed_forms_pinned(self, capsys, p, q, digest):
+        rc, out, err = run(capsys, "cusps", "--p", str(p), "--q", str(q))
+        assert rc == 0 and err == ""
+        doc = json.loads(out, parse_constant=reject)
+        del doc["slopes"]["1/3"]
+        assert hashlib.sha256(json.dumps(doc).encode("ascii")).hexdigest() == digest
 
     def test_cusps_unsupported_order(self, capsys):
         # cusps and region share the Omega_{p,q} order check

@@ -84,6 +84,20 @@ class TestRegionShape:
             center = 2.0 * math.sin(math.pi / p) * math.sin(math.pi / q)
             assert omega_margin(region, center) > EPS_ALG
 
+    def test_symmetry_center_is_far_inside_every_side(self):
+        # build_omega orients each side by the side of it that sigma/2 lies
+        # on, with no check that it lies off the side: its margin is at
+        # least 1 (sqrt(7)/2 at (3, 3), the least), over orders 3..119 and
+        # 10^3..10^18
+        orders = [*range(3, 120), *(10**k for k in range(3, 19))]
+        least = math.inf
+        for i, p in enumerate(orders):
+            for q in orders[i:]:
+                center = sigma_pq(p, q) / 2.0
+                least = min(least, *(line.margin(center) for line in build_omega(p, q).lines))
+        assert least == pytest.approx(math.sqrt(7.0) / 2.0, rel=1e-12)
+        assert least >= 1.0
+
     def test_margin_invariant_under_symmetries(self):
         # Omega is closed under conjugation and under z -> sigma - z.
         rng = np.random.default_rng(9)

@@ -250,6 +250,17 @@ class TestRegionDigests:
         assert hashlib.sha256(region_svg(p, q).encode("utf-8")).hexdigest() == svg_digest
         assert hashlib.sha256(region_json(p, q).encode("utf-8")).hexdigest() == json_digest
 
+    def test_pinned_hexagon_and_merged_vertex_digests(self):
+        # (7, 7) is a hexagon, whose SVG the golden region_4_4.svg stands
+        # for; (1000, 1001) has 10 vertices for its 12 sides
+        def digest(text):
+            return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+        assert digest(region_json(7, 7)) == "b049e172fa8d939e1bc5b6fffb6891d3be0d100bbe8f31dca717377cdb435fad"
+        assert len(region_polygon(build_omega(1000, 1001))) == 10
+        assert digest(region_svg(1000, 1001)) == "37b452bb07ee1f8715396c273f2e02fb2b8149873c56e2040c31c1c14373d890"
+        assert digest(region_json(1000, 1001)) == "cec1b1a552599168bcf3965a9fac8838f1b65a0af815739ddc7c0a686cd7f2d0"
+
 
 class TestScanFormats:
     def test_csv_exact_bytes(self):
@@ -471,6 +482,20 @@ class TestCompareLambda:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == json_digest
+
+    # SHA-256 of compare_lambda_svg at the markings pinned above
+    @pytest.mark.parametrize(
+        "p, q, n, svg_digest",
+        [
+            (3, 4, 48, "0066ea12443a2e75163f7ab44a8640e53a51cc5ceba512172c36b65914dc64fa"),
+            (5, 9, 360, "77ebbb9715288d6478ab2e05e9c82ed16c7572ec6aa0c02fa7bd54f356e97188"),
+            (7, 7, 7, "ad9777fc674488a63987740363450c29c6cc0d7e2366bfe7114f2c61d3e1f7a9"),
+            (2, 5, 12, "04567acfcd749c9e3bef1a69258ccba3e971539d8e56cf749ff7f3b8459d3624"),
+        ],
+    )
+    def test_pinned_svg_digests(self, p, q, n, svg_digest):
+        svg = compare_lambda_svg(p, q, compare_lambda_data(p, q, n))
+        assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == svg_digest
 
     def test_bisection_is_batched_across_rays(self, monkeypatch):
         # one call of the LambdaRegion row's slack function per bisection
