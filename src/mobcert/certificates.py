@@ -158,7 +158,7 @@ def _centers_array(p, q) -> np.ndarray:
     return centers
 
 
-def _modulus(z: complex) -> float:
+def modulus(z: complex) -> float:
     """abs(z), or +inf past the float maximum, where abs() raises
     OverflowError and np.abs, the rows' modulus, gives inf."""
     try:
@@ -170,7 +170,7 @@ def _modulus(z: complex) -> float:
 def disk_slack(p, q, z: complex) -> float:
     """min_k |z - c_k| - 2 over the four exclusion disks; > 0 certifies."""
     z = complex(z)
-    return min(_modulus(z - c) for c in disk_centers_elliptic(p, q)) - 2.0
+    return min(modulus(z - c) for c in disk_centers_elliptic(p, q)) - 2.0
 
 
 def disk_slack_array(p, q, rho: np.ndarray) -> np.ndarray:
@@ -278,7 +278,7 @@ def line_distance(rho: complex, anchor: complex) -> float:
     if not cmath.isfinite(ratio):
         scale = math.ldexp(1.0, -math.frexp(max(abs(anchor.real), abs(anchor.imag)))[1])
         ratio = (rho * scale) / (anchor * scale)
-    return abs(ratio.real - 1.0) * _modulus(anchor)
+    return abs(ratio.real - 1.0) * modulus(anchor)
 
 
 def cert_line_family(spec: GroupSpec, anchor: complex) -> Certificate:

@@ -2,15 +2,15 @@
 
 Subcommands: certify, region, scan, compare-lambda, cusps, burau-annulus.
 Complex flags accept RE+IMi notation ("1.5-0.25i"; "j" works too), orders
-accept integers or "inf".  Exit codes: 0 success, 1 a scan that failed
-part-way, a scan raster too large to allocate, an output file whose
-bytes cannot be held in memory (that file is left as it was), or an
---out file that cannot be written (scan checks the raster and the --out
-directory before any band runs), 2 argument/parse errors (argparse), 3
-unsupported or invalid parameter combinations, an order of any length
-included.  A raster or an output that cannot be held exits 1, not 3:
-the job is valid, and the same command runs where there is the memory
-for it.
+accept integers or "inf".  Exit codes come from main, which writes the
+one "error:" line of a failure: 0 success, 1 a scan that failed part-way,
+a scan raster too large to allocate, an output file whose bytes cannot be
+held in memory (that file is left as it was), or an --out file that
+cannot be written (scan checks the raster and the --out directory before
+any band runs), 2 argument/parse errors (argparse), 3 unsupported or
+invalid parameter combinations, an order of any length included.  A
+raster or an output that cannot be held exits 1, not 3: the job is
+valid, and the same command runs where there is the memory for it.
 
 Every --out file goes through _emit, which overwrites it in place: a
 regular file is written from its start and cut to the written length, a
@@ -32,7 +32,7 @@ import sys
 
 from . import __version__
 from .burau import ANNULUS_CONJECTURED, ANNULUS_PROVED, faithful_certificate
-from .certificates import cert_combined
+from .certificates import cert_combined, modulus
 from .farey import FAREY_WORDS, SLOPES, cusp_residue, solve_cusp
 from .lambda_region import lambda_from_rho
 from .mobius import (
@@ -50,6 +50,7 @@ from .render import (
     compare_lambda_csv,
     compare_lambda_data,
     compare_lambda_svg,
+    json_order,
     region_json,
     region_svg,
     scan_csv,
@@ -120,11 +121,6 @@ def _window_arg(text: str) -> Window:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _order(n):
-    """An order as a JSON value: the int, or "inf"."""
-    return "inf" if n == math.inf else n
-
-
 def _real(x: float):
     """x; None (JSON null) for a non-finite value."""
     return x if math.isfinite(x) else None
@@ -138,8 +134,9 @@ def _pair(z: complex):
     return [z.real, z.imag]
 
 
-class _CannotWrite(Exception):
-    """An output file that cannot be written (exit 1)."""
+class _JobFailed(Exception):
+    """A valid job that failed (exit 1): a scan that failed part-way, or a
+    raster or output file that memory cannot hold or the disk not take."""
 
 
 def _write_in_place(fd: int, data) -> None:
@@ -184,7 +181,7 @@ def _emit(payload, out_path: str | None) -> None:
         finally:
             os.close(fd)
     except OSError as exc:
-        raise _CannotWrite(f"cannot write {out_path}: {exc.strerror or exc}") from None
+        raise _JobFailed(f"cannot write {out_path}: {exc.strerror or exc}") from None
 
 
 def _json_line(doc) -> str:
@@ -225,7 +222,7 @@ def cmd_certify(args) -> int:
             if finite and sin_sin(args.p, args.q) > 0.0:  # S underflows to 0 where p q passes ~2e324
                 branches = [_pair(b) for b in lambda_from_rho(spec)]
             doc = {
-                "input": {"p": _order(args.p), "q": _order(args.q), "rho": _pair(rho)},
+                "input": {"p": json_order(args.p), "q": json_order(args.q), "rho": _pair(rho)},
                 "verdict": cert.verdict,
                 "witness": cert.witness,
                 "slack": _real(cert.slack),
@@ -253,29 +250,25 @@ def cmd_scan(args) -> int:
     # fail before the probe, not after every band
     directory, name = os.path.split(args.out)
     if name in ("", os.curdir, os.pardir):  # "dir/", "" or ".": the suffixes would name hidden files
-        raise _CannotWrite(f"cannot write {csv_path}: {args.out!r} has no file name")
+        raise _JobFailed(f"cannot write {csv_path}: {args.out!r} has no file name")
     if not os.path.isdir(directory or os.curdir):
-        raise _CannotWrite(f"cannot write {csv_path}: {directory or os.curdir} is not a directory")
+        raise _JobFailed(f"cannot write {csv_path}: {directory or os.curdir} is not a directory")
     try:
         result = run_scan(job)
     except PartialScanError as exc:
-        print(f"error: {exc} (completed_rows={exc.completed_rows})", file=sys.stderr)
-        return 1
+        raise _JobFailed(f"{exc} (completed_rows={exc.completed_rows})") from None
     except MemoryError as exc:  # the raster, allocated before any band runs
-        res = job.resolution
-        print(f"error: cannot hold a {res}x{res} scan raster in memory: {exc}", file=sys.stderr)
-        return 1
+        raise _JobFailed(f"cannot hold a {job.resolution}x{job.resolution} scan raster in memory: {exc}") from None
     for writer, path in ((scan_csv, csv_path), (scan_svg if args.format == "svg" else scan_pgm, raster_path)):
         try:
             payload = writer(result)
         except MemoryError as exc:  # before _emit: the file keeps its bytes
-            print(f"error: cannot hold {path} in memory: {exc}", file=sys.stderr)
-            return 1
+            raise _JobFailed(f"cannot hold {path} in memory: {exc}") from None
         _emit(payload, path)
     window = job.window
     metadata = {
-        "p": _order(job.p),
-        "q": _order(job.q),
+        "p": json_order(job.p),
+        "q": json_order(job.q),
         "window": [window.re_min, window.re_max, window.im_min, window.im_max],
         "resolution": job.resolution,
         "mode": job.mode,
@@ -290,7 +283,7 @@ def cmd_compare_lambda(args) -> int:
     if args.format == "csv":
         _emit(compare_lambda_csv(rows), args.out)
     elif args.format == "json":
-        _emit(_json_line({"p": args.p, "q": args.q, "rows": rows}), args.out)
+        _emit(_json_line({"p": json_order(args.p), "q": json_order(args.q), "rows": rows}), args.out)
     else:
         _emit(compare_lambda_svg(args.p, args.q, rows), args.out)
     return 0
@@ -298,8 +291,8 @@ def cmd_compare_lambda(args) -> int:
 
 def cmd_cusps(args) -> int:
     doc = {
-        "p": args.p,
-        "q": args.q,
+        "p": json_order(args.p),
+        "q": json_order(args.q),
         "boundary_cusps": [_pair(z) for z in boundary_cusps(args.p, args.q)],
         "slopes": {},
     }
@@ -318,10 +311,7 @@ def cmd_burau_annulus(args) -> int:
     lines = []
     for mu in args.mu:
         cert = faithful_certificate(mu)
-        try:
-            r = abs(mu)
-        except OverflowError:  # |mu| passes the float maximum
-            r = math.inf
+        r = modulus(mu)
         doc = {
             "input": {"mu": _pair(mu)},
             "abs_mu": _real(r),
@@ -407,7 +397,7 @@ def main(argv=None) -> int:
     except (UnsupportedError, InvalidInputError, PreconditionError, _OrderTooLong) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except _CannotWrite as exc:
+    except _JobFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

