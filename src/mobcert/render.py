@@ -5,12 +5,14 @@ All output here is a pure function of its inputs: fixed coordinate scale
 fill #cccccc, exclusion disks #d33 at 40% opacity), fixed float formatting
 (12 significant digits in CSV, '.' decimal separator, '\\n' line endings).
 Running the same job twice produces byte-identical files.  The scan
-writers (CSV, SVG, PGM) assemble their bytes with numpy and per-row or
-per-run joins, never one string per pixel, and accept only the palette
-codes 0..5: any other code raises ValueError.  They read the window and
-resolution from the result's ScanJob, and the CSV's coordinates are its
-pixel centres ScanJob.xs() and ys(), so only the scan module knows where a
-pixel's centre lies.
+writers (CSV, SVG, PGM) assemble their bytes with numpy, never one string
+per pixel: the CSV from one row template per y-label width, its y labels
+and code digits written in place by block, the PGM as one byte array and
+the SVG from per-run rects.  They accept only the palette codes 0..5: any
+other code raises ValueError.  They read the window and resolution from
+the result's ScanJob, and the CSV's coordinates are its pixel centres
+ScanJob.xs() and ys(), so only the scan module knows where a pixel's
+centre lies.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import cmath
 import json
 import math
 import operator
-from itertools import chain
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -63,11 +65,6 @@ def _fmt_all(template: str, *columns) -> str:
 def json_order(n):
     """An order as a JSON value: "inf", or the int."""
     return "inf" if n == math.inf else int(n)
-
-
-def _g12(v: float) -> str:
-    """12-significant-digit decimal used by all CSV writers."""
-    return f"{float(v):.12g}"
 
 
 def _svg_open(width: float, height: float) -> str:
@@ -219,35 +216,67 @@ def _palette_codes(result: ScanResult) -> np.ndarray:
     return codes
 
 
+def _labels(values: np.ndarray) -> list[str]:
+    """The values in "%.12g", formatted in one % pass, then an empty string."""
+    return ("%.12g\n" * len(values) % tuple(values.tolist())).split("\n")
+
+
+#: Bytes of CSV rows that scan_csv fills per numpy write.  numpy fills the
+#: listed columns one at a time down every row of a view, so a taller view
+#: than a core's cache holds reloads each row once per column.
+_BLOCK_BYTES = 1 << 20
+
+
 def scan_csv(result: ScanResult) -> bytearray:
     """Rows x,y,code with 12-significant-digit coordinates: the pixel
     centres job.xs() and job.ys() that the scan evaluated.
 
-    The coordinate strings are formatted once per column and once per row;
-    each row's text is one join of the column strings with that row's
-    ",y,0\\n" tail, and the code digits are then written over the "0"
-    placeholders at their computed byte offsets.  The buffer they are
-    written into is returned as it is, without a copy to bytes.
+    Pixel row i is the text x_j,y_i,c_ij\\n for j = 0..res-1.  The x labels
+    are the same in every row, and each comma, code digit and newline is
+    one byte, so the row's layout depends on len(y_i) alone: line j ends
+    len(x_0) + ... + len(x_j) + (j + 1)(len(y_i) + 4) bytes into the row.
+    Rows whose y labels have the same width thus share every byte offset,
+    and the buffer is one template per y-label width (x labels, commas,
+    newlines and "0" digits, a placeholder for the y label) joined in row
+    order.  Each run of consecutive rows of one width is then a stack of
+    equal rows at a fixed stride: each block of up to _BLOCK_BYTES of its
+    rows takes its code digits in one write at the digits' offsets and its
+    y labels in one write of n-byte void items at theirs.  The buffer is
+    returned as it is, without a copy to bytes.
     """
     codes = _palette_codes(result)
     job = result.job
-    res = job.resolution
-    xs = [_g12(x).encode("ascii") for x in job.xs().tolist()]
-    tails = [f",{_g12(y)},0\n".encode("ascii") for y in job.ys().tolist()]
+    xs, ys = _labels(job.xs()), _labels(job.ys())[:-1]
     head = b"x,y,code\n"
-    cells = xs + [b""]  # the join then ends each row with its tail
-    buf = bytearray().join([head, *(tail.join(cells) for tail in tails)])
+    y_len = list(map(len, ys))
+    # the join over xs, which ends in "", ends each line with its tail
+    templates = {n: f",{'y' * n},0\n".join(xs).encode("ascii") for n in set(y_len)}
+    buf = bytearray().join([head, *map(templates.__getitem__, y_len)])
 
-    # Line j of row i ends x_end[j] + (j + 1) * len(tail_i) bytes into the
-    # row; its code digit sits two bytes before that end.
-    x_end = np.cumsum([len(x) for x in xs])
-    tail_len = np.array([len(t) for t in tails])
-    row_len = x_end[-1] + res * tail_len
-    row_start = len(head) + np.cumsum(row_len) - row_len
-    digit_at = np.multiply.outer(tail_len, np.arange(1, res + 1))
-    digit_at += x_end
-    digit_at += (row_start - 2)[:, None]
-    np.frombuffer(buf, dtype=np.uint8)[digit_at] = codes + ord("0")
+    # per width n: the void dtype of a y label, and the offsets in a row of
+    # each line's code digit and y label, 2 and n + 3 bytes before its end
+    x_end = np.cumsum([len(x) for x in xs[:-1]])
+    lines = np.arange(1, job.resolution + 1)
+    layout = {}
+    for n in templates:
+        ends = x_end + (n + 4) * lines
+        layout[n] = np.dtype((np.void, n)), ends - 2, ends - (n + 3)
+    chars = codes + ord("0")
+    start = len(head)
+    i = 0
+    for n, run in groupby(y_len):
+        count, width = len(list(run)), len(templates[n])
+        label, digit_at, label_at = layout[n]
+        labels = np.frombuffer("".join(ys[i : i + count]).encode("ascii"), label)[:, None]
+        digits = chars[i : i + count]
+        rows = np.ndarray((count, width), np.uint8, buf, start, (width, 1))
+        slots = np.ndarray((count, width - n + 1), label, buf, start, (width, 1))
+        step = max(1, _BLOCK_BYTES // width)
+        for r in range(0, count, step):
+            rows[r : r + step, digit_at] = digits[r : r + step]
+            slots[r : r + step, label_at] = labels[r : r + step]
+        start += count * width
+        i += count
     return buf
 
 
@@ -400,8 +429,8 @@ _ROW_FIELDS = operator.itemgetter("theta", "t_disks", "t_lambda", "winner")
 
 
 def compare_lambda_csv(rows: list[dict]) -> bytes:
-    """Rows theta,t_disks,t_lambda,winner, every number formatted as _g12
-    does, in one % pass over all rows."""
+    """Rows theta,t_disks,t_lambda,winner, every number in "%.12g", in one
+    % pass over all rows."""
     text = "theta,t_disks,t_lambda,winner\n" + "%.12g,%.12g,%.12g,%s\n" * len(rows)
     return (text % tuple(chain.from_iterable(map(_ROW_FIELDS, rows)))).encode("ascii")
 

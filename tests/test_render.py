@@ -4,7 +4,9 @@ import cmath
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import astuple
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -22,7 +24,6 @@ from mobcert.render import (
     PALETTE,
     SCALE,
     _fmt,
-    _g12,
     compare_lambda_csv,
     compare_lambda_data,
     compare_lambda_svg,
@@ -51,10 +52,10 @@ def ref_scan_csv(result):
     res = result.job.resolution
     w = (re_max - re_min) / res
     h = (im_max - im_min) / res
-    xs = [_g12(re_min + (j + 0.5) * w) for j in range(res)]
+    xs = [f"{re_min + (j + 0.5) * w:.12g}" for j in range(res)]
     lines = ["x,y,code"]
     for i in range(res):
-        y = _g12(im_min + (i + 0.5) * h)
+        y = f"{im_min + (i + 0.5) * h:.12g}"
         lines.extend(f"{x},{y},{c}" for x, c in zip(xs, result.codes[i].tolist()))
     return ("\n".join(lines) + "\n").encode("ascii")
 
@@ -103,6 +104,27 @@ intervals = st.tuples(bounds, bounds).filter(lambda ab: ab[0] != ab[1]).map(sort
 code_grids = st.integers(2, 64).flatmap(
     lambda res: arrays(np.uint8, (res, res), elements=st.integers(0, 5))
 )
+
+STANDARD_WINDOW = (-3.0, 6.0, -4.5, 4.5)
+# Windows whose labels stress the CSV writer's per-width row templates; the
+# label shapes named are those at 256 pixels, which
+# test_csv_windows_have_their_label_shapes checks.
+CSV_WINDOWS = [
+    STANDARD_WINDOW,
+    (0.1234567, 0.3, -0.2, 0.7777),  # x labels change width 65 times
+    (-4.0, 4.0, -32.125, 31.875),  # y crosses 0 and its label widths interleave
+    (1000.0, 1256.0, 1000.0, 1256.0),  # every label is 6 bytes
+    (-1e200, 1e200, 1e199, 1e200),
+    (1e-300, 3e-300, -5e-324, 5e-324),  # subnormal heights: every y is -5e-324
+]
+
+
+def shifted(window, res, dx, dy):
+    """window moved by dx and dy pixels, as the benchmark moves its scans."""
+    a, b, c, d = window
+    dx *= (b - a) / res
+    dy *= (d - c) / res
+    return a + dx, b + dx, c + dy, d + dy
 
 
 class TestFormatting:
@@ -335,6 +357,70 @@ class TestScanFormats:
         assert scan_csv(result) == ref_scan_csv(result)
         assert scan_svg(result) == ref_scan_svg(result)
         assert scan_pgm(result) == ref_scan_pgm(result)
+
+    @pytest.mark.parametrize("window", CSV_WINDOWS)
+    @given(
+        res=st.integers(2, 256),
+        shift=st.tuples(st.floats(-0.1, 0.1), st.floats(-0.1, 0.1)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(res=256, shift=(0.0, 0.0), seed=0)
+    @example(res=2, shift=(0.0, 0.0), seed=1)
+    @example(res=3, shift=(0.0, 0.0), seed=2)
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_csv_matches_the_reference_at_scan_sizes(self, window, res, shift, seed):
+        codes = np.random.default_rng(seed).integers(0, 6, (res, res), dtype=np.uint8)
+        result = tiny_result(codes, window=shifted(window, res, *shift))
+        assert scan_csv(result) == ref_scan_csv(result)
+
+    def test_csv_windows_have_their_label_shapes(self):
+        def widths(values):
+            return [len(f"{v:.12g}") for v in values.tolist()]
+
+        def runs(values):
+            return len(list(groupby(widths(values))))
+
+        jobs = [ScanJob(3, 3, Window(*window), 256, "combined") for window in CSV_WINDOWS]
+        assert runs(jobs[1].xs()) == 65
+        ys = jobs[2].ys()
+        assert ys.min() < 0 < ys.max() and runs(ys) > 2 * len(set(widths(ys)))
+        assert set(widths(jobs[3].xs())) == set(widths(jobs[3].ys())) == {6}
+        assert set(jobs[5].ys().tolist()) == {-5e-324}
+
+    # SHA-256 of scan_csv at 256 pixels for the four scans of the benchmark's
+    # scan-closed round (unshifted), and of a 1024-pixel combined scan,
+    # recorded while every row was joined from its cells
+    @pytest.mark.parametrize(
+        "mode, p, q, window, res, digest",
+        [
+            ("omega", 3, 4, STANDARD_WINDOW, 256,
+             "3774252b63b982ec42fedcf8876a789e7400926488a982455e7795200f36578e"),
+            ("disks", 5, 9, STANDARD_WINDOW, 256,
+             "e37ab626a51463195d4b906c469abaa2ae7346f44312807d7506c89a26685037"),
+            ("lambda", 3, 4, STANDARD_WINDOW, 256,
+             "bbf52754a2cb1a3d0e586ec891db786cb12dd5c21f723dd15e57cf2938257a07"),
+            ("burau", 3, 3, (-4.0, 4.0, -4.0, 4.0), 256,
+             "417c50b4341bb21f5007a483c6000f73a32ed6f7dffe13f9d848632d8ce0d6ab"),
+            ("combined", 3, 4, STANDARD_WINDOW, 1024,
+             "ce99e5b5d9c3607a144deee56d0c08905c2092c48c160ef0e10c66be453cc994"),
+        ],
+    )
+    def test_pinned_csv_digests_at_scan_sizes(self, mode, p, q, window, res, digest):
+        result = run_scan(ScanJob(p, q, Window(*window), res, mode))
+        assert hashlib.sha256(scan_csv(result)).hexdigest() == digest
+
+    def test_csv_peak_memory_and_no_live_export(self):
+        codes = np.random.default_rng(3).integers(0, 6, (256, 256), dtype=np.uint8)
+        result = tiny_result(codes, window=shifted(STANDARD_WINDOW, 256, 0.05, -0.05))
+        tracemalloc.start()
+        try:
+            csv = scan_csv(result)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * len(csv)
+        # raises BufferError while a numpy view of the buffer is alive
+        csv.append(ord("\n"))
 
     @pytest.mark.parametrize("bad", [6, 255])
     @pytest.mark.parametrize("writer", [scan_csv, scan_svg, scan_pgm])
